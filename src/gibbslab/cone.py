@@ -48,7 +48,6 @@ class ConeConstants:
 
     delta_prime: float
     n0: int
-    threshold_delta: float
 
     def kappa(self, delta):
         if delta <= self.delta_prime:
@@ -61,7 +60,7 @@ class ConeConstants:
 def cone_constants(space, phi):
     M = space.mixing_time
     dp = M * var_n(phi, 0) + total_variation(phi) + M * math.log(space.alphabet_size)
-    return ConeConstants(delta_prime=dp, n0=2 * M, threshold_delta=dp)
+    return ConeConstants(delta_prime=dp, n0=2 * M)
 
 
 def contraction_trace(T, eigendata, f, g, k, delta=None):

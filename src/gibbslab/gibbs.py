@@ -11,10 +11,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import SizeGuard, Undefined, ValidationError
+from .errors import SizeGuard, SolveFailure, Undefined, ValidationError
 from .potential import total_variation, fnorm
 from .shift_space import enumerate_words, enumeration_cap
-from .transfer import normalized_operator
+from .transfer import _extensions, normalized_operator
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,11 +117,19 @@ def gibbs_measure(T, eigendata):
 
 def markov_measure(space, block_length, states, transition, stationary=None):
     """Arbitrary stationary chain on the recoded graph (candidate
-    measures for the variational diagnostics).  The stationary vector
-    is solved from Q when not supplied."""
+    measures for the variational diagnostics).  When not supplied, the
+    stationary vector is solved from Q in one dense solve of
+    pi (I - Q + 1 1^T) = 1^T; a chain without a unique stationary
+    vector raises SolveFailure."""
     Q = np.asarray(transition, dtype=float)
     if stationary is None:
-        stationary = _stationary_of(Q)
+        k = Q.shape[0]
+        try:
+            stationary = np.linalg.solve((np.eye(k) - Q + 1.0).T, np.ones(k))
+        except np.linalg.LinAlgError as exc:
+            raise SolveFailure(f"stationary system is singular: {exc}")
+        if not np.all(np.isfinite(stationary)):
+            raise SolveFailure("stationary solve produced non-finite entries")
     return GibbsMeasure(
         space=space,
         block_length=block_length,
@@ -129,17 +137,6 @@ def markov_measure(space, block_length, states, transition, stationary=None):
         stationary=np.asarray(stationary, dtype=float),
         transition=Q,
     )
-
-
-def _stationary_of(Q, iters=200_000, tol=1e-15):
-    k = Q.shape[0]
-    pi = np.full(k, 1.0 / k)
-    for _ in range(iters):
-        nxt = pi @ Q
-        if np.abs(nxt - pi).sum() <= tol:
-            return nxt / nxt.sum()
-        pi = nxt
-    return pi / pi.sum()
 
 
 def entropy(mu):
@@ -249,7 +246,7 @@ def gibbs_ratio_scan(mu, phi, n_max, tol=1e-12, cap=None):
             if muw == 0.0:
                 continue
             base = -n * P
-            for x in _tails(mu.space, w, m - 1):
+            for x in _extensions(mu.space, w, m - 1):
                 s = sum(phi.values[x[k : k + m]] for k in range(n))
                 ratio = muw / math.exp(base + s)
                 lo = min(lo, ratio)
@@ -284,15 +281,6 @@ def gibbs_ratio_scan(mu, phi, n_max, tol=1e-12, cap=None):
         band_constant=band_constant,
         passed=passed,
     )
-
-
-def _tails(space, w, tail):
-    if tail == 0:
-        return [w]
-    out = [w]
-    for _ in range(tail):
-        out = [x + (s,) for x in out for s in space.successors(x[-1])]
-    return out
 
 
 def wasserstein_distance(mu1, mu2, alpha, n_max, cap=None):

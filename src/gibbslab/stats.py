@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erf
 
 from .errors import (
     DegenerateVariance,
@@ -375,7 +374,7 @@ def exact_birkhoff_distribution(mu, psi, n, cap=DP_CELL_CAP):
 
 
 def _norm_cdf(z):
-    return 0.5 * (1.0 + erf(np.asarray(z) / math.sqrt(2.0)))
+    return np.array([0.5 * (1.0 + math.erf(x / math.sqrt(2.0))) for x in z])
 
 
 def clt_diagnostics(dist, mean, xi2):

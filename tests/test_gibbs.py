@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gibbslab import models, transfer
-from gibbslab.errors import Undefined, ValidationError
+from gibbslab.errors import SolveFailure, Undefined, ValidationError
 from gibbslab.gibbs import (
     entropy,
     expectation,
@@ -20,7 +20,7 @@ from gibbslab.gibbs import (
     wasserstein_report,
 )
 from gibbslab.potential import FiniteMemoryFunction
-from gibbslab.shift_space import enumerate_words
+from gibbslab.shift_space import enumerate_words, validate
 from gibbslab.verify import jacobian_max_error
 
 PHI_G = (1.0 + math.sqrt(5.0)) / 2.0
@@ -263,6 +263,15 @@ def test_wasserstein_pseudometric():
 def test_markov_measure_solves_stationary(bernoulli):
     fair = markov_measure(bernoulli.space, 1, ((1,), (2,)), np.full((2, 2), 0.5))
     assert fair.stationary == pytest.approx(np.array([0.5, 0.5]), abs=1e-12)
+    # a period-2 chain on the full 3-shift: powers of Q never settle
+    space = validate(3, np.ones((3, 3), dtype=int), symbols=(1, 2, 3))
+    states = ((1,), (2,), (3,))
+    Q = np.array([[0.0, 0.5, 0.5], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+    periodic = markov_measure(space, 1, states, Q)
+    assert periodic.stationary == pytest.approx(np.array([0.5, 0.25, 0.25]), abs=1e-12)
+    # Q = I has no unique stationary vector
+    with pytest.raises(SolveFailure):
+        markov_measure(space, 1, states, np.eye(3))
 
 
 def test_wasserstein_report_shape():

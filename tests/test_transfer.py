@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -83,10 +84,28 @@ def test_residuals_within_tolerance(builtin_triple):
         assert (s.E.h > 0).all()
 
 
-def test_deflated_gap_agrees_with_full_solve(builtin_triple):
-    for s in builtin_triple.values():
-        full = sorted(np.abs(np.linalg.eigvals(s.T.matrix)))[-2] / s.E.lambda_
-        assert transfer.spectral_gap(s.T, s.E) == pytest.approx(full, abs=1e-8)
+def _random_full_shift(seed, memory):
+    """Uniform(-1, 1) potential, rounded to 6 decimals, on the full 4-shift."""
+    space = validate(4, np.ones((4, 4), dtype=int), symbols=(1, 2, 3, 4))
+    rng = np.random.default_rng(seed)
+    words = itertools.product((1, 2, 3, 4), repeat=memory)
+    return FiniteMemoryFunction(
+        space, memory, {w: round(float(rng.uniform(-1.0, 1.0)), 6) for w in words}
+    )
+
+
+def test_spectral_gap_agrees_with_full_solve(builtin_triple):
+    systems = [(s.T, s.E) for s in builtin_triple.values()]
+    # 256 states whose subdominant eigenvalue is a complex pair
+    phi = _random_full_shift(0, 5)
+    T = transfer.build(phi.space, phi)
+    ev = sorted(np.linalg.eigvals(T.matrix), key=abs)
+    assert T.state_count == 256 and abs(ev[-2].imag) > 1e-3
+    systems.append((T, transfer.dominant_eigendata(T, tol=1e-12)))
+    for T, E in systems:
+        full = sorted(np.abs(np.linalg.eigvals(T.matrix)))[-2] / E.lambda_
+        assert E.gap_ratio == pytest.approx(full, abs=1e-8)
+        assert transfer.spectral_gap(T, E) == pytest.approx(full, abs=1e-8)
 
 
 def test_no_convergence_signalled(golden):
