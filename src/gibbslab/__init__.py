@@ -56,7 +56,6 @@ from .stats import (
     clt_diagnostics,
     cohomology_check,
     correlation,
-    cumulant,
     exact_birkhoff_distribution,
     ldp_empirical,
     local_limit_check,

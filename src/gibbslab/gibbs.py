@@ -318,31 +318,21 @@ def wasserstein_lp(mu1, mu2, alpha, n, cap=None):
     disagreement) (zero on the diagonal) between the two n-word
     distributions.
     """
+    from scipy import sparse
     from scipy.optimize import linprog
 
     words = enumerate_words(mu1.space, n, cap=cap)
     p = np.array([mu1.cylinder_measure(w) for w in words])
     q = np.array([mu2.cylinder_measure(w) for w in words])
     k = len(words)
-    C = np.zeros((k, k))
-    for i, u in enumerate(words):
-        for j, v in enumerate(words):
-            if u != v:
-                C[i, j] = alpha ** next(t for t in range(n) if u[t] != v[t])
-    A_eq = []
-    b_eq = []
-    for i in range(k):
-        row = np.zeros((k, k))
-        row[i, :] = 1.0
-        A_eq.append(row.ravel())
-        b_eq.append(p[i])
-    for j in range(k):
-        col = np.zeros((k, k))
-        col[:, j] = 1.0
-        A_eq.append(col.ravel())
-        b_eq.append(q[j])
+    codes = np.array([[mu1.space.index(s) for s in w] for w in words])
+    differ = codes[:, None, :] != codes[None, :, :]
+    C = np.where(differ.any(axis=2), alpha ** differ.argmax(axis=2), 0.0)
+    ones = np.ones((1, k))
+    A_eq = sparse.vstack([sparse.kron(sparse.eye(k), ones),
+                          sparse.kron(ones, sparse.eye(k))])
     res = linprog(
-        C.ravel(), A_eq=np.array(A_eq), b_eq=np.array(b_eq),
+        C.ravel(), A_eq=A_eq, b_eq=np.concatenate([p, q]),
         bounds=(0, None), method="highs",
     )
     if not res.success:

@@ -8,8 +8,6 @@ n >= m and every norm below is an exact finite computation.
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .errors import TooShort, ValidationError
 from .shift_space import enumerate_words
 
@@ -73,10 +71,6 @@ class FiniteMemoryFunction:
     @property
     def sup_norm(self):
         return max(abs(v) for v in self.values.values())
-
-    def table(self):
-        """(words, values) in lexicographic word order."""
-        return self._words, np.array([self.values[w] for w in self._words])
 
 
 def var_n(f, n):

@@ -166,11 +166,6 @@ class PressureFamily:
         return asymptotic_variance(gibbs_measure(T, E), self.psi)
 
 
-def cumulant(space, phi, psi, s):
-    """Lambda(s) = P(phi + s psi) - P(phi); exactly zero at s = 0."""
-    return PressureFamily(space, phi, psi).cumulant(s)
-
-
 @dataclass(frozen=True)
 class RateFunctionPoint:
     t: float
@@ -328,7 +323,12 @@ def _real_gcd(x, y, tol):
 
 def exact_birkhoff_distribution(mu, psi, n, cap=DP_CELL_CAP):
     """Exact law of S_n psi by dynamic programming over
-    (state, accumulated lattice index)."""
+    (state, accumulated lattice index).
+
+    table[u, x] is the probability of sitting in state u with the
+    lattice indices summed so far, u's own included, equal to x; each
+    step is one transition product followed by a shift of row v by
+    v's index."""
     if n < 1:
         raise ValidationError("n must be at least 1")
     states, pi, Q, (pv,) = _block_data(mu, psi)
@@ -340,25 +340,15 @@ def exact_birkhoff_distribution(mu, psi, n, cap=DP_CELL_CAP):
         raise SizeGuard(f"DP table of {n * width} cells exceeds cap {cap}")
     k = len(states)
     table = np.zeros((k, width))
-    table[:, 0] = pi
-    filled = 1
+    table[np.arange(k), idx] = pi
+    groups = [(j, np.flatnonzero(idx == j)) for j in np.unique(idx)]
     for t in range(1, n):
-        nxt = np.zeros_like(table)
-        hi = filled + span_idx
-        for u in range(k):
-            row = table[u, :filled]
-            if not row.any():
-                continue
-            j = idx[u]
-            contrib = np.outer(Q[u], row)
-            nxt[:, j : j + filled] += contrib
-        table = nxt
-        filled = min(hi, width)
-    # fold in the final term
-    out = np.zeros(width)
-    for u in range(k):
-        j = idx[u]
-        out[j : j + filled] += table[u, :filled]
+        used = t * span_idx + 1
+        step = Q.T @ table[:, :used]
+        table[:, :used] = 0.0
+        for j, rows in groups:
+            table[rows, j : j + used] = step[rows]
+    out = table.sum(axis=0)
     total = out.sum()
     if abs(total - 1.0) > 1e-12:
         raise SolveFailure(f"DP mass drifted to {total!r}")

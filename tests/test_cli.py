@@ -1,5 +1,8 @@
 import json
 import math
+import pathlib
+import re
+import shlex
 
 import pytest
 
@@ -10,6 +13,28 @@ from gibbslab.jsonio import dump_json
 
 def run(args):
     return main(args)
+
+
+def _readme_commands():
+    """Invocations in the README's "Command line" block, with `\\`
+    continuations joined and optional `[...]` groups dropped."""
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text().split("## Command line", 1)[1]
+    block = section.split("```", 2)[1]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(re.sub(r"\[[^]]*\]", "", line)) for line in lines if line.strip()]
+
+
+def test_readme_commands_exit_zero(tmp_path, capsys):
+    commands = _readme_commands()
+    assert len(commands) == 8
+    for i, cmd in enumerate(commands):
+        assert cmd[0] == "gibbslab"
+        args = cmd[1:]
+        if "--out" in args:
+            args[args.index("--out") + 1] = str(tmp_path / str(i))
+        assert run(args) == 0, cmd
+        capsys.readouterr()
 
 
 def test_examples_lists_builtins(capsys):
@@ -88,7 +113,11 @@ def test_outputs_byte_identical(tmp_path, capsys):
         capsys.readouterr()
         assert run(["analyze", "--builtin", "ising", "--out", str(out)]) == 0
         capsys.readouterr()
-    for name in ("samples.txt", "sample_summary.json", "analyze.json", "cone_trace.csv"):
+        assert run(["clt", "--builtin", "golden-mean", "--n", "64", "256",
+                    "--out", str(out)]) == 0
+        capsys.readouterr()
+    for name in ("samples.txt", "sample_summary.json", "analyze.json", "cone_trace.csv",
+                 "clt.json", "distribution_n64.csv", "distribution_n256.csv"):
         assert (a / name).read_bytes() == (b / name).read_bytes()
 
 

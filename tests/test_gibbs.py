@@ -223,13 +223,20 @@ def test_wasserstein_zero_for_equal():
     assert tail == 0.5**6
 
 
-def test_wasserstein_lp_oracle_agreement():
-    _, mu1 = solved_bernoulli(0.7)
-    _, mu2 = solved_bernoulli(0.8)
-    value, tail = wasserstein_distance(mu1, mu2, 0.5, 4)
-    lp = wasserstein_lp(mu1, mu2, 0.5, 4)
-    assert value <= lp + 1e-12
-    assert abs(value - lp) <= tail
+def test_wasserstein_lp_oracle_agreement(golden):
+    m = models.golden_mean(0.5)
+    T = transfer.build(m.space, m.potential)
+    golden_half = gibbs_measure(T, transfer.dominant_eigendata(T, tol=1e-13))
+    pairs = [
+        (solved_bernoulli(0.7)[1], solved_bernoulli(0.8)[1]),
+        # a constrained shift: the word 11 has no mass on either side
+        (golden.mu, golden_half),
+    ]
+    for mu1, mu2 in pairs:
+        value, tail = wasserstein_distance(mu1, mu2, 0.5, 4)
+        lp = wasserstein_lp(mu1, mu2, 0.5, 4)
+        assert value <= lp + 1e-12
+        assert abs(value - lp) <= tail
 
 
 def test_wasserstein_lipschitz_grid():

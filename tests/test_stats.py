@@ -114,7 +114,8 @@ def test_cohomology_rejects_spin(ising):
 
 
 def test_cumulant_zero_is_exact(bernoulli):
-    assert stats.cumulant(bernoulli.space, bernoulli.phi, bernoulli.psi, 0.0) == 0.0
+    fam = stats.PressureFamily(bernoulli.space, bernoulli.phi, bernoulli.psi)
+    assert fam.cumulant(0.0) == 0.0
 
 
 def test_cumulant_bernoulli_closed_form(bernoulli):

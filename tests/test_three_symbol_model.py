@@ -11,7 +11,7 @@ import pytest
 from gibbslab import stats, transfer, verify
 from gibbslab.gibbs import gibbs_measure, gibbs_ratio_scan, wasserstein_distance, wasserstein_lp
 from gibbslab.models import ModelFile
-from gibbslab.potential import FiniteMemoryFunction, total_variation
+from gibbslab.potential import FiniteMemoryFunction, birkhoff_sum, total_variation
 from gibbslab.sampler import empirical_birkhoff, sample_path
 from gibbslab.shift_space import enumerate_words, validate
 
@@ -93,6 +93,24 @@ def test_dp_moments_vs_correlation_engine(model, solved):
         for k in range(-n + 1, n)
     )
     assert dist.variance() == pytest.approx(finite_var, abs=1e-9)
+
+
+def test_dp_atoms_vs_cylinder_sums(model, solved, golden):
+    """Every atom of the exact law against a brute-force sum of cylinder
+    measures.  On the three-symbol model several block states share a
+    lattice index; golden-mean's memory-2 observable makes block_chain
+    lift its one-block chain to 2-blocks."""
+    cases = [(solved[2], model.observable), (golden.mu, golden.psi)]
+    for mu, psi in cases:
+        for n in range(1, 7):
+            dist = stats.exact_birkhoff_distribution(mu, psi, n)
+            exact = dict(zip(dist.indices.tolist(), dist.probs.tolist()))
+            brute = {}
+            for w in enumerate_words(mu.space, n + psi.memory - 1):
+                x = round((birkhoff_sum(psi, w, n) - n * dist.offset) / dist.span)
+                brute[x] = brute.get(x, 0.0) + mu.cylinder_measure(w)
+            for x in exact.keys() | brute.keys():
+                assert exact.get(x, 0.0) == pytest.approx(brute.get(x, 0.0), abs=1e-13)
 
 
 def test_variance_fd_and_rate_consistency(model):
