@@ -13,8 +13,8 @@ import numpy as np
 
 from .errors import SizeGuard, SolveFailure, Undefined, ValidationError
 from .potential import total_variation, fnorm
-from .shift_space import enumerate_words, enumeration_cap
-from .transfer import _extensions, normalized_operator
+from .shift_space import block_moves, enumerate_words, enumeration_cap
+from .transfer import _continuation_sums, normalized_operator
 
 
 @dataclass(frozen=True, eq=False)
@@ -171,17 +171,11 @@ def block_chain(mu, L):
     if L == mu.block_length:
         return mu.states, np.array(mu.stationary), np.array(mu.transition)
     states = tuple(enumerate_words(mu.space, L))
-    pos = {w: i for i, w in enumerate(states)}
     pi = np.array([mu.cylinder_measure(w) for w in states])
     Q = np.zeros((len(states), len(states)))
-    for i, u in enumerate(states):
-        if pi[i] == 0.0:
-            continue
-        for s in mu.space.successors(u[-1]):
-            v = u[1:] + (s,)
-            j = pos.get(v)
-            if j is not None:
-                Q[i, j] = mu.cylinder_measure(u + (s,)) / pi[i]
+    for i, j, w in block_moves(mu.space, states):
+        if pi[i] != 0.0:
+            Q[i, j] = mu.cylinder_measure(w) / pi[i]
     # states of zero mass keep an arbitrary valid row for stochasticity
     for i in range(len(states)):
         r = Q[i].sum()
@@ -236,7 +230,6 @@ def gibbs_ratio_scan(mu, phi, n_max, tol=1e-12, cap=None):
     if mu.space.alphabet_size**n_max > cap:
         raise SizeGuard(f"scan of length {n_max} exceeds enumeration cap")
     P = mu.pressure
-    m = phi.memory
     per_length = []
     lo_all, hi_all = math.inf, -math.inf
     for n in range(1, n_max + 1):
@@ -245,10 +238,8 @@ def gibbs_ratio_scan(mu, phi, n_max, tol=1e-12, cap=None):
             muw = mu.cylinder_measure(w)
             if muw == 0.0:
                 continue
-            base = -n * P
-            for x in _extensions(mu.space, w, m - 1):
-                s = sum(phi.values[x[k : k + m]] for k in range(n))
-                ratio = muw / math.exp(base + s)
+            for s in _continuation_sums(mu.space, phi, w):
+                ratio = muw / math.exp(-n * P + s)
                 lo = min(lo, ratio)
                 hi = max(hi, ratio)
         per_length.append((n, lo, hi))

@@ -32,17 +32,29 @@ class ModelFile:
     observable: object = None
 
 
+def _convert(kind, value, what):
+    """kind(value) for kind int or float; a ValidationError naming
+    `what` when the value does not convert."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        noun = "an integer" if kind is int else "a number"
+        raise ValidationError(f"{what} must be {noun}, got {value!r}")
+
+
 def _table(space, doc, alpha, what):
     if not isinstance(doc, dict) or "memory" not in doc or "values" not in doc:
         raise ValidationError(f"{what} needs 'memory' and 'values'")
-    memory = int(doc["memory"])
+    if not isinstance(doc["values"], dict):
+        raise ValidationError(f"{what} values must be an object keyed by words")
+    memory = _convert(int, doc["memory"], f"{what} memory")
     values = {}
     for key, v in doc["values"].items():
         try:
             word = tuple(int(s) for s in key.split(","))
         except ValueError:
             raise ValidationError(f"bad word key {key!r} in {what}")
-        values[word] = float(v)
+        values[word] = _convert(float, v, f"{what} value at {key!r}")
     return FiniteMemoryFunction(space, memory, values, alpha)
 
 
@@ -51,14 +63,16 @@ def from_json(text, name="model"):
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"model is not valid JSON: {exc}")
+    if not isinstance(doc, dict):
+        raise ValidationError(f"model must be a JSON object, got {type(doc).__name__}")
     for field in ("alphabet", "transitions", "potential"):
         if field not in doc:
             raise ValidationError(f"model is missing {field!r}")
-    alpha = float(doc.get("alpha", DEFAULT_ALPHA))
+    alpha = _convert(float, doc.get("alpha", DEFAULT_ALPHA), "alpha")
     if not 0.0 < alpha < 1.0:
         raise ValidationError("alpha must lie in (0, 1)")
     symbols = doc.get("symbols")
-    space = validate(doc["alphabet"], doc["transitions"],
+    space = validate(_convert(int, doc["alphabet"], "alphabet"), doc["transitions"],
                      symbols=None if symbols is None else tuple(symbols))
     potential = _table(space, doc["potential"], alpha, "potential")
     observable = None

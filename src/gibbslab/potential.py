@@ -35,10 +35,11 @@ class FiniteMemoryFunction:
         if not 0.0 < self.alpha < 1.0:
             raise ValidationError("alpha must lie in (0, 1)")
         words = enumerate_words(self.space, self.memory)
+        admissible = set(words)
         missing = [w for w in words if w not in self.values]
         if missing:
             raise ValidationError(f"missing values for admissible words: {missing[:5]}")
-        extra = [w for w in self.values if w not in set(words)]
+        extra = [w for w in self.values if w not in admissible]
         if extra:
             raise ValidationError(f"values given for inadmissible words: {extra[:5]}")
         for w, v in self.values.items():

@@ -153,10 +153,30 @@ def enumerate_words(space, n, cap=None):
         raise SizeGuard(
             f"{space.alphabet_size}**{n} exceeds enumeration cap {cap}"
         )
-    words = [(s,) for s in space.symbols]
-    for _ in range(n - 1):
+    return extend(space, [(s,) for s in space.symbols], n - 1)
+
+
+def extend(space, words, steps):
+    """Every admissible continuation of each word by `steps` symbols,
+    in input order and then lexicographically."""
+    for _ in range(steps):
         words = [w + (s,) for w in words for s in space.successors(w[-1])]
     return words
+
+
+def block_moves(space, states):
+    """(i, j, u + (s,)) for every move u -> u[1:] + (s,) between the
+    admissible blocks `states`, in order of i and then of s.
+
+    `states` must hold every admissible block of its length, so each
+    move lands on one of them.
+    """
+    index = {w: i for i, w in enumerate(states)}
+    return [
+        (i, index[u[1:] + (s,)], u + (s,))
+        for i, u in enumerate(states)
+        for s in space.successors(u[-1])
+    ]
 
 
 def word_count(space, n):
@@ -221,10 +241,6 @@ def recode(space, block_length, cap=None):
     states = enumerate_words(space, block_length, cap=cap)
     k = len(states)
     B = np.zeros((k, k), dtype=np.uint8)
-    pos = {w: i for i, w in enumerate(states)}
-    for i, u in enumerate(states):
-        for s in space.successors(u[-1]):
-            v = u[1:] + (s,)
-            if v in pos:
-                B[i, pos[v]] = 1
+    for i, j, _ in block_moves(space, states):
+        B[i, j] = 1
     return validate(k, B, symbols=tuple(states))

@@ -179,11 +179,11 @@ def rate_function(space, phi, psi, t, s_max=50.0, tol=1e-12, family=None):
 
     Lambda' is increasing (strictly unless psi is cohomologous to a
     constant), so an outward-expanding bracket followed by bisection
-    and Newton steps with Lambda'' converges globally.  The bracket
-    grows lazily from [-1, 1] up to [-s_max, s_max]: extreme tilts can
-    be spectrally degenerate (the tilted chain approaches a periodic
-    orbit and the gap closes), so they are only solved when t really
-    lies that far out in the range of the mean.
+    converges globally.  The bracket grows lazily from [-1, 1] up to
+    [-s_max, s_max]: extreme tilts can be spectrally degenerate (the
+    tilted chain approaches a periodic orbit and the gap closes), so
+    they are only solved when t really lies that far out in the range
+    of the mean.
     """
     fam = family or PressureFamily(space, phi, psi)
     level = min(1.0, s_max)
@@ -218,19 +218,6 @@ def rate_function(space, phi, psi, t, s_max=50.0, tol=1e-12, family=None):
             hi = s
         if hi - lo <= 1e-13 * max(1.0, abs(s)):
             break
-    # Newton polish
-    for _ in range(40):
-        ms = fam.mean(s)
-        if abs(ms - t) <= tol * scale:
-            break
-        v = fam.variance(s)
-        if v <= 0:
-            break
-        step = (ms - t) / v
-        nxt = s - step
-        if not lo <= nxt <= hi:
-            break
-        s = nxt
     lam_s = fam.cumulant(s)
     rate = s * t - lam_s
     if abs(rate) < 1e-14:

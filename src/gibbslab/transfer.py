@@ -19,7 +19,7 @@ import numpy as np
 from . import cone
 from .errors import NoConvergence, SizeGuard, ValidationError
 from .potential import holder_seminorm, total_variation, var_n
-from .shift_space import enumerate_words, enumeration_cap
+from .shift_space import block_moves, enumerate_words, enumeration_cap, extend
 
 DEFAULT_TOL = 1e-12
 MAX_ITER = 10**6
@@ -83,14 +83,9 @@ def build(space, phi, cap=None):
         cap = enumeration_cap()
     if k * k > cap:
         raise SizeGuard(f"{k}x{k} transfer matrix exceeds cap {cap}")
-    pos = {w: i for i, w in enumerate(states)}
     M = np.zeros((k, k))
-    for i, u in enumerate(states):
-        for s in space.successors(u[-1]):
-            w = u[1:] + (s,)
-            j = pos.get(w)
-            if j is not None:
-                M[i, j] = math.exp(phi((u + (s,))[: phi.memory]))
+    for i, j, w in block_moves(space, states):
+        M[i, j] = math.exp(phi(w[: phi.memory]))
     return TransferSystem(
         space=space, potential=phi, block_length=ell, states=tuple(states), matrix=M
     )
@@ -177,27 +172,22 @@ def pressure_via_partition(space, phi, n, cap=None):
     over all admissible (m-1)-symbol continuations."""
     if n < 1:
         raise ValidationError("n must be at least 1")
-    m = phi.memory
-    tail = m - 1
-    best = -math.inf
-    sums = []
-    for w in enumerate_words(space, n, cap=cap):
-        s = max(
-            sum(phi.values[x[k : k + m]] for k in range(n))
-            for x in _extensions(space, w, tail)
-        )
-        sums.append(s)
-        best = max(best, s)
+    words = enumerate_words(space, n, cap=cap)
+    sums = [max(_continuation_sums(space, phi, w)) for w in words]
     # factor out the max before exponentiating to keep the sum stable
+    best = max(sums)
     total = sum(math.exp(s - best) for s in sums)
     return (best + math.log(total)) / n
 
 
-def _extensions(space, w, tail):
-    out = [w]
-    for _ in range(tail):
-        out = [x + (s,) for x in out for s in space.successors(x[-1])]
-    return out
+def _continuation_sums(space, phi, w):
+    """S_n phi, n = len(w), over each admissible (m-1)-symbol
+    continuation of w, m = phi.memory."""
+    n, m = len(w), phi.memory
+    return [
+        sum(phi.values[x[k : k + m]] for k in range(n))
+        for x in extend(space, [w], m - 1)
+    ]
 
 
 def constants_report(space, phi, alpha, eigendata):

@@ -32,7 +32,7 @@ from .gibbs import (
     variational_defect,
 )
 from .potential import FiniteMemoryFunction
-from .shift_space import enumerate_words
+from .shift_space import block_moves
 from .stats import PressureFamily, rate_function
 
 DEFAULT_TOLS = {
@@ -69,8 +69,9 @@ def default_observable(model):
 
 
 def jacobian_max_error(mu, phi, eigendata, states):
-    """Max relative error of the Jacobian identity over all words of
-    length block_length + 1.
+    """Max relative error of the Jacobian identity over every move
+    u -> v between the block states, i.e. over all words of length
+    block_length + 1.
 
     The shift Jacobian of the invariant chain is
     exp(P - phi) * h(next block) / h(first block); the eigenfunction
@@ -79,12 +80,10 @@ def jacobian_max_error(mu, phi, eigendata, states):
     constrained shifts.  Equivalently, the eigenmeasure nu is exactly
     exp(P - phi)-conformal.
     """
-    ell = mu.block_length
-    index = {s: k for k, s in enumerate(states)}
     h = eigendata.h
     worst = 0.0
-    for w in enumerate_words(mu.space, ell + 1):
-        ratio = h[index[w[1 : ell + 1]]] / h[index[w[:ell]]]
+    for i, j, w in block_moves(mu.space, states):
+        ratio = h[j] / h[i]
         target = math.exp(eigendata.pressure - phi(w)) * ratio
         worst = max(worst, abs(mu.jacobian(w) / target - 1.0))
     return worst

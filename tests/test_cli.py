@@ -1,8 +1,11 @@
 import json
 import math
+import os
 import pathlib
 import re
 import shlex
+import subprocess
+import sys
 
 import pytest
 
@@ -11,8 +14,18 @@ from gibbslab.cli import main
 from gibbslab.jsonio import dump_json
 
 
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
+
+
 def run(args):
     return main(args)
+
+
+def python(*args):
+    """Run a fresh interpreter with this checkout's package importable."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
 
 
 def _readme_commands():
@@ -86,6 +99,23 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(transfer_mod, "MAX_ITER", 5)
     assert run(["analyze", "--builtin", "golden-mean", "--tol", "1e-15"]) == 2
     capsys.readouterr()
+
+
+def test_malformed_model_exits_one_without_traceback(tmp_path):
+    doc = models.to_document(models.builtin("bernoulli"))
+    bad = tmp_path / "double.json"
+    bad.write_text(json.dumps(dump_json(doc)))
+    proc = python("-m", "gibbslab.cli", "analyze", "--model", str(bad),
+                  "--out", str(tmp_path / "r"))
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error:")
+    assert "Traceback" not in proc.stderr
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    proc = python("-c", "import sys, gibbslab.cli; print('scipy' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_model_round_trip(tmp_path, capsys):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from gibbslab import models, transfer
 from gibbslab.errors import SolveFailure, Undefined, ValidationError
 from gibbslab.gibbs import (
+    block_chain,
     entropy,
     expectation,
     gibbs_measure,
@@ -279,6 +280,33 @@ def test_markov_measure_solves_stationary(bernoulli):
     # Q = I has no unique stationary vector
     with pytest.raises(SolveFailure):
         markov_measure(space, 1, states, np.eye(3))
+
+
+def test_block_chain_lift_matches_cylinders(golden):
+    """Lifting a chain to longer blocks: pi_L is the cylinder measure,
+    each row with mass is cyl(u + s) / cyl(u), and each zero-mass row
+    is the identity row."""
+    space = validate(3, np.ones((3, 3), dtype=int), symbols=(1, 2, 3))
+    Q = np.array([[0.0, 0.5, 0.5], [0.5, 0.5, 0.0], [0.25, 0.25, 0.5]])
+    sparse = markov_measure(space, 1, ((1,), (2,), (3,)), Q)
+    for mu, L, zero_rows in [(golden.mu, golden.psi.memory, 0), (sparse, 2, 2)]:
+        states, pi, QL = block_chain(mu, L)
+        assert L == mu.block_length + 1
+        assert states == tuple(enumerate_words(mu.space, L))
+        assert pi.tolist() == [mu.cylinder_measure(u) for u in states]
+        eye = np.eye(len(states))
+        for i, u in enumerate(states):
+            if pi[i] == 0.0:
+                expected = eye[i]
+            else:
+                expected = [
+                    mu.cylinder_measure(u + v[-1:]) / pi[i] if v[:-1] == u[1:] else 0.0
+                    for v in states
+                ]
+            # the raw ratios carry the eigensolve residual (8e-14 on
+            # golden-mean), which block_chain's row renormalisation removes
+            assert QL[i] == pytest.approx(expected, abs=1e-12)
+        assert int((pi == 0.0).sum()) == zero_rows
 
 
 def test_wasserstein_report_shape():

@@ -69,6 +69,33 @@ def test_from_json_errors():
         models.from_json(json.dumps(bad_key))
 
 
+BASE = {
+    "alphabet": 2,
+    "transitions": [[1, 1], [1, 1]],
+    "potential": {"memory": 1, "values": {"1": 0.0, "2": 0.0}},
+}
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        json.dumps(json.dumps(BASE)),
+        json.dumps(dict(BASE, alphabet="x")),
+        json.dumps(dict(BASE, alpha="half")),
+        json.dumps(dict(BASE, alpha=None)),
+        json.dumps(dict(BASE, potential={"memory": "a", "values": {"1": 0.0, "2": 0.0}})),
+        json.dumps(dict(BASE, potential={"memory": 1, "values": {"1": "x", "2": 0.0}})),
+        json.dumps(dict(BASE, potential={"memory": 1, "values": {"1": [0.0], "2": 0.0}})),
+        json.dumps(dict(BASE, potential={"memory": 1, "values": [0.0, 0.0]})),
+    ],
+    ids=["double-encoded", "alphabet", "alpha", "alpha-null", "memory",
+         "value", "value-list", "values-list"],
+)
+def test_malformed_model_raises_validation_error(text):
+    with pytest.raises(ValidationError):
+        models.from_json(text)
+
+
 def test_document_round_trip_all_builtins():
     for name in models.BUILTINS:
         m = models.builtin(name)
