@@ -11,10 +11,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import SizeGuard, SolveFailure, Undefined, ValidationError
+from .errors import SolveFailure, Undefined, ValidationError
 from .potential import total_variation, fnorm
-from .shift_space import block_moves, enumerate_words, enumeration_cap
-from .transfer import _continuation_sums, normalized_operator
+from .shift_space import block_moves, enumerate_words, guard_length
+from .transfer import _by_prefix, _tropical_step, normalized_operator
 
 
 @dataclass(frozen=True, eq=False)
@@ -173,16 +173,13 @@ def block_chain(mu, L):
     states = tuple(enumerate_words(mu.space, L))
     pi = np.array([mu.cylinder_measure(w) for w in states])
     Q = np.zeros((len(states), len(states)))
-    for i, j, w in block_moves(mu.space, states):
+    for i, j, w in zip(*block_moves(mu.space, states)):
         if pi[i] != 0.0:
             Q[i, j] = mu.cylinder_measure(w) / pi[i]
     # states of zero mass keep an arbitrary valid row for stochasticity
-    for i in range(len(states)):
-        r = Q[i].sum()
-        if r == 0.0:
-            Q[i, i] = 1.0
-        else:
-            Q[i] /= r
+    empty = np.flatnonzero(Q.sum(axis=1) == 0.0)
+    Q[empty, empty] = 1.0
+    Q /= Q.sum(axis=1, keepdims=True)
     return states, pi, Q
 
 
@@ -218,33 +215,43 @@ class GibbsScanReport:
 def gibbs_ratio_scan(mu, phi, n_max, tol=1e-12, cap=None):
     """Scan every admissible word up to n_max against the Gibbs band.
 
-    The quantified point x in the cylinder only enters S_n phi through
-    m - 1 undetermined trailing symbols, so the worst case over all of
-    [w] is an exact finite maximum (the canonical extension is one of
-    the continuations scanned).
+    x in [w] enters S_n phi only through m - 1 trailing symbols, so on
+    L-blocks, L = max(l, m - 1), log mu[w] + nP - S_n phi(wx) is a path
+    sum: log pi of the first block, log Q - phi per move with Q > 0
+    inside w, -phi per continuation move (the last min(n, L)).  Each
+    length is one (min,+) and one (max,+) step; a word shorter than a
+    block has pi summed over the blocks it starts.
     """
     if mu.pressure is None:
         raise ValidationError("scan needs a chain with a pressure attached")
-    if cap is None:
-        cap = enumeration_cap()
-    if mu.space.alphabet_size**n_max > cap:
-        raise SizeGuard(f"scan of length {n_max} exceeds enumeration cap")
-    P = mu.pressure
+    guard_length(mu.space, n_max, cap)
+    L = max(mu.block_length, phi.memory - 1)
+    states, pi, Q = block_chain(mu, L)
+    k = len(states)
+    I, J, words = block_moves(mu.space, states)
+    phis = np.array([phi.values[w[: phi.memory]] for w in words])
+    keep = Q[I, J] > 0.0
+    inside = I[keep], J[keep], np.log(Q[I, J][keep]) - phis[keep]
+    heads, tails = [np.log(np.where(pi > 0.0, pi, np.nan))] * 2, [np.zeros(k)] * 2
     per_length = []
-    lo_all, hi_all = math.inf, -math.inf
     for n in range(1, n_max + 1):
-        lo, hi = math.inf, -math.inf
-        for w in enumerate_words(mu.space, n, cap=cap):
-            muw = mu.cylinder_measure(w)
-            if muw == 0.0:
-                continue
-            for s in _continuation_sums(mu.space, phi, w):
-                ratio = muw / math.exp(-n * P + s)
-                lo = min(lo, ratio)
-                hi = max(hi, ratio)
-        per_length.append((n, lo, hi))
-        lo_all = min(lo_all, lo)
-        hi_all = max(hi_all, hi)
+        if n < L:
+            mass = _by_prefix(pi, states, n, np.add)
+            short = np.log(np.where(mass > 0.0, mass, np.nan))
+        band = [n]
+        for b, op in enumerate((np.fmin, np.fmax)):
+            if n <= L:
+                tails[b] = _tropical_step(tails[b], J, I, -phis, op, k)
+            else:
+                heads[b] = _tropical_step(heads[b], *inside, op, k)
+            if n < L:
+                total = short + _by_prefix(tails[b], states, n, op)
+            else:
+                total = heads[b] + tails[b]
+            band.append(math.exp(op.reduce(total) + n * mu.pressure))
+        per_length.append(tuple(band))
+    lo_all = min(lo for _, lo, _ in per_length)
+    hi_all = max(hi for _, _, hi in per_length)
     V = total_variation(phi)
     c1, c2 = math.exp(-2.0 * V), math.exp(2.0 * V)
     F = fnorm(phi)
@@ -274,6 +281,23 @@ def gibbs_ratio_scan(mu, phi, n_max, tol=1e-12, cap=None):
     )
 
 
+def _level_sum(mu1, mu2, alpha, n, cap):
+    """(sum over j <= n of (alpha**(j-1) - alpha**j) TV_j, TV_n), where
+    TV_j = (1/2) sum over admissible j-words of |mu1[w] - mu2[w]|."""
+    if not mu1.space.same_as(mu2.space):
+        raise ValidationError("measures must share one shift space")
+    if not 0.0 < alpha < 1.0:
+        raise ValidationError("alpha must lie in (0, 1)")
+    value = tv = 0.0
+    for j in range(1, n + 1):
+        tv = 0.5 * sum(
+            abs(mu1.cylinder_measure(w) - mu2.cylinder_measure(w))
+            for w in enumerate_words(mu1.space, j, cap=cap)
+        )
+        value += (alpha ** (j - 1) - alpha**j) * tv
+    return value, tv
+
+
 def wasserstein_distance(mu1, mu2, alpha, n_max, cap=None):
     """Level-sum value of W1 for the ultrametric alpha**(first
     disagreement): sum over n of (alpha**(n-1) - alpha**n) TV_n, plus
@@ -282,17 +306,7 @@ def wasserstein_distance(mu1, mu2, alpha, n_max, cap=None):
     Returns (value, tail_bound); the exact distance lies within
     [value, value + tail_bound].
     """
-    if not mu1.space.same_as(mu2.space):
-        raise ValidationError("measures must share one shift space")
-    if not 0.0 < alpha < 1.0:
-        raise ValidationError("alpha must lie in (0, 1)")
-    value = 0.0
-    for n in range(1, n_max + 1):
-        tv = 0.5 * sum(
-            abs(mu1.cylinder_measure(w) - mu2.cylinder_measure(w))
-            for w in enumerate_words(mu1.space, n, cap=cap)
-        )
-        value += (alpha ** (n - 1) - alpha**n) * tv
+    value, _ = _level_sum(mu1, mu2, alpha, n_max, cap)
     return float(value), float(alpha**n_max)
 
 
@@ -303,29 +317,10 @@ def wasserstein_report(mu1, mu2, alpha, n_max, cap=None):
 
 
 def wasserstein_lp(mu1, mu2, alpha, n, cap=None):
-    """Ground-truth transport value on n-cylinder marginals.
-
-    Solves the transportation LP with cost alpha**(first index of
-    disagreement) (zero on the diagonal) between the two n-word
-    distributions.
+    """Exact transport value between the n-cylinder marginals for the
+    cost alpha**(first index of disagreement), a tree metric on the
+    word tree: W_n = sum_{j<n} (alpha**(j-1) - alpha**j) TV_j +
+    alpha**(n-1) TV_n (Kloeckner 2015), the level sum + alpha**n TV_n.
     """
-    from scipy import sparse
-    from scipy.optimize import linprog
-
-    words = enumerate_words(mu1.space, n, cap=cap)
-    p = np.array([mu1.cylinder_measure(w) for w in words])
-    q = np.array([mu2.cylinder_measure(w) for w in words])
-    k = len(words)
-    codes = np.array([[mu1.space.index(s) for s in w] for w in words])
-    differ = codes[:, None, :] != codes[None, :, :]
-    C = np.where(differ.any(axis=2), alpha ** differ.argmax(axis=2), 0.0)
-    ones = np.ones((1, k))
-    A_eq = sparse.vstack([sparse.kron(sparse.eye(k), ones),
-                          sparse.kron(ones, sparse.eye(k))])
-    res = linprog(
-        C.ravel(), A_eq=A_eq, b_eq=np.concatenate([p, q]),
-        bounds=(0, None), method="highs",
-    )
-    if not res.success:
-        raise ValidationError(f"transport LP failed: {res.message}")
-    return float(res.fun)
+    value, tv = _level_sum(mu1, mu2, alpha, n, cap)
+    return float(value + alpha**n * tv)

@@ -34,10 +34,14 @@ class ModelFile:
 
 def _convert(kind, value, what):
     """kind(value) for kind int or float; a ValidationError naming
-    `what` when the value does not convert."""
+    `what` when the value does not convert, is a boolean, or for kind
+    int is not already an integer (2.5, "2")."""
     try:
-        return kind(value)
-    except (TypeError, ValueError):
+        out = kind(value)
+        if isinstance(value, bool) or (kind is int and out != value):
+            raise ValueError
+        return out
+    except (TypeError, ValueError, OverflowError):
         noun = "an integer" if kind is int else "a number"
         raise ValidationError(f"{what} must be {noun}, got {value!r}")
 
@@ -72,8 +76,11 @@ def from_json(text, name="model"):
     if not 0.0 < alpha < 1.0:
         raise ValidationError("alpha must lie in (0, 1)")
     symbols = doc.get("symbols")
+    if symbols is not None and not isinstance(symbols, list):
+        raise ValidationError(f"symbols must be a list, got {symbols!r}")
     space = validate(_convert(int, doc["alphabet"], "alphabet"), doc["transitions"],
-                     symbols=None if symbols is None else tuple(symbols))
+                     symbols=None if symbols is None
+                     else [_convert(int, s, "symbol") for s in symbols])
     potential = _table(space, doc["potential"], alpha, "potential")
     observable = None
     if doc.get("observable") is not None:

@@ -147,36 +147,35 @@ def enumerate_words(space, n, cap=None):
     """
     if n < 1:
         raise ValidationError("word length must be at least 1")
-    if cap is None:
-        cap = enumeration_cap()
-    if space.alphabet_size**n > cap:
-        raise SizeGuard(
-            f"{space.alphabet_size}**{n} exceeds enumeration cap {cap}"
-        )
-    return extend(space, [(s,) for s in space.symbols], n - 1)
-
-
-def extend(space, words, steps):
-    """Every admissible continuation of each word by `steps` symbols,
-    in input order and then lexicographically."""
-    for _ in range(steps):
+    guard_length(space, n, cap)
+    words = [(s,) for s in space.symbols]
+    for _ in range(n - 1):
         words = [w + (s,) for w in words for s in space.successors(w[-1])]
     return words
 
 
+def guard_length(space, n, cap=None):
+    """SizeGuard when alphabet_size**n exceeds the enumeration cap."""
+    cap = enumeration_cap() if cap is None else cap
+    if space.alphabet_size**n > cap:
+        raise SizeGuard(f"{space.alphabet_size}**{n} exceeds enumeration cap {cap}")
+
+
 def block_moves(space, states):
-    """(i, j, u + (s,)) for every move u -> u[1:] + (s,) between the
-    admissible blocks `states`, in order of i and then of s.
+    """Every move u -> u[1:] + (s,) between the admissible blocks
+    `states`, in order of u and then of s, as index arrays I -> J and
+    the words u + (s,).
 
     `states` must hold every admissible block of its length, so each
     move lands on one of them.
     """
     index = {w: i for i, w in enumerate(states)}
-    return [
+    I, J, words = zip(*[
         (i, index[u[1:] + (s,)], u + (s,))
         for i, u in enumerate(states)
         for s in space.successors(u[-1])
-    ]
+    ])
+    return np.array(I), np.array(J), words
 
 
 def word_count(space, n):
@@ -241,6 +240,6 @@ def recode(space, block_length, cap=None):
     states = enumerate_words(space, block_length, cap=cap)
     k = len(states)
     B = np.zeros((k, k), dtype=np.uint8)
-    for i, j, _ in block_moves(space, states):
-        B[i, j] = 1
+    I, J, _ = block_moves(space, states)
+    B[I, J] = 1
     return validate(k, B, symbols=tuple(states))

@@ -338,7 +338,8 @@ def exact_birkhoff_distribution(mu, psi, n, cap=DP_CELL_CAP):
     out = table.sum(axis=0)
     total = out.sum()
     if abs(total - 1.0) > 1e-12:
-        raise SolveFailure(f"DP mass drifted to {total!r}")
+        raise SolveFailure(
+            f"DP mass at n = {n} drifted to {float(total)!r}, more than 1e-12 from 1")
     support = np.flatnonzero(out > 0.0)
     lo, hi = int(support.min()), int(support.max())
     return LatticeDistribution(

@@ -19,7 +19,7 @@ import numpy as np
 from . import cone
 from .errors import NoConvergence, SizeGuard, ValidationError
 from .potential import holder_seminorm, total_variation, var_n
-from .shift_space import block_moves, enumerate_words, enumeration_cap, extend
+from .shift_space import block_moves, enumerate_words, enumeration_cap, guard_length
 
 DEFAULT_TOL = 1e-12
 MAX_ITER = 10**6
@@ -84,7 +84,7 @@ def build(space, phi, cap=None):
     if k * k > cap:
         raise SizeGuard(f"{k}x{k} transfer matrix exceeds cap {cap}")
     M = np.zeros((k, k))
-    for i, j, w in block_moves(space, states):
+    for i, j, w in zip(*block_moves(space, states)):
         M[i, j] = math.exp(phi(w[: phi.memory]))
     return TransferSystem(
         space=space, potential=phi, block_length=ell, states=tuple(states), matrix=M
@@ -169,25 +169,50 @@ def normalized_operator(T, eigendata):
 def pressure_via_partition(space, phi, n, cap=None):
     """(1/n) log of the partition sum over admissible n-words, taking
     on each cylinder the exact maximum of the length-n Birkhoff sum
-    over all admissible (m-1)-symbol continuations."""
+    over all admissible (m-1)-symbol continuations: a path of n moves
+    on L-blocks, L = max(m-1, 1), each adding phi.  A backward (max,+)
+    pass over the last min(n, L) moves meets a rescaled forward
+    sum-product over the others in one log-sum-exp.
+    """
     if n < 1:
         raise ValidationError("n must be at least 1")
-    words = enumerate_words(space, n, cap=cap)
-    sums = [max(_continuation_sums(space, phi, w)) for w in words]
+    guard_length(space, n, cap)
+    L = max(phi.memory - 1, 1)
+    states = enumerate_words(space, L)
+    k = len(states)
+    I, J, words = block_moves(space, states)
+    phis = np.array([phi.values[w[: phi.memory]] for w in words])
+    tail = np.zeros(k)
+    for _ in range(min(n, L)):
+        tail = _tropical_step(tail, J, I, phis, np.fmax, k)
+    f, log_scale = np.ones(k), 0.0
+    for _ in range(n - L):
+        f = np.bincount(J, weights=f[I] * np.exp(phis), minlength=k)
+        log_scale += math.log(f.max())
+        f /= f.max()
+    terms = np.log(f) + tail if n >= L else _by_prefix(tail, states, n, np.fmax)
     # factor out the max before exponentiating to keep the sum stable
-    best = max(sums)
-    total = sum(math.exp(s - best) for s in sums)
-    return (best + math.log(total)) / n
+    best = terms.max()
+    return (log_scale + best + math.log(np.exp(terms - best).sum())) / n
 
 
-def _continuation_sums(space, phi, w):
-    """S_n phi, n = len(w), over each admissible (m-1)-symbol
-    continuation of w, m = phi.memory."""
-    n, m = len(w), phi.memory
-    return [
-        sum(phi.values[x[k : k + m]] for k in range(n))
-        for x in extend(space, [w], m - 1)
-    ]
+def _tropical_step(v, src, dst, weights, op, k):
+    """One (min,+) or (max,+) step, op being np.fmin or np.fmax:
+    out[d] = op over moves s -> d of v[s] + weight, NaN marking no
+    path in v and in out.  Swapping src and dst steps backward."""
+    out = np.full(k, np.nan)
+    op.at(out, dst, v[src] + weights)
+    return out
+
+
+def _by_prefix(v, states, n, op):
+    """Reduce v over the states sharing each n-symbol prefix, in order
+    of first appearance (np.add sums, np.fmin/np.fmax take extremes)."""
+    first = {}
+    ids = np.array([first.setdefault(u[:n], len(first)) for u in states])
+    out = np.zeros(len(first)) if op is np.add else np.full(len(first), np.nan)
+    op.at(out, ids, v)
+    return out
 
 
 def constants_report(space, phi, alpha, eigendata):

@@ -82,7 +82,7 @@ def jacobian_max_error(mu, phi, eigendata, states):
     """
     h = eigendata.h
     worst = 0.0
-    for i, j, w in block_moves(mu.space, states):
+    for i, j, w in zip(*block_moves(mu.space, states)):
         ratio = h[j] / h[i]
         target = math.exp(eigendata.pressure - phi(w)) * ratio
         worst = max(worst, abs(mu.jacobian(w) / target - 1.0))

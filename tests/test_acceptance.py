@@ -26,6 +26,8 @@ from gibbslab.gibbs import (
 from gibbslab.potential import FiniteMemoryFunction
 from gibbslab.sampler import empirical_birkhoff, sample_path
 
+from oracles import transport_lp
+
 PHI_G = (1.0 + math.sqrt(5.0)) / 2.0
 
 
@@ -368,6 +370,7 @@ def test_c10_wasserstein(bernoulli):
                 f"|diff| {abs(value - lp):.6f} <= tail {tail:g}", "",
                 abs(value - lp) <= tail)
     assert ok
+    assert lp == pytest.approx(transport_lp(bernoulli.mu, mu8, 0.5, 4), rel=0.0, abs=1e-10)
     ratios = []
     for eps in (0.01, 0.02, 0.05):
         me = models.bernoulli(0.7 + eps)

@@ -112,10 +112,43 @@ def test_malformed_model_exits_one_without_traceback(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("field", ["symbols", "alphabet", "memory"])
+def test_malformed_field_exits_one_without_traceback(tmp_path, field):
+    """A non-list symbols field, and a fractional alphabet or potential
+    memory, which int() would truncate."""
+    doc = models.to_document(models.builtin("bernoulli"))
+    if field == "memory":
+        doc["potential"]["memory"] = 1.9
+    else:
+        doc[field] = {"symbols": 5, "alphabet": 2.5}[field]
+    bad = tmp_path / "bad.json"
+    bad.write_text(dump_json(doc))
+    proc = python("-m", "gibbslab.cli", "analyze", "--model", str(bad),
+                  "--out", str(tmp_path / "r"))
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error:")
+    assert "Traceback" not in proc.stderr
+
+
 def test_cli_import_leaves_scipy_unloaded():
     proc = python("-c", "import sys, gibbslab.cli; print('scipy' in sys.modules)")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_transport_leaves_scipy_unloaded():
+    code = (
+        "import sys\n"
+        "from gibbslab import gibbs, models, transfer, verify\n"
+        "m = models.bernoulli(0.7)\n"
+        "T = transfer.build(m.space, m.potential)\n"
+        "mu = gibbs.gibbs_measure(T, transfer.dominant_eigendata(T))\n"
+        "w = gibbs.wasserstein_lp(mu, verify.uniform_chain(m), 0.5, 4)\n"
+        "print(w > 0.0, 'scipy' in sys.modules)\n"
+    )
+    proc = python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["True", "False"]
 
 
 def test_model_round_trip(tmp_path, capsys):

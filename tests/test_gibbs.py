@@ -24,6 +24,8 @@ from gibbslab.potential import FiniteMemoryFunction
 from gibbslab.shift_space import enumerate_words, validate
 from gibbslab.verify import jacobian_max_error
 
+from oracles import transport_lp
+
 PHI_G = (1.0 + math.sqrt(5.0)) / 2.0
 
 
@@ -238,6 +240,7 @@ def test_wasserstein_lp_oracle_agreement(golden):
         lp = wasserstein_lp(mu1, mu2, 0.5, 4)
         assert value <= lp + 1e-12
         assert abs(value - lp) <= tail
+        assert lp == pytest.approx(transport_lp(mu1, mu2, 0.5, 4), rel=0.0, abs=1e-10)
 
 
 def test_wasserstein_lipschitz_grid():

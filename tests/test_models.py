@@ -87,9 +87,15 @@ BASE = {
         json.dumps(dict(BASE, potential={"memory": 1, "values": {"1": "x", "2": 0.0}})),
         json.dumps(dict(BASE, potential={"memory": 1, "values": {"1": [0.0], "2": 0.0}})),
         json.dumps(dict(BASE, potential={"memory": 1, "values": [0.0, 0.0]})),
+        json.dumps(dict(BASE, symbols=5)),
+        json.dumps(dict(BASE, alphabet=2.5)),
+        json.dumps(dict(BASE, potential={"memory": 1.9, "values": {"1": 0.0, "2": 0.0}})),
+        json.dumps(dict(BASE, potential={"memory": True, "values": {"1": 0.0, "2": 0.0}})),
+        json.dumps(dict(BASE, potential={"memory": 1, "values": {"1": True, "2": 0.0}})),
     ],
     ids=["double-encoded", "alphabet", "alpha", "alpha-null", "memory",
-         "value", "value-list", "values-list"],
+         "value", "value-list", "values-list", "symbols-number",
+         "alphabet-fraction", "memory-fraction", "memory-bool", "value-bool"],
 )
 def test_malformed_model_raises_validation_error(text):
     with pytest.raises(ValidationError):

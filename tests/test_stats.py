@@ -9,8 +9,9 @@ from gibbslab.errors import (
     NotLattice,
     OutOfRange,
     SizeGuard,
+    SolveFailure,
 )
-from gibbslab.gibbs import expectation
+from gibbslab.gibbs import expectation, markov_measure
 from gibbslab.potential import FiniteMemoryFunction
 
 
@@ -290,6 +291,17 @@ def test_distribution_moments_match_correlations(builtin_triple):
 def test_distribution_size_guard(ising):
     with pytest.raises(SizeGuard):
         stats.exact_birkhoff_distribution(ising.mu, ising.psi, 64, cap=100)
+
+
+def test_dp_mass_message_is_plain(bernoulli):
+    """Rows off by 1e-10 pass the chain's 1e-9 row check but leak DP
+    mass; the error names n, the bound and a plain float."""
+    Q = np.array([[0.6, 0.4 + 1e-10], [0.5, 0.5]])
+    chain = markov_measure(bernoulli.space, 1, ((1,), (2,)), Q)
+    with pytest.raises(SolveFailure, match=r"DP mass at n = 8 drifted to 1\.0000000\d*, "
+                                           r"more than 1e-12 from 1") as err:
+        stats.exact_birkhoff_distribution(chain, bernoulli.psi, 8)
+    assert "np." not in str(err.value)
 
 
 def test_clt_diagnostics_degenerate(bernoulli):

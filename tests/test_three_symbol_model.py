@@ -15,6 +15,8 @@ from gibbslab.potential import FiniteMemoryFunction, birkhoff_sum, total_variati
 from gibbslab.sampler import empirical_birkhoff, sample_path
 from gibbslab.shift_space import enumerate_words, validate
 
+from oracles import transport_lp
+
 
 @pytest.fixture(scope="module")
 def model():
@@ -168,3 +170,4 @@ def test_wasserstein_lp_on_constrained_shift(model, solved):
     lp = wasserstein_lp(mu, mub, 0.5, 4)
     assert value <= lp + 1e-12
     assert abs(value - lp) <= tail
+    assert lp == pytest.approx(transport_lp(mu, mub, 0.5, 4), rel=0.0, abs=1e-10)
