@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import SolveFailure, Undefined, ValidationError
 from .potential import total_variation, fnorm
-from .shift_space import block_moves, enumerate_words, guard_length
+from .shift_space import block_moves, enumerate_words
 from .transfer import _by_prefix, _tropical_step, normalized_operator
 
 
@@ -212,7 +212,7 @@ class GibbsScanReport:
     passed: bool
 
 
-def gibbs_ratio_scan(mu, phi, n_max, tol=1e-12, cap=None):
+def gibbs_ratio_scan(mu, phi, n_max, tol=1e-12):
     """Scan every admissible word up to n_max against the Gibbs band.
 
     x in [w] enters S_n phi only through m - 1 trailing symbols, so on
@@ -224,7 +224,6 @@ def gibbs_ratio_scan(mu, phi, n_max, tol=1e-12, cap=None):
     """
     if mu.pressure is None:
         raise ValidationError("scan needs a chain with a pressure attached")
-    guard_length(mu.space, n_max, cap)
     L = max(mu.block_length, phi.memory - 1)
     states, pi, Q = block_chain(mu, L)
     k = len(states)

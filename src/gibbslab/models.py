@@ -78,7 +78,11 @@ def from_json(text, name="model"):
     symbols = doc.get("symbols")
     if symbols is not None and not isinstance(symbols, list):
         raise ValidationError(f"symbols must be a list, got {symbols!r}")
-    space = validate(_convert(int, doc["alphabet"], "alphabet"), doc["transitions"],
+    rows = doc["transitions"]
+    if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
+        raise ValidationError(f"transitions must be a list of rows, got {rows!r}")
+    transitions = [[_convert(int, a, "transition entry") for a in r] for r in rows]
+    space = validate(_convert(int, doc["alphabet"], "alphabet"), transitions,
                      symbols=None if symbols is None
                      else [_convert(int, s, "symbol") for s in symbols])
     potential = _table(space, doc["potential"], alpha, "potential")

@@ -101,7 +101,10 @@ def validate(alphabet_size, transitions, symbols=None):
     ------
     RowColumnEmpty, NotPrimitive, ValidationError
     """
-    A = np.asarray(transitions)
+    try:
+        A = np.asarray(transitions)
+    except ValueError:
+        raise ValidationError("transitions must be a rectangular matrix")
     n = int(alphabet_size)
     if n < 2:
         raise ValidationError("alphabet size must be at least 2")
@@ -147,18 +150,13 @@ def enumerate_words(space, n, cap=None):
     """
     if n < 1:
         raise ValidationError("word length must be at least 1")
-    guard_length(space, n, cap)
+    cap = enumeration_cap() if cap is None else cap
+    if space.alphabet_size**n > cap:
+        raise SizeGuard(f"{space.alphabet_size}**{n} exceeds enumeration cap {cap}")
     words = [(s,) for s in space.symbols]
     for _ in range(n - 1):
         words = [w + (s,) for w in words for s in space.successors(w[-1])]
     return words
-
-
-def guard_length(space, n, cap=None):
-    """SizeGuard when alphabet_size**n exceeds the enumeration cap."""
-    cap = enumeration_cap() if cap is None else cap
-    if space.alphabet_size**n > cap:
-        raise SizeGuard(f"{space.alphabet_size}**{n} exceeds enumeration cap {cap}")
 
 
 def block_moves(space, states):

@@ -10,7 +10,7 @@ Lambda'(s) = integral of psi under the tilted Gibbs measure.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -24,8 +24,9 @@ from .errors import (
     ValidationError,
 )
 from . import transfer
-from .gibbs import block_chain, expectation, gibbs_measure
+from .gibbs import block_chain, gibbs_measure
 from .potential import affine_combine
+from .shift_space import block_moves
 
 DP_CELL_CAP = 10**8
 
@@ -127,9 +128,13 @@ def cohomology_check(mu, psi, tol=1e-10):
 class PressureFamily:
     """Tilted family s -> P(phi + s psi) with cached eigendata.
 
-    Provides the cumulant Lambda, its derivative as the tilted mean,
-    its second derivative as the tilted variance, and the Legendre
-    transform."""
+    phi, lifted to the common memory of phi and psi, is built once into
+    a system with matrix M, and psi is stored once on its moves as Psi;
+    tilt s solves M(s) = M exp(s Psi) entrywise on the same states.  The
+    tilted systems never leave the family: their `potential` field is
+    the lifted phi, of which only `alpha` is read.  Provides the
+    cumulant Lambda, its derivative as the tilted mean, its second
+    derivative as the tilted variance, and the Legendre transform."""
 
     def __init__(self, space, phi, psi, tol=1e-13):
         self.space = space
@@ -137,14 +142,17 @@ class PressureFamily:
         self.psi = psi
         self.tol = tol
         self._cache = {}
+        self._T = transfer.build(space, affine_combine(phi, psi, 0.0))
+        I, J, words = block_moves(space, self._T.states)
+        self._Psi = np.zeros_like(self._T.matrix)
+        self._Psi[I, J] = [psi(w) for w in words]
         self._p0 = self._solve(0.0)[1].pressure
 
     def _solve(self, s):
         if s not in self._cache:
-            pot = self.phi if s == 0.0 else affine_combine(self.phi, self.psi, s)
-            T = transfer.build(self.space, pot)
-            E = transfer.dominant_eigendata(T, tol=self.tol)
-            self._cache[s] = (T, E)
+            with np.errstate(over="ignore", invalid="ignore"):
+                T = replace(self._T, matrix=self._T.matrix * np.exp(s * self._Psi))
+            self._cache[s] = (T, transfer.dominant_eigendata(T, tol=self.tol))
         return self._cache[s]
 
     def pressure(self, s):
@@ -156,9 +164,10 @@ class PressureFamily:
         return self.pressure(s) - self._p0
 
     def mean(self, s):
-        """Lambda'(s) = integral of psi under the tilted Gibbs measure."""
+        """Lambda'(s) = h^T (M(s) * Psi) nu / lambda: the tilted Gibbs
+        measure gives the move u -> w mass h(u) M(s)[u, w] nu(w) / lambda."""
         T, E = self._solve(s)
-        return expectation(gibbs_measure(T, E), self.psi)
+        return float(E.h @ (T.matrix * self._Psi) @ E.nu / E.lambda_)
 
     def variance(self, s):
         """Lambda''(s) = asymptotic variance under the tilted measure."""

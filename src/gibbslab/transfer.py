@@ -19,7 +19,7 @@ import numpy as np
 from . import cone
 from .errors import NoConvergence, SizeGuard, ValidationError
 from .potential import holder_seminorm, total_variation, var_n
-from .shift_space import block_moves, enumerate_words, enumeration_cap, guard_length
+from .shift_space import block_moves, enumerate_words, enumeration_cap
 
 DEFAULT_TOL = 1e-12
 MAX_ITER = 10**6
@@ -72,20 +72,24 @@ def build(space, phi, cap=None):
     """Assemble the transfer matrix of phi on l-block states.
 
     Entry (u -> w) is exp(phi evaluated on the first m symbols of the
-    (l+1)-word made of u's leading symbol followed by w).
+    (l+1)-word made of u's leading symbol followed by w); a value whose
+    exp overflows is a ValidationError naming its word.
     """
     if not phi.space.same_as(space):
         raise ValidationError("potential is not defined on this shift space")
     ell = max(phi.memory - 1, 1)
     states = enumerate_words(space, ell, cap=cap)
     k = len(states)
-    if cap is None:
-        cap = enumeration_cap()
+    cap = enumeration_cap() if cap is None else cap
     if k * k > cap:
         raise SizeGuard(f"{k}x{k} transfer matrix exceeds cap {cap}")
+    I, J, words = block_moves(space, states)
     M = np.zeros((k, k))
-    for i, j, w in zip(*block_moves(space, states)):
-        M[i, j] = math.exp(phi(w[: phi.memory]))
+    try:
+        M[I, J] = [math.exp(phi(w)) for w in words]
+    except OverflowError:
+        w = max(words, key=phi)[: phi.memory]
+        raise ValidationError(f"exp(phi) overflows at word {w!r} (phi = {phi(w):g})")
     return TransferSystem(
         space=space, potential=phi, block_length=ell, states=tuple(states), matrix=M
     )
@@ -104,19 +108,22 @@ def dominant_eigendata(T, tol=DEFAULT_TOL, max_iter=None):
     if max_iter is None:
         max_iter = MAX_ITER
     M = T.matrix
+    if not np.isfinite(M).all():
+        raise NoConvergence("eigendata: the transfer matrix has non-finite entries")
     k = T.state_count
     nu = np.full(k, 1.0 / k)
     h = np.ones(k)
-    lam = float(M.sum(axis=1).max())
-    iters = 0
+    # each iteration's residual products are the next iteration's products
+    Mnu, Mh = M @ nu, M.T @ h
     for iters in range(1, max_iter + 1):
-        Mnu = M @ nu
         lam = Mnu.sum()  # nu is a probability vector, so this estimates lambda
+        if not math.isfinite(lam):
+            raise NoConvergence(f"eigendata: lambda estimate is {lam} at iteration {iters}")
         nu = Mnu / lam
-        Mh = M.T @ h
         h = Mh / (nu @ Mh)
-        res_h = np.abs(M.T @ h - lam * h).max()
-        res_nu = np.abs(M @ nu - lam * nu).sum()
+        Mnu, Mh = M @ nu, M.T @ h
+        res_h = np.abs(Mh - lam * h).max()
+        res_nu = np.abs(Mnu - lam * nu).sum()
         if res_h <= tol * lam and res_nu <= tol * lam:
             break
     else:
@@ -166,7 +173,7 @@ def normalized_operator(T, eigendata):
     return Q, pi
 
 
-def pressure_via_partition(space, phi, n, cap=None):
+def pressure_via_partition(space, phi, n):
     """(1/n) log of the partition sum over admissible n-words, taking
     on each cylinder the exact maximum of the length-n Birkhoff sum
     over all admissible (m-1)-symbol continuations: a path of n moves
@@ -176,7 +183,6 @@ def pressure_via_partition(space, phi, n, cap=None):
     """
     if n < 1:
         raise ValidationError("n must be at least 1")
-    guard_length(space, n, cap)
     L = max(phi.memory - 1, 1)
     states = enumerate_words(space, L)
     k = len(states)

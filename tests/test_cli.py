@@ -6,6 +6,7 @@ import re
 import shlex
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -112,15 +113,18 @@ def test_malformed_model_exits_one_without_traceback(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
-@pytest.mark.parametrize("field", ["symbols", "alphabet", "memory"])
+@pytest.mark.parametrize("field", ["symbols", "alphabet", "memory", "transitions", "value"])
 def test_malformed_field_exits_one_without_traceback(tmp_path, field):
-    """A non-list symbols field, and a fractional alphabet or potential
-    memory, which int() would truncate."""
+    """A non-list symbols field, a fractional alphabet or potential
+    memory, which int() would truncate, ragged transitions, and a
+    potential value whose exp overflows."""
     doc = models.to_document(models.builtin("bernoulli"))
     if field == "memory":
         doc["potential"]["memory"] = 1.9
+    elif field == "value":
+        doc["potential"]["values"]["2"] = 1e308
     else:
-        doc[field] = {"symbols": 5, "alphabet": 2.5}[field]
+        doc[field] = {"symbols": 5, "alphabet": 2.5, "transitions": [[1, 1], [1]]}[field]
     bad = tmp_path / "bad.json"
     bad.write_text(dump_json(doc))
     proc = python("-m", "gibbslab.cli", "analyze", "--model", str(bad),
@@ -128,6 +132,26 @@ def test_malformed_field_exits_one_without_traceback(tmp_path, field):
     assert proc.returncode == 1
     assert proc.stderr.startswith("error:")
     assert "Traceback" not in proc.stderr
+
+
+def test_overflowing_tilt_is_out_of_range_fast(tmp_path):
+    """psi = 30 [x0 = 1] on the full 2-shift: the bracket for t = 0 and
+    t = 30 (the ends of the mean range) reaches |s| = 32, where
+    exp(s psi) overflows; those rows are out of range, found at once."""
+    doc = models.to_document(models.builtin("bernoulli"))
+    doc["potential"]["values"] = {"1": 0.0, "2": 0.0}
+    doc["observable"]["values"] = {"1": 30.0, "2": 0.0}
+    path = tmp_path / "tilt.json"
+    path.write_text(dump_json(doc))
+    start = time.perf_counter()
+    proc = python("-m", "gibbslab.cli", "rate-curve", "--model", str(path),
+                  "--grid=0:30:10")
+    assert time.perf_counter() - start < 2.0
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr
+    rows = proc.stdout.splitlines()[1:]
+    assert len(rows) == 4
+    assert rows[0].startswith("0,") and "out-of-range" in rows[0]
 
 
 def test_cli_import_leaves_scipy_unloaded():

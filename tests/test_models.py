@@ -92,10 +92,13 @@ BASE = {
         json.dumps(dict(BASE, potential={"memory": 1.9, "values": {"1": 0.0, "2": 0.0}})),
         json.dumps(dict(BASE, potential={"memory": True, "values": {"1": 0.0, "2": 0.0}})),
         json.dumps(dict(BASE, potential={"memory": 1, "values": {"1": True, "2": 0.0}})),
+        json.dumps(dict(BASE, transitions=[[1, 1], [1]])),
+        json.dumps(dict(BASE, transitions=[[True, True], [True, False]])),
     ],
     ids=["double-encoded", "alphabet", "alpha", "alpha-null", "memory",
          "value", "value-list", "values-list", "symbols-number",
-         "alphabet-fraction", "memory-fraction", "memory-bool", "value-bool"],
+         "alphabet-fraction", "memory-fraction", "memory-bool", "value-bool",
+         "transitions-ragged", "transitions-bool"],
 )
 def test_malformed_model_raises_validation_error(text):
     with pytest.raises(ValidationError):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from gibbslab import stats
+from gibbslab import stats, transfer
 from gibbslab.errors import (
     DegenerateVariance,
     NotLattice,
@@ -11,8 +11,9 @@ from gibbslab.errors import (
     SizeGuard,
     SolveFailure,
 )
-from gibbslab.gibbs import expectation, markov_measure
-from gibbslab.potential import FiniteMemoryFunction
+from gibbslab.gibbs import expectation, gibbs_measure, markov_measure
+from gibbslab.potential import FiniteMemoryFunction, affine_combine
+from gibbslab.shift_space import validate
 
 
 def test_correlation_ising_tanh(ising):
@@ -223,6 +224,42 @@ def test_pressure_derivative_constant_direction(bernoulli):
     assert rep["analytic_first"] == pytest.approx(2.0, abs=1e-12)
     assert rep["fd_second"] == pytest.approx(0.0, abs=1e-6)
     assert rep["analytic_second"] == pytest.approx(0.0, abs=1e-12)
+
+
+def _tilted_pair():
+    """Constrained 3-shift, seeded memory-1 phi and psi the indicator of
+    the 3-word (1, 2, 3), so psi's memory exceeds phi's."""
+    space = validate(3, [[1, 1, 0], [0, 1, 1], [1, 0, 1]], symbols=(1, 2, 3))
+    rng = np.random.default_rng(7)
+    phi = FiniteMemoryFunction(space, 1, {(a,): float(rng.normal()) for a in (1, 2, 3)})
+    return space, phi, FiniteMemoryFunction.indicator(space, (1, 2, 3))
+
+
+def test_family_matches_rebuilt_tilts():
+    space, phi, psi = _tilted_pair()
+    fam = stats.PressureFamily(space, phi, psi)
+    for s in (-2.0, 0.0, 0.5, 3.0):
+        T = transfer.build(space, affine_combine(phi, psi, s))
+        E = transfer.dominant_eigendata(T, tol=1e-13)
+        assert fam.pressure(s) == pytest.approx(E.pressure, abs=1e-12)
+        assert fam.mean(s) == pytest.approx(
+            expectation(gibbs_measure(T, E), psi), abs=1e-12)
+
+
+def test_family_builds_once(monkeypatch):
+    calls = []
+    build = transfer.build
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(transfer, "build", counted)
+    space, phi, psi = _tilted_pair()
+    fam = stats.PressureFamily(space, phi, psi)
+    for s in np.linspace(-3.0, 3.0, 25):
+        fam.pressure(s), fam.cumulant(s), fam.mean(s)
+    assert len(calls) == 1
 
 
 def test_lattice_parameters():

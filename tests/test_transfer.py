@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -5,7 +6,8 @@ import numpy as np
 import pytest
 
 from gibbslab import transfer
-from gibbslab.errors import NoConvergence, SizeGuard, ValidationError
+from gibbslab.errors import NoConvergence, ValidationError
+from gibbslab.gibbs import gibbs_measure, gibbs_ratio_scan
 from gibbslab.potential import FiniteMemoryFunction, affine_combine, total_variation
 from gibbslab.shift_space import validate
 
@@ -188,7 +190,31 @@ def test_build_rejects_foreign_potential(bernoulli, golden):
 
 
 def test_size_guard():
+    """The scan and the partition pressure enumerate no words, so the
+    enumeration cap does not bound their length: 2**25 words exceed
+    the default cap of 2**20."""
     space = validate(2, [[1, 1], [1, 1]])
     phi = FiniteMemoryFunction.constant(space, 0.0)
-    with pytest.raises(SizeGuard):
-        transfer.pressure_via_partition(space, phi, 25, cap=2**20)
+    assert transfer.pressure_via_partition(space, phi, 25) == pytest.approx(
+        math.log(2.0), abs=1e-15)
+    T = transfer.build(space, phi)
+    mu = gibbs_measure(T, transfer.dominant_eigendata(T))
+    assert gibbs_ratio_scan(mu, phi, 25).passed
+
+
+def test_build_rejects_overflowing_potential():
+    space = validate(2, [[1, 1], [1, 1]], symbols=(1, 2))
+    phi = FiniteMemoryFunction(space, 1, {(1,): 0.0, (2,): 1e308})
+    with pytest.raises(ValidationError, match=r"\(2,\)"):
+        transfer.build(space, phi)
+
+
+def test_eigendata_fails_fast_on_non_finite_matrix(bernoulli):
+    M = np.array(bernoulli.T.matrix)
+    M[0, 0] = np.inf
+    with pytest.raises(NoConvergence, match="non-finite"):
+        transfer.dominant_eigendata(dataclasses.replace(bernoulli.T, matrix=M))
+    # finite entries whose products overflow: the first lambda estimate is inf
+    M = np.full((2, 2), 1e308)
+    with np.errstate(over="ignore"), pytest.raises(NoConvergence, match="iteration 1$"):
+        transfer.dominant_eigendata(dataclasses.replace(bernoulli.T, matrix=M))
