@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonPositive, ValidationError
-from .potential import total_variation, var_n
+from .potential import or_inf, total_variation, var_n
 
 
 def _positive(v):
@@ -37,7 +37,7 @@ def oscillation_ratio(g):
 
 def in_cone(g, delta):
     """Membership in the cone of positive vectors with sup/inf <= e**delta."""
-    return oscillation_ratio(g) <= math.exp(delta)
+    return oscillation_ratio(g) <= or_inf(math.exp, delta)
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import SolveFailure, Undefined, ValidationError
-from .potential import total_variation, fnorm
+from .potential import fnorm, or_inf, total_variation
 from .shift_space import block_moves, enumerate_words
 from .transfer import _by_prefix, _tropical_step, normalized_operator
 
@@ -247,12 +247,12 @@ def gibbs_ratio_scan(mu, phi, n_max, tol=1e-12):
                 total = short + _by_prefix(tails[b], states, n, op)
             else:
                 total = heads[b] + tails[b]
-            band.append(math.exp(op.reduce(total) + n * mu.pressure))
+            band.append(or_inf(math.exp, op.reduce(total) + n * mu.pressure))
         per_length.append(tuple(band))
     lo_all = min(lo for _, lo, _ in per_length)
     hi_all = max(hi for _, _, hi in per_length)
     V = total_variation(phi)
-    c1, c2 = math.exp(-2.0 * V), math.exp(2.0 * V)
+    c1, c2 = math.exp(-2.0 * V), or_inf(math.exp, 2.0 * V)
     F = fnorm(phi)
     # bands stabilize once every reachable (first block, last block) pair
     # occurs, at length 2*l + mixing time
@@ -271,7 +271,7 @@ def gibbs_ratio_scan(mu, phi, n_max, tol=1e-12):
         c1=c1,
         c2=c2,
         c1_fnorm=math.exp(-2.0 * F),
-        c2_fnorm=math.exp(2.0 * F),
+        c2_fnorm=or_inf(math.exp, 2.0 * F),
         per_length=tuple(per_length),
         band_spread=band_spread,
         pass_band=pass_band,

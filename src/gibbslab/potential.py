@@ -103,6 +103,15 @@ def holder_seminorm(f, alpha=None):
     return max(var_n(f, n) / a**n for n in range(f.memory))
 
 
+def or_inf(f, *args):
+    """f(*args), or +inf where its float result overflows: a derived
+    bound too large to represent is reported as infinite, not raised."""
+    try:
+        return f(*args)
+    except OverflowError:
+        return math.inf
+
+
 def fnorm(f):
     """Summable-variation norm: sup norm plus total variation."""
     return f.sup_norm + total_variation(f)

@@ -9,6 +9,7 @@ Lambda(s) = P(phi + s psi) - P(phi), solved through the identity
 Lambda'(s) = integral of psi under the tilted Gibbs measure.
 """
 
+import bisect
 import math
 from dataclasses import dataclass, replace
 
@@ -134,7 +135,17 @@ class PressureFamily:
     tilted systems never leave the family: their `potential` field is
     the lifted phi, of which only `alpha` is read.  Provides the
     cumulant Lambda, its derivative as the tilted mean, its second
-    derivative as the tilted variance, and the Legendre transform."""
+    derivative as the tilted variance, and the Legendre transform.
+
+    Each new tilt is warm-started from the tilts already solved (the
+    predictor step of a continuation method): between two of them, from
+    the linear interpolation at s of the (h, nu) of the nearest below
+    and the nearest above; outside their range, from the nearest one;
+    with none solved, from the all-ones vector.  Every value is still
+    certified to tol, but its last digits depend on the order in which
+    the tilts were solved (the same calls give the same digits).  A
+    tilt whose solve fails is cached too, and re-raises its
+    NoConvergence without iterating again."""
 
     def __init__(self, space, phi, psi, tol=1e-13):
         self.space = space
@@ -142,6 +153,7 @@ class PressureFamily:
         self.psi = psi
         self.tol = tol
         self._cache = {}
+        self._solved = []  # sorted tilts whose (h, nu) can start a solve
         self._T = transfer.build(space, affine_combine(phi, psi, 0.0))
         I, J, words = block_moves(space, self._T.states)
         self._Psi = np.zeros_like(self._T.matrix)
@@ -152,8 +164,32 @@ class PressureFamily:
         if s not in self._cache:
             with np.errstate(over="ignore", invalid="ignore"):
                 T = replace(self._T, matrix=self._T.matrix * np.exp(s * self._Psi))
-            self._cache[s] = (T, transfer.dominant_eigendata(T, tol=self.tol))
-        return self._cache[s]
+            try:
+                E = transfer.dominant_eigendata(T, tol=self.tol, start=self._start(s))
+            except NoConvergence as exc:
+                self._cache[s] = exc
+                raise
+            self._cache[s] = (T, E)
+            # a tilt whose matrix underflowed to zero rows is no start
+            if (E.h > 0).all() and (E.nu > 0).all():
+                bisect.insort(self._solved, s)
+        hit = self._cache[s]
+        if isinstance(hit, NoConvergence):
+            raise hit
+        return hit
+
+    def _start(self, s):
+        solved = self._solved
+        if not solved:
+            return None
+        i = bisect.bisect(solved, s)
+        if i in (0, len(solved)):
+            E = self._cache[solved[max(i - 1, 0)]][1]
+            return E.h, E.nu
+        a, b = solved[i - 1], solved[i]
+        Ea, Eb = self._cache[a][1], self._cache[b][1]
+        w = (s - a) / (b - a)
+        return (1.0 - w) * Ea.h + w * Eb.h, (1.0 - w) * Ea.nu + w * Eb.nu
 
     def pressure(self, s):
         return self._solve(s)[1].pressure

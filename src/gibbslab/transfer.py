@@ -18,7 +18,7 @@ import numpy as np
 
 from . import cone
 from .errors import NoConvergence, SizeGuard, ValidationError
-from .potential import holder_seminorm, total_variation, var_n
+from .potential import holder_seminorm, or_inf, total_variation, var_n
 from .shift_space import block_moves, enumerate_words, enumeration_cap
 
 DEFAULT_TOL = 1e-12
@@ -95,24 +95,38 @@ def build(space, phi, cap=None):
     )
 
 
-def dominant_eigendata(T, tol=DEFAULT_TOL, max_iter=None):
-    """Power iteration for (lambda, h, nu) from the all-ones vector.
+def dominant_eigendata(T, tol=DEFAULT_TOL, max_iter=None, start=None):
+    """Power iteration for (lambda, h, nu).
 
-    Stops when both residuals max|M.T h - lambda h| and the l1 residual
-    of nu fall below tol * lambda.  Primitivity guarantees convergence
-    at the spectral-gap rate; the iteration cap signals a nearly
-    degenerate gap.
+    The loop starts from start = (h, nu), a pair of finite positive
+    vectors of length k with nu summing to 1, or from h = ones and
+    nu = 1/k when start is None.  It stops when both residuals
+    max|M.T h - lambda h| and the l1 residual of nu fall below
+    tol * lambda, whatever the start, so a start changes the iteration
+    count and the last digits of the answer, never its certificate.
+    Primitivity guarantees convergence at the spectral-gap rate; the
+    iteration cap signals a nearly degenerate gap.  lambda is at least
+    the smallest row sum of M, so a matrix whose smallest row sum
+    overflows fails before the first iteration.
     """
     if tol <= 0:
         raise ValidationError("tolerance must be positive")
     if max_iter is None:
         max_iter = MAX_ITER
     M = T.matrix
+    k = T.state_count
+    if start is None:
+        h, nu = np.ones(k), np.full(k, 1.0 / k)
+    else:
+        h, nu = (_start_vector(v, k) for v in start)
     if not np.isfinite(M).all():
         raise NoConvergence("eigendata: the transfer matrix has non-finite entries")
-    k = T.state_count
-    nu = np.full(k, 1.0 / k)
-    h = np.ones(k)
+    with np.errstate(over="ignore"):
+        floor = M.sum(axis=1).min()
+    if not math.isfinite(floor):
+        raise NoConvergence(
+            "eigendata: lambda is at least the smallest row sum of the transfer "
+            f"matrix, which is {floor}, so lambda is not representable")
     # each iteration's residual products are the next iteration's products
     Mnu, Mh = M @ nu, M.T @ h
     for iters in range(1, max_iter + 1):
@@ -144,6 +158,15 @@ def dominant_eigendata(T, tol=DEFAULT_TOL, max_iter=None):
         residual_nu=float(np.abs(M @ nu - lam * nu).sum()),
         iterations=iters,
     )
+
+
+def _start_vector(v, k):
+    a = np.asarray(v, dtype=float)
+    if a.shape != (k,):
+        raise ValidationError(f"start vector has shape {a.shape}, expected ({k},)")
+    if not (np.isfinite(a).all() and (a > 0).all()):
+        raise ValidationError("start vector entries must be finite and positive")
+    return a
 
 
 def _gap_ratio(M, lam):
@@ -227,17 +250,19 @@ def constants_report(space, phi, alpha, eigendata):
     B_m uses only variations beyond scale m (all zero past the memory);
     B0_geometric uses the geometric envelope var_k <= |phi|_alpha
     alpha**k; K is the cone diameter bound lambda**M exp(M sup|phi|)
-    B0_geometric.  Entries that would need the unavailable Bowen-lemma
-    coefficients are reported as not computed.
+    B0_geometric.  A bound too large for a float is reported as inf;
+    entries that would need the unavailable Bowen-lemma coefficients
+    are reported as not computed.
     """
     M = space.mixing_time
     lam = eigendata.lambda_
     bm = {}
     for m in range(phi.memory + 1):
-        bm[m] = math.exp(sum(2.0 * var_n(phi, k) for k in range(m + 1, phi.memory)))
+        tail = sum(2.0 * var_n(phi, k) for k in range(m + 1, phi.memory))
+        bm[m] = or_inf(math.exp, tail)
     halpha = holder_seminorm(phi, alpha)
-    b0_geom = math.exp(2.0 * halpha * alpha / (1.0 - alpha))
-    K = lam**M * math.exp(M * phi.sup_norm) * b0_geom
+    b0_geom = or_inf(math.exp, 2.0 * halpha * alpha / (1.0 - alpha))
+    K = or_inf(pow, lam, M) * or_inf(math.exp, M * phi.sup_norm) * b0_geom
     cc = cone.cone_constants(space, phi)
     return {
         "mixing_time": M,

@@ -154,6 +154,28 @@ def test_overflowing_tilt_is_out_of_range_fast(tmp_path):
     assert rows[0].startswith("0,") and "out-of-range" in rows[0]
 
 
+@pytest.mark.parametrize("values, code", [((709, 709, 0), 0), ((709, 709, 709), 2)])
+def test_huge_potential_exits_cleanly(tmp_path, values, code):
+    """On the full 3-shift, phi = (709, 709, 0) has lambda ~ 1.6e308:
+    it solves, and the scan band and constants too large for a float
+    are written as Infinity.  phi = 709 has lambda = 3 e**709, which is
+    not a float: the solve fails before iterating, without warnings."""
+    doc = {"alphabet": 3, "symbols": [1, 2, 3], "transitions": [[1, 1, 1]] * 3,
+           "potential": {"memory": 1, "values": dict(zip("123", values))}}
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    proc = python("-m", "gibbslab.cli", "analyze", "--model", str(path),
+                  "--out", str(tmp_path / "r"))
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
+    if code == 0:
+        report = json.loads((tmp_path / "r" / "analyze.json").read_text())
+        assert report["gibbs_scan"]["c2"] == math.inf
+        assert report["constants"]["K"] == math.inf
+    else:
+        assert "smallest row sum" in proc.stderr
+
+
 def test_cli_import_leaves_scipy_unloaded():
     proc = python("-c", "import sys, gibbslab.cli; print('scipy' in sys.modules)")
     assert proc.returncode == 0, proc.stderr

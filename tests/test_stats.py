@@ -6,6 +6,7 @@ import pytest
 from gibbslab import stats, transfer
 from gibbslab.errors import (
     DegenerateVariance,
+    NoConvergence,
     NotLattice,
     OutOfRange,
     SizeGuard,
@@ -13,7 +14,7 @@ from gibbslab.errors import (
 )
 from gibbslab.gibbs import expectation, gibbs_measure, markov_measure
 from gibbslab.potential import FiniteMemoryFunction, affine_combine
-from gibbslab.shift_space import validate
+from gibbslab.shift_space import enumerate_words, validate
 
 
 def test_correlation_ising_tanh(ising):
@@ -260,6 +261,80 @@ def test_family_builds_once(monkeypatch):
     for s in np.linspace(-3.0, 3.0, 25):
         fam.pressure(s), fam.cumulant(s), fam.mean(s)
     assert len(calls) == 1
+
+
+def _cold(fam, s):
+    """A cold solve of the family's M(s), with its tilted mean."""
+    T = fam._cache[s][0]
+    E = transfer.dominant_eigendata(T, tol=fam.tol)
+    return E, float(E.h @ (T.matrix * fam._Psi) @ E.nu / E.lambda_)
+
+
+def test_warm_started_family_matches_cold_solves(ising, golden):
+    """A fresh family over the pressure-curve default grid, in either
+    order, agrees at every tilt with a cold solve of the same matrix, on
+    Ising, golden-mean and the three-symbol model."""
+    space = validate(3, [[1, 1, 1], [1, 0, 1], [0, 1, 1]], symbols=(1, 2, 3))
+    rng = np.random.default_rng(11)
+    phi = FiniteMemoryFunction(space, 3, {
+        w: round(float(rng.uniform(-0.8, 0.8)), 6) for w in enumerate_words(space, 3)})
+    psi = FiniteMemoryFunction(space, 1, {(1,): 1.0, (2,): 0.0, (3,): -1.0})
+    grid = [-3.0 + 0.25 * j for j in range(25)]
+    for args in ((ising.space, ising.phi, ising.psi),
+                 (golden.space, golden.phi, golden.psi), (space, phi, psi)):
+        for order in (grid, grid[::-1]):
+            fam = stats.PressureFamily(*args)
+            for s in order:
+                P, mean = fam.pressure(s), fam.mean(s)
+                E, cold_mean = _cold(fam, s)
+                assert abs(P - E.pressure) <= 1e-12 * max(1.0, abs(P))
+                assert abs(mean - cold_mean) <= 1e-10
+
+
+def test_warm_starts_halve_rate_curve_iterations(ising):
+    fam = stats.PressureFamily(ising.space, ising.phi, ising.psi, tol=1e-12)
+    for j in range(21):  # the rate-curve default grid
+        try:
+            stats.rate_function(ising.space, ising.phi, ising.psi, -0.5 + 0.05 * j,
+                                family=fam)
+        except OutOfRange:
+            pass
+    warm = sum(E.iterations for _, E in fam._cache.values())
+    cold = sum(_cold(fam, s)[0].iterations for s in fam._cache)
+    assert len(fam._cache) > 100 and warm <= cold / 2
+
+
+def test_underflowed_tilt_is_no_start():
+    """At s = -40, exp(s psi) underflows to 0 on the moves out of symbol
+    1, so that tilt's nu has a zero entry and cannot start s = -50."""
+    space = validate(2, [[1, 1], [1, 1]], symbols=(1, 2))
+    phi = FiniteMemoryFunction(space, 1, {(1,): 0.0, (2,): 0.0})
+    psi = FiniteMemoryFunction(space, 1, {(1,): 30.0, (2,): 0.0})
+    fam = stats.PressureFamily(space, phi, psi)
+    assert fam.pressure(-40.0) == 0.0 and fam._cache[-40.0][1].nu.min() == 0.0
+    assert fam.pressure(-50.0) == 0.0
+
+
+def test_failed_tilt_is_solved_once(golden, monkeypatch):
+    """Golden-mean t = -0.1 needs |s| = 8, which a 2000-step cap cannot
+    certify: the second rate point re-raises the cached failure."""
+    monkeypatch.setattr(transfer, "MAX_ITER", 2000)
+    failed = []
+    solve = transfer.dominant_eigendata
+
+    def counted(T, **kwargs):
+        try:
+            return solve(T, **kwargs)
+        except NoConvergence:
+            failed.append(T)
+            raise
+
+    monkeypatch.setattr(transfer, "dominant_eigendata", counted)
+    fam = stats.PressureFamily(golden.space, golden.phi, golden.psi, tol=1e-12)
+    for _ in range(2):
+        with pytest.raises(OutOfRange, match="near-degenerate"):
+            stats.rate_function(golden.space, golden.phi, golden.psi, -0.1, family=fam)
+    assert len(failed) == 1
 
 
 def test_lattice_parameters():

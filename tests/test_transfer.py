@@ -214,7 +214,29 @@ def test_eigendata_fails_fast_on_non_finite_matrix(bernoulli):
     M[0, 0] = np.inf
     with pytest.raises(NoConvergence, match="non-finite"):
         transfer.dominant_eigendata(dataclasses.replace(bernoulli.T, matrix=M))
-    # finite entries whose products overflow: the first lambda estimate is inf
+    # finite entries whose every row sum overflows: lambda is at least inf
     M = np.full((2, 2), 1e308)
-    with np.errstate(over="ignore"), pytest.raises(NoConvergence, match="iteration 1$"):
+    with pytest.raises(NoConvergence, match="smallest row sum"):
         transfer.dominant_eigendata(dataclasses.replace(bernoulli.T, matrix=M))
+    # one row sum finite, the others not: the first lambda estimate is inf
+    space = validate(3, [[1, 1, 1]] * 3, symbols=(1, 2, 3))
+    T = transfer.build(space, FiniteMemoryFunction(space, 1, {(a,): 0.0 for a in (1, 2, 3)}))
+    M = np.array([[1.7e308] * 3, [1.7e308] * 3, [1.0] * 3])
+    with np.errstate(over="ignore"), pytest.raises(NoConvergence, match="iteration 1$"):
+        transfer.dominant_eigendata(dataclasses.replace(T, matrix=M))
+
+
+def test_eigendata_warm_start(builtin_triple):
+    """An exact eigenpair certifies at once; a start of the wrong
+    length or with a zero, negative or non-finite entry is rejected."""
+    for s in builtin_triple.values():
+        E = transfer.dominant_eigendata(s.T, tol=1e-12, start=(s.E.h, s.E.nu))
+        assert E.iterations <= 2
+        assert E.pressure == pytest.approx(s.E.pressure, abs=1e-12)
+    T, k = builtin_triple["ising"].T, builtin_triple["ising"].T.state_count
+    good = np.ones(k)
+    for bad in (np.ones(k + 1), np.array([1.0] + [0.0] * (k - 1)), -good,
+                np.array([np.inf] + [1.0] * (k - 1)), np.full(k, np.nan)):
+        for start in ((bad, good), (good, bad)):
+            with pytest.raises(ValidationError, match="start vector"):
+                transfer.dominant_eigendata(T, start=start)
