@@ -131,7 +131,7 @@ def cmd_verify(args):
     elif args.inject == "perturbed-nu":
         inject_nu = perturbed_nu(model)
     report = verify_model(model, n_max=args.nmax, inject_chain=inject_chain,
-                          inject_nu=inject_nu)
+                          inject_nu=inject_nu, eigen_tol=args.tol)
     if args.format == "csv":
         rows = [
             (c["name"], dump_json(c["metric"]).strip().replace("\n", " "),
@@ -291,7 +291,7 @@ def build_parser():
     p.add_argument("--nmax", type=int, default=8)
     p.add_argument("--inject", choices=("fair-chain", "perturbed-nu"))
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.set_defaults(func=cmd_verify)
+    p.set_defaults(func=cmd_verify, tol=1e-13)
 
     p = sub.add_parser("pressure-curve", help="tilted pressure over an s-grid")
     _model_args(p)

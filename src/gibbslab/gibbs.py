@@ -280,7 +280,7 @@ def gibbs_ratio_scan(mu, phi, n_max, tol=1e-12):
     )
 
 
-def _level_sum(mu1, mu2, alpha, n, cap):
+def _level_sum(mu1, mu2, alpha, n):
     """(sum over j <= n of (alpha**(j-1) - alpha**j) TV_j, TV_n), where
     TV_j = (1/2) sum over admissible j-words of |mu1[w] - mu2[w]|."""
     if not mu1.space.same_as(mu2.space):
@@ -291,13 +291,13 @@ def _level_sum(mu1, mu2, alpha, n, cap):
     for j in range(1, n + 1):
         tv = 0.5 * sum(
             abs(mu1.cylinder_measure(w) - mu2.cylinder_measure(w))
-            for w in enumerate_words(mu1.space, j, cap=cap)
+            for w in enumerate_words(mu1.space, j)
         )
         value += (alpha ** (j - 1) - alpha**j) * tv
     return value, tv
 
 
-def wasserstein_distance(mu1, mu2, alpha, n_max, cap=None):
+def wasserstein_distance(mu1, mu2, alpha, n_max):
     """Level-sum value of W1 for the ultrametric alpha**(first
     disagreement): sum over n of (alpha**(n-1) - alpha**n) TV_n, plus
     the unresolved-tail diameter alpha**n_max.
@@ -305,21 +305,21 @@ def wasserstein_distance(mu1, mu2, alpha, n_max, cap=None):
     Returns (value, tail_bound); the exact distance lies within
     [value, value + tail_bound].
     """
-    value, _ = _level_sum(mu1, mu2, alpha, n_max, cap)
+    value, _ = _level_sum(mu1, mu2, alpha, n_max)
     return float(value), float(alpha**n_max)
 
 
-def wasserstein_report(mu1, mu2, alpha, n_max, cap=None):
+def wasserstein_report(mu1, mu2, alpha, n_max):
     """Serializable summary {value, tail_bound, n_max}."""
-    value, tail = wasserstein_distance(mu1, mu2, alpha, n_max, cap=cap)
+    value, tail = wasserstein_distance(mu1, mu2, alpha, n_max)
     return {"value": value, "tail_bound": tail, "n_max": n_max}
 
 
-def wasserstein_lp(mu1, mu2, alpha, n, cap=None):
+def wasserstein_lp(mu1, mu2, alpha, n):
     """Exact transport value between the n-cylinder marginals for the
     cost alpha**(first index of disagreement), a tree metric on the
     word tree: W_n = sum_{j<n} (alpha**(j-1) - alpha**j) TV_j +
     alpha**(n-1) TV_n (Kloeckner 2015), the level sum + alpha**n TV_n.
     """
-    value, tv = _level_sum(mu1, mu2, alpha, n, cap)
+    value, tv = _level_sum(mu1, mu2, alpha, n)
     return float(value + alpha**n * tv)

@@ -41,11 +41,6 @@ def _uniforms(seed, counter_start, count):
     return (raw >> np.uint64(11)) * 2.0**-53
 
 
-def _invert(cum_row, u, k):
-    # searchsorted right == count of cumulative weights <= u
-    return min(int(np.searchsorted(cum_row, u, side="right")), k - 1)
-
-
 def sample_path(mu, n, seed, stream=0):
     """One trajectory of n symbols: initial block from pi, then symbols
     from the rows of Q.  Distinct streams own disjoint counter blocks
@@ -56,13 +51,12 @@ def sample_path(mu, n, seed, stream=0):
     draws = 1 + steps
     blocks = -(-draws // _WORDS_PER_COUNTER)
     u = _uniforms(cfg.seed, stream * blocks, draws).tolist()
-    cum_pi = np.cumsum(mu.stationary)
-    k = len(mu.states)
+    cum_pi = np.cumsum(mu.stationary).tolist()
     cum_rows = [row.tolist() for row in np.cumsum(mu.transition, axis=1)]
     last = [s[-1] for s in mu.states]
-    state = _invert(cum_pi, u[0], k)
+    km1 = len(mu.states) - 1
+    state = min(bisect_right(cum_pi, u[0]), km1)
     out = list(mu.states[state][:n])
-    km1 = k - 1
     for t in range(steps):
         state = min(bisect_right(cum_rows[state], u[1 + t]), km1)
         out.append(last[state])

@@ -142,7 +142,7 @@ def _mixing_time(A):
     raise NotPrimitive(f"no power up to {(n - 1)**2 + 1} is strictly positive")
 
 
-def enumerate_words(space, n, cap=None):
+def enumerate_words(space, n):
     """All admissible words of length n, lexicographically ordered.
 
     The count equals the sum of entries of A**(n-1).  Guarded by the
@@ -150,7 +150,7 @@ def enumerate_words(space, n, cap=None):
     """
     if n < 1:
         raise ValidationError("word length must be at least 1")
-    cap = enumeration_cap() if cap is None else cap
+    cap = enumeration_cap()
     if space.alphabet_size**n > cap:
         raise SizeGuard(f"{space.alphabet_size}**{n} exceeds enumeration cap {cap}")
     words = [(s,) for s in space.symbols]
@@ -224,7 +224,7 @@ def canonical_extension(space, word, horizon):
     return out
 
 
-def recode(space, block_length, cap=None):
+def recode(space, block_length):
     """Higher-block presentation: symbols become admissible block_length-words.
 
     Blocks u -> v are allowed when they overlap in block_length - 1
@@ -235,7 +235,7 @@ def recode(space, block_length, cap=None):
         raise ValidationError("block length must be at least 1")
     if block_length == 1:
         return space
-    states = enumerate_words(space, block_length, cap=cap)
+    states = enumerate_words(space, block_length)
     k = len(states)
     B = np.zeros((k, k), dtype=np.uint8)
     I, J, _ = block_moves(space, states)

@@ -353,7 +353,7 @@ def _real_gcd(x, y, tol):
     return x
 
 
-def exact_birkhoff_distribution(mu, psi, n, cap=DP_CELL_CAP):
+def exact_birkhoff_distribution(mu, psi, n):
     """Exact law of S_n psi by dynamic programming over
     (state, accumulated lattice index).
 
@@ -368,8 +368,8 @@ def exact_birkhoff_distribution(mu, psi, n, cap=DP_CELL_CAP):
     idx = np.array([round((v - a) / b) for v in pv], dtype=np.int64)
     span_idx = int(idx.max())
     width = n * span_idx + 1
-    if n * width > cap:
-        raise SizeGuard(f"DP table of {n * width} cells exceeds cap {cap}")
+    if n * width > DP_CELL_CAP:
+        raise SizeGuard(f"DP table of {n * width} cells exceeds cap {DP_CELL_CAP}")
     k = len(states)
     table = np.zeros((k, width))
     table[np.arange(k), idx] = pi

@@ -68,7 +68,7 @@ class EigenData:
     iterations: int
 
 
-def build(space, phi, cap=None):
+def build(space, phi):
     """Assemble the transfer matrix of phi on l-block states.
 
     Entry (u -> w) is exp(phi evaluated on the first m symbols of the
@@ -78,9 +78,9 @@ def build(space, phi, cap=None):
     if not phi.space.same_as(space):
         raise ValidationError("potential is not defined on this shift space")
     ell = max(phi.memory - 1, 1)
-    states = enumerate_words(space, ell, cap=cap)
+    states = enumerate_words(space, ell)
     k = len(states)
-    cap = enumeration_cap() if cap is None else cap
+    cap = enumeration_cap()
     if k * k > cap:
         raise SizeGuard(f"{k}x{k} transfer matrix exceeds cap {cap}")
     I, J, words = block_moves(space, states)
@@ -95,7 +95,7 @@ def build(space, phi, cap=None):
     )
 
 
-def dominant_eigendata(T, tol=DEFAULT_TOL, max_iter=None, start=None):
+def dominant_eigendata(T, tol=DEFAULT_TOL, start=None):
     """Power iteration for (lambda, h, nu).
 
     The loop starts from start = (h, nu), a pair of finite positive
@@ -105,14 +105,13 @@ def dominant_eigendata(T, tol=DEFAULT_TOL, max_iter=None, start=None):
     tol * lambda, whatever the start, so a start changes the iteration
     count and the last digits of the answer, never its certificate.
     Primitivity guarantees convergence at the spectral-gap rate; the
-    iteration cap signals a nearly degenerate gap.  lambda is at least
-    the smallest row sum of M, so a matrix whose smallest row sum
-    overflows fails before the first iteration.
+    MAX_ITER cap signals a nearly degenerate gap, and a non-finite
+    lambda estimate or residual fails at the iteration it appears.
+    lambda is at least the smallest row sum of M, so a matrix whose
+    smallest row sum overflows fails before the first iteration.
     """
     if tol <= 0:
         raise ValidationError("tolerance must be positive")
-    if max_iter is None:
-        max_iter = MAX_ITER
     M = T.matrix
     k = T.state_count
     if start is None:
@@ -121,29 +120,32 @@ def dominant_eigendata(T, tol=DEFAULT_TOL, max_iter=None, start=None):
         h, nu = (_start_vector(v, k) for v in start)
     if not np.isfinite(M).all():
         raise NoConvergence("eigendata: the transfer matrix has non-finite entries")
-    with np.errstate(over="ignore"):
+    # overflow in a product shows up as a non-finite estimate, checked below
+    with np.errstate(over="ignore", invalid="ignore"):
         floor = M.sum(axis=1).min()
-    if not math.isfinite(floor):
-        raise NoConvergence(
-            "eigendata: lambda is at least the smallest row sum of the transfer "
-            f"matrix, which is {floor}, so lambda is not representable")
-    # each iteration's residual products are the next iteration's products
-    Mnu, Mh = M @ nu, M.T @ h
-    for iters in range(1, max_iter + 1):
-        lam = Mnu.sum()  # nu is a probability vector, so this estimates lambda
-        if not math.isfinite(lam):
-            raise NoConvergence(f"eigendata: lambda estimate is {lam} at iteration {iters}")
-        nu = Mnu / lam
-        h = Mh / (nu @ Mh)
+        if not math.isfinite(floor):
+            raise NoConvergence(
+                "eigendata: lambda is at least the smallest row sum of the transfer "
+                f"matrix, which is {floor}, so lambda is not representable")
+        # each iteration's residual products are the next iteration's products
         Mnu, Mh = M @ nu, M.T @ h
-        res_h = np.abs(Mh - lam * h).max()
-        res_nu = np.abs(Mnu - lam * nu).sum()
-        if res_h <= tol * lam and res_nu <= tol * lam:
-            break
-    else:
-        raise NoConvergence(
-            f"eigendata residuals above {tol:g}*lambda after {max_iter} iterations"
-        )
+        for iters in range(1, MAX_ITER + 1):
+            lam = Mnu.sum()  # nu is a probability vector, so this estimates lambda
+            nu = Mnu / lam
+            h = Mh / (nu @ Mh)
+            Mnu, Mh = M @ nu, M.T @ h
+            res_h = np.abs(Mh - lam * h).max()
+            res_nu = np.abs(Mnu - lam * nu).sum()
+            if not all(map(math.isfinite, (lam, res_h, res_nu))):
+                raise NoConvergence(
+                    f"eigendata: lambda estimate {lam}, residuals {res_h} (h) and "
+                    f"{res_nu} (nu) at iteration {iters}")
+            if res_h <= tol * lam and res_nu <= tol * lam:
+                break
+        else:
+            raise NoConvergence(
+                f"eigendata residuals above {tol:g}*lambda after {MAX_ITER} iterations"
+            )
     h = h / (nu @ h)
     alpha = T.potential.alpha
     return EigenData(
@@ -152,7 +154,7 @@ def dominant_eigendata(T, tol=DEFAULT_TOL, max_iter=None, start=None):
         h=h,
         nu=nu,
         min_h=float(h.min()),
-        gap_ratio=_gap_ratio(M, lam),
+        gap_ratio=float(np.sort(np.abs(np.linalg.eigvals(M)))[-2] / lam),
         ess_radius_bound=float(alpha * lam),
         residual_h=float(np.abs(M.T @ h - lam * h).max()),
         residual_nu=float(np.abs(M @ nu - lam * nu).sum()),
@@ -169,16 +171,10 @@ def _start_vector(v, k):
     return a
 
 
-def _gap_ratio(M, lam):
-    """|second eigenvalue| / lambda from one dense eigenvalue solve
-    (a validated shift space has at least two block states)."""
-    mods = np.sort(np.abs(np.linalg.eigvals(M)))
-    return float(mods[-2] / lam)
-
-
 def spectral_gap(T, eigendata):
-    """Ratio of the second eigenvalue modulus to lambda."""
-    return _gap_ratio(T.matrix, eigendata.lambda_)
+    """Ratio of the second eigenvalue modulus to lambda, as T's
+    eigendata carry it."""
+    return eigendata.gap_ratio
 
 
 def normalized_operator(T, eigendata):

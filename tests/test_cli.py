@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from gibbslab import models
+from gibbslab import cli, models
 from gibbslab.cli import main
 from gibbslab.jsonio import dump_json
 
@@ -175,6 +175,38 @@ def test_huge_potential_exits_cleanly(tmp_path, values, code):
     else:
         assert "smallest row sum" in proc.stderr
 
+
+
+def test_verify_underflowed_cylinder_is_a_numerical_failure(tmp_path):
+    """phi = (709, 709, 0) on the full 3-shift solves, but the cylinder
+    (3, 3) has measure ~ e**-1418, which underflows to zero: the
+    Jacobian check cannot be evaluated, a numerical failure (exit 2)
+    rather than invalid input (exit 1)."""
+    doc = {"alphabet": 3, "symbols": [1, 2, 3], "transitions": [[1, 1, 1]] * 3,
+           "potential": {"memory": 1, "values": {"1": 709, "2": 709, "3": 0}}}
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    proc = python("-m", "gibbslab.cli", "verify", "--model", str(path))
+    assert proc.returncode == 2, proc.stderr
+    assert "numerical failure:" in proc.stderr and "jacobian_identity" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_verify_passes_tol_to_the_solve(monkeypatch, capsys):
+    """verify's --tol is the eigensolver tolerance of verify_model,
+    1e-13 unless given."""
+    seen = []
+    real = cli.verify_model
+
+    def spy(model, **kwargs):
+        seen.append(kwargs.get("eigen_tol"))
+        return real(model, **kwargs)
+
+    monkeypatch.setattr(cli, "verify_model", spy)
+    assert run(["verify", "--builtin", "bernoulli", "--tol", "1e-11"]) == 0
+    assert run(["verify", "--builtin", "bernoulli"]) == 0
+    capsys.readouterr()
+    assert seen == [1e-11, 1e-13]
 
 def test_cli_import_leaves_scipy_unloaded():
     proc = python("-c", "import sys, gibbslab.cli; print('scipy' in sys.modules)")

@@ -97,8 +97,6 @@ def test_word_count_identity():
 
 
 def test_enumeration_cap(monkeypatch):
-    with pytest.raises(SizeGuard):
-        enumerate_words(FULL2, 4, cap=10)
     monkeypatch.setenv("GIBBSLAB_ENUM_CAP", "10")
     with pytest.raises(SizeGuard):
         enumerate_words(FULL2, 4)

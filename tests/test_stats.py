@@ -400,9 +400,10 @@ def test_distribution_moments_match_correlations(builtin_triple):
         assert dist.variance() == pytest.approx(finite_var, abs=1e-9)
 
 
-def test_distribution_size_guard(ising):
+def test_distribution_size_guard(ising, monkeypatch):
+    monkeypatch.setattr(stats, "DP_CELL_CAP", 100)
     with pytest.raises(SizeGuard):
-        stats.exact_birkhoff_distribution(ising.mu, ising.psi, 64, cap=100)
+        stats.exact_birkhoff_distribution(ising.mu, ising.psi, 64)
 
 
 def test_dp_mass_message_is_plain(bernoulli):

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -110,9 +111,10 @@ def test_spectral_gap_agrees_with_full_solve(builtin_triple):
         assert transfer.spectral_gap(T, E) == pytest.approx(full, abs=1e-8)
 
 
-def test_no_convergence_signalled(golden):
+def test_no_convergence_signalled(golden, monkeypatch):
+    monkeypatch.setattr(transfer, "MAX_ITER", 3)
     with pytest.raises(NoConvergence):
-        transfer.dominant_eigendata(golden.T, tol=1e-13, max_iter=3)
+        transfer.dominant_eigendata(golden.T, tol=1e-13)
 
 
 def test_normalized_operator(builtin_triple):
@@ -225,6 +227,22 @@ def test_eigendata_fails_fast_on_non_finite_matrix(bernoulli):
     with np.errstate(over="ignore"), pytest.raises(NoConvergence, match="iteration 1$"):
         transfer.dominant_eigendata(dataclasses.replace(T, matrix=M))
 
+
+
+def test_eigendata_fails_fast_on_non_finite_residual(monkeypatch):
+    """lambda = e**709.7 + 1 is a float but the column sum 2 e**709.7
+    is not, so M.T @ h overflows and h turns NaN: the solve fails at
+    that iteration, with numpy's warnings kept off stderr."""
+    monkeypatch.setattr(transfer, "MAX_ITER", 1000)
+    space = validate(2, [[1, 1], [1, 1]], symbols=(1, 2))
+    phi = FiniteMemoryFunction(
+        space, 2, {(1, 1): 709.7, (1, 2): 0.0, (2, 1): 709.7, (2, 2): 0.0})
+    T = transfer.build(space, phi)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(NoConvergence, match="at iteration 1$"):
+            transfer.dominant_eigendata(T)
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 def test_eigendata_warm_start(builtin_triple):
     """An exact eigenpair certifies at once; a start of the wrong
