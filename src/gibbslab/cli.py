@@ -27,7 +27,7 @@ from .stats import (
     rate_function,
 )
 from .verify import default_observable as _observable
-from .verify import perturbed_nu, uniform_chain, verify_model
+from .verify import EIGEN_TOL, perturbed_nu, uniform_chain, verify_model
 
 
 def _model_args(p):
@@ -291,7 +291,7 @@ def build_parser():
     p.add_argument("--nmax", type=int, default=8)
     p.add_argument("--inject", choices=("fair-chain", "perturbed-nu"))
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.set_defaults(func=cmd_verify, tol=1e-13)
+    p.set_defaults(func=cmd_verify, tol=EIGEN_TOL)
 
     p = sub.add_parser("pressure-curve", help="tilted pressure over an s-grid")
     _model_args(p)

@@ -136,12 +136,13 @@ def dominant_eigendata(T, tol=DEFAULT_TOL, start=None):
             Mnu, Mh = M @ nu, M.T @ h
             res_h = np.abs(Mh - lam * h).max()
             res_nu = np.abs(Mnu - lam * nu).sum()
-            if not all(map(math.isfinite, (lam, res_h, res_nu))):
+            if res_h <= tol * lam and res_nu <= tol * lam:
+                break
+            # a non-finite lambda makes res_nu NaN, and NaN never turns finite
+            if not math.isfinite(res_h + res_nu):
                 raise NoConvergence(
                     f"eigendata: lambda estimate {lam}, residuals {res_h} (h) and "
                     f"{res_nu} (nu) at iteration {iters}")
-            if res_h <= tol * lam and res_nu <= tol * lam:
-                break
         else:
             raise NoConvergence(
                 f"eigendata residuals above {tol:g}*lambda after {MAX_ITER} iterations"

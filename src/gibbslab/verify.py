@@ -35,6 +35,7 @@ from .potential import FiniteMemoryFunction
 from .shift_space import block_moves
 from .stats import PressureFamily, rate_function
 
+EIGEN_TOL = 1e-13  # verify's eigensolver tolerance, also the CLI's --tol default
 TOLS = {
     "jacobian_identity": 1e-10,
     "gibbs_band": 1e-12,
@@ -101,7 +102,7 @@ def _check(name, metric, error=0.0, passed=True):
             "pass": bool(abs(error) <= tol and passed)}
 
 
-def verify_model(model, n_max=8, inject_chain=None, inject_nu=None, eigen_tol=1e-13):
+def verify_model(model, n_max=8, inject_chain=None, inject_nu=None, eigen_tol=EIGEN_TOL):
     """Run the five checks; returns a VerifyReport.
 
     inject_chain: GibbsMeasure-shaped candidate used in place of the

@@ -176,7 +176,6 @@ def test_huge_potential_exits_cleanly(tmp_path, values, code):
         assert "smallest row sum" in proc.stderr
 
 
-
 def test_verify_underflowed_cylinder_is_a_numerical_failure(tmp_path):
     """phi = (709, 709, 0) on the full 3-shift solves, but the cylinder
     (3, 3) has measure ~ e**-1418, which underflows to zero: the
@@ -207,6 +206,7 @@ def test_verify_passes_tol_to_the_solve(monkeypatch, capsys):
     assert run(["verify", "--builtin", "bernoulli"]) == 0
     capsys.readouterr()
     assert seen == [1e-11, 1e-13]
+
 
 def test_cli_import_leaves_scipy_unloaded():
     proc = python("-c", "import sys, gibbslab.cli; print('scipy' in sys.modules)")

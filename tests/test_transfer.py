@@ -228,7 +228,6 @@ def test_eigendata_fails_fast_on_non_finite_matrix(bernoulli):
         transfer.dominant_eigendata(dataclasses.replace(T, matrix=M))
 
 
-
 def test_eigendata_fails_fast_on_non_finite_residual(monkeypatch):
     """lambda = e**709.7 + 1 is a float but the column sum 2 e**709.7
     is not, so M.T @ h overflows and h turns NaN: the solve fails at
@@ -243,6 +242,7 @@ def test_eigendata_fails_fast_on_non_finite_residual(monkeypatch):
         with pytest.raises(NoConvergence, match="at iteration 1$"):
             transfer.dominant_eigendata(T)
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
 
 def test_eigendata_warm_start(builtin_triple):
     """An exact eigenpair certifies at once; a start of the wrong
