@@ -38,7 +38,8 @@ def _model_args(p):
     p.add_argument("--field", type=float, default=0.0, help="ising external field")
     p.add_argument("--a", type=float, default=0.0, help="golden-mean reward")
     p.add_argument("--out", help="output directory (default: stdout only)")
-    p.add_argument("--tol", type=float, default=1e-12, help="eigensolver tolerance")
+    p.add_argument("--tol", type=float, default=transfer.DEFAULT_TOL,
+                   help="eigensolver tolerance")
 
 
 def _load_model(args):

@@ -6,6 +6,7 @@ carries arbitrary stationary chains on the block graph so that
 non-equilibrium candidates can be pushed through the same diagnostics.
 """
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -13,7 +14,7 @@ import numpy as np
 
 from .errors import SolveFailure, Undefined, ValidationError
 from .potential import fnorm, or_inf, total_variation
-from .shift_space import block_moves, enumerate_words
+from .shift_space import block_moves, check_cap
 from .transfer import _by_prefix, _tropical_step, normalized_operator
 
 
@@ -21,6 +22,7 @@ from .transfer import _by_prefix, _tropical_step, normalized_operator
 class GibbsMeasure:
     """Stationary Markov measure on l-block states.
 
+    states are the admissible l-blocks in `enumerate_words` order.
     stationary is the state distribution pi, transition the
     row-stochastic forward kernel Q.  For the equilibrium chain
     pi = h * nu and pressure = log lambda.
@@ -147,14 +149,34 @@ def entropy(mu):
     return float(-(mu.stationary @ plogp.sum(axis=1)))
 
 
+def _levels(mu, start=1):
+    """Yield (words, masses, last) for word lengths start, start + 1, ...
+
+    Words shorter than a block sum pi over the blocks they start.  From
+    the block length on, each level is the moves u -> v of the one
+    below (in order, the words u + (s,)) with mass pi[u] Q[last(u),
+    last(v)], last indexing each word's final block: the product that
+    cylinder_measure forms, so the masses are the same floats."""
+    for n in range(start, mu.block_length):
+        prefixes = tuple(dict.fromkeys(u[:n] for u in mu.states))
+        yield prefixes, _by_prefix(mu.stationary, mu.states, n, np.add), None
+    blocks, pi, last = mu.states, mu.stationary, np.arange(len(mu.states))
+    for n in itertools.count(mu.block_length + 1):
+        if n > start:  # blocks are the (n - 1)-words
+            yield blocks, pi, last
+        check_cap(mu.space.alphabet_size**n, f"{mu.space.alphabet_size}**{n}")
+        I, J, blocks = block_moves(mu.space, blocks)
+        pi, last = pi[I] * mu.transition[last[I], last[J]], last[J]
+
+
 def expectation(mu, psi):
     """Integral of a finite-memory observable: sum over its memory-words
     of value times cylinder measure."""
     if not psi.space.same_as(mu.space):
         raise ValidationError("observable is not defined on this shift space")
-    return float(
-        sum(v * mu.cylinder_measure(w) for w, v in sorted(psi.values.items()))
-    )
+    blocks, pi, _ = next(_levels(mu, psi.memory))
+    mass = dict(zip(blocks, pi.tolist()))
+    return float(sum(v * mass[w] for w, v in sorted(psi.values.items())))
 
 
 def variational_defect(mu, phi, pressure):
@@ -164,21 +186,18 @@ def variational_defect(mu, phi, pressure):
 
 
 def block_chain(mu, L):
-    """Present the same measure on L-blocks (L >= block_length):
-    pi_L from cylinder measures, Q_L from one-symbol extensions."""
+    """Present the same measure on L-blocks (L >= block_length): pi_L
+    from `_levels`, and Q_L[u, v] = Q[last(u), last(v)] on each move,
+    rows renormalised, so a block of zero mass keeps its final block's
+    row and the lift has the native chain's recurrent classes."""
     if L < mu.block_length:
         raise ValidationError("cannot coarsen below the native block length")
     if L == mu.block_length:
         return mu.states, np.array(mu.stationary), np.array(mu.transition)
-    states = tuple(enumerate_words(mu.space, L))
-    pi = np.array([mu.cylinder_measure(w) for w in states])
+    states, pi, last = next(_levels(mu, L))
+    I, J, _ = block_moves(mu.space, states)
     Q = np.zeros((len(states), len(states)))
-    for i, j, w in zip(*block_moves(mu.space, states)):
-        if pi[i] != 0.0:
-            Q[i, j] = mu.cylinder_measure(w) / pi[i]
-    # states of zero mass keep an arbitrary valid row for stochasticity
-    empty = np.flatnonzero(Q.sum(axis=1) == 0.0)
-    Q[empty, empty] = 1.0
+    Q[I, J] = mu.transition[last[I], last[J]]
     Q /= Q.sum(axis=1, keepdims=True)
     return states, pi, Q
 
@@ -288,11 +307,8 @@ def _level_sum(mu1, mu2, alpha, n):
     if not 0.0 < alpha < 1.0:
         raise ValidationError("alpha must lie in (0, 1)")
     value = tv = 0.0
-    for j in range(1, n + 1):
-        tv = 0.5 * sum(
-            abs(mu1.cylinder_measure(w) - mu2.cylinder_measure(w))
-            for w in enumerate_words(mu1.space, j)
-        )
+    for j, (_, p1, _), (_, p2, _) in zip(range(1, n + 1), _levels(mu1), _levels(mu2)):
+        tv = 0.5 * sum(np.abs(p1 - p2).tolist())
         value += (alpha ** (j - 1) - alpha**j) * tv
     return value, tv
 

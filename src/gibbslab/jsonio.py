@@ -6,6 +6,8 @@ Dict insertion order is preserved (writers construct documents in
 canonical field order).
 """
 
+import json
+
 import numpy as np
 
 
@@ -25,7 +27,7 @@ def dumps(obj, indent=0):
     if isinstance(obj, (bool, np.bool_)):
         return "true" if obj else "false"
     if isinstance(obj, str):
-        return _escape(obj)
+        return json.dumps(obj, ensure_ascii=False)
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
@@ -41,25 +43,10 @@ def dumps(obj, indent=0):
         if not obj:
             return "{}"
         items = [
-            f"{inner}{_escape(str(k))}: {dumps(v, indent + 1)}" for k, v in obj.items()
+            f"{inner}{dumps(str(k))}: {dumps(v, indent + 1)}" for k, v in obj.items()
         ]
         return "{\n" + ",\n".join(items) + "\n" + pad + "}"
     raise TypeError(f"cannot serialize {type(obj).__name__}")
-
-
-def _escape(s):
-    out = ['"']
-    for ch in s:
-        if ch == '"':
-            out.append('\\"')
-        elif ch == "\\":
-            out.append("\\\\")
-        elif ord(ch) < 0x20:
-            out.append(f"\\u{ord(ch):04x}")
-        else:
-            out.append(ch)
-    out.append('"')
-    return "".join(out)
 
 
 def dump_json(obj):

@@ -17,18 +17,18 @@ DEFAULT_ENUM_CAP = 2**20
 ENUM_CAP_ENV = "GIBBSLAB_ENUM_CAP"
 
 
-def enumeration_cap():
-    """Word-count guard; the environment variable overrides the default."""
+def check_cap(count, what):
+    """SizeGuard when count (words enumerated, or matrix entries)
+    exceeds the cap; the environment variable overrides the default."""
     raw = os.environ.get(ENUM_CAP_ENV)
-    if raw is None:
-        return DEFAULT_ENUM_CAP
     try:
-        cap = int(raw)
+        cap = DEFAULT_ENUM_CAP if raw is None else int(raw)
     except ValueError:
         raise ValidationError(f"{ENUM_CAP_ENV} must be an integer, got {raw!r}")
     if cap < 1:
         raise ValidationError(f"{ENUM_CAP_ENV} must be positive")
-    return cap
+    if count > cap:
+        raise SizeGuard(f"{what} exceeds enumeration cap {cap}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -150,9 +150,7 @@ def enumerate_words(space, n):
     """
     if n < 1:
         raise ValidationError("word length must be at least 1")
-    cap = enumeration_cap()
-    if space.alphabet_size**n > cap:
-        raise SizeGuard(f"{space.alphabet_size}**{n} exceeds enumeration cap {cap}")
+    check_cap(space.alphabet_size**n, f"{space.alphabet_size}**{n}")
     words = [(s,) for s in space.symbols]
     for _ in range(n - 1):
         words = [w + (s,) for w in words for s in space.successors(w[-1])]

@@ -17,12 +17,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import cone
-from .errors import NoConvergence, SizeGuard, ValidationError
+from .errors import NoConvergence, ValidationError
 from .potential import holder_seminorm, or_inf, total_variation, var_n
-from .shift_space import block_moves, enumerate_words, enumeration_cap
+from .shift_space import block_moves, check_cap, enumerate_words
 
 DEFAULT_TOL = 1e-12
-MAX_ITER = 10**6
+MAX_ITER = 2 * 10**5
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,9 +80,7 @@ def build(space, phi):
     ell = max(phi.memory - 1, 1)
     states = enumerate_words(space, ell)
     k = len(states)
-    cap = enumeration_cap()
-    if k * k > cap:
-        raise SizeGuard(f"{k}x{k} transfer matrix exceeds cap {cap}")
+    check_cap(k * k, f"{k}x{k} transfer matrix")
     I, J, words = block_moves(space, states)
     M = np.zeros((k, k))
     try:

@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gibbslab import models, transfer
-from gibbslab.errors import SolveFailure, Undefined, ValidationError
+from gibbslab import models, stats, transfer
+from gibbslab.errors import SizeGuard, SolveFailure, Undefined, ValidationError
 from gibbslab.gibbs import (
+    _levels,
     block_chain,
     entropy,
     expectation,
@@ -288,7 +289,8 @@ def test_markov_measure_solves_stationary(bernoulli):
 def test_block_chain_lift_matches_cylinders(golden):
     """Lifting a chain to longer blocks: pi_L is the cylinder measure,
     each row with mass is cyl(u + s) / cyl(u), and each zero-mass row
-    is the identity row."""
+    is the native row of the block's final block, not an absorbing
+    identity row."""
     space = validate(3, np.ones((3, 3), dtype=int), symbols=(1, 2, 3))
     Q = np.array([[0.0, 0.5, 0.5], [0.5, 0.5, 0.0], [0.25, 0.25, 0.5]])
     sparse = markov_measure(space, 1, ((1,), (2,), (3,)), Q)
@@ -297,10 +299,13 @@ def test_block_chain_lift_matches_cylinders(golden):
         assert L == mu.block_length + 1
         assert states == tuple(enumerate_words(mu.space, L))
         assert pi.tolist() == [mu.cylinder_measure(u) for u in states]
-        eye = np.eye(len(states))
+        final = [mu.states.index(v[-mu.block_length:]) for v in states]
         for i, u in enumerate(states):
             if pi[i] == 0.0:
-                expected = eye[i]
+                expected = [
+                    mu.transition[final[i], final[j]] if v[:-1] == u[1:] else 0.0
+                    for j, v in enumerate(states)
+                ]
             else:
                 expected = [
                     mu.cylinder_measure(u + v[-1:]) / pi[i] if v[:-1] == u[1:] else 0.0
@@ -310,6 +315,47 @@ def test_block_chain_lift_matches_cylinders(golden):
             # golden-mean), which block_chain's row renormalisation removes
             assert QL[i] == pytest.approx(expected, abs=1e-12)
         assert int((pi == 0.0).sum()) == zero_rows
+
+
+def zero_transition_chain():
+    """A chain on the full 3-shift with Q[1, 1] = 0, so the 2-block
+    (1, 1) has no mass."""
+    space = validate(3, np.ones((3, 3), dtype=int), symbols=(1, 2, 3))
+    Q = np.array([[0.0, 0.5, 0.5], [0.25, 0.25, 0.5], [1 / 3, 1 / 3, 1 / 3]])
+    return markov_measure(space, 1, ((1,), (2,), (3,)), Q)
+
+
+def test_asymptotic_variance_through_a_zero_mass_block():
+    """psi = 1 on (1, 2) lifts the chain to 2-blocks.  An absorbing
+    (1, 1) would be a second recurrent class, making the fundamental
+    matrix singular; with its native row the variance rate is the
+    increment of the exact variances."""
+    mu = zero_transition_chain()
+    psi = FiniteMemoryFunction.indicator(mu.space, (1, 2))
+    xi2 = stats.asymptotic_variance(mu, psi)
+    v80, v81 = (stats.exact_birkhoff_distribution(mu, psi, n).variance() for n in (80, 81))
+    assert xi2 == pytest.approx(v81 - v80, abs=1e-12)
+
+
+def test_levels_are_the_cylinder_measures():
+    mu = zero_transition_chain()
+    for j, (words, masses, _) in zip(range(1, 8), _levels(mu)):
+        assert words == tuple(enumerate_words(mu.space, j))
+        assert masses.tolist() == [mu.cylinder_measure(w) for w in words]
+
+
+def test_levels_respect_the_enumeration_cap(monkeypatch):
+    """The level sums and the lift hold every word of a length at once,
+    so GIBBSLAB_ENUM_CAP bounds alphabet**length for them."""
+    _, mu1 = solved_bernoulli(0.7)
+    _, mu2 = solved_bernoulli(0.8)
+    monkeypatch.setenv("GIBBSLAB_ENUM_CAP", "16")
+    assert len(block_chain(mu1, 4)[0]) == 16
+    wasserstein_distance(mu1, mu2, 0.5, 4)
+    with pytest.raises(SizeGuard):
+        wasserstein_distance(mu1, mu2, 0.5, 5)
+    with pytest.raises(SizeGuard):
+        block_chain(mu1, 5)
 
 
 def test_wasserstein_report_shape():

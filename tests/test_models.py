@@ -114,3 +114,13 @@ def test_document_round_trip_all_builtins():
         assert again.space.symbols == m.space.symbols
         assert again.potential.values == m.potential.values
         assert again.observable.values == m.observable.values
+
+
+def test_dump_json_strings_round_trip():
+    """Keys and values with a quote, a backslash, a non-ASCII letter, a
+    line separator and a control character load back unchanged."""
+    s = 'a"b\\c\xe9\u2028\x01'
+    doc = {s: s, "list": [s]}
+    text = dump_json(doc)
+    assert json.loads(text) == doc
+    assert "\xe9\u2028" in text and "\\u0001" in text

@@ -1,0 +1,25 @@
+"""One pass of two benchmark workloads, run as the benchmark runs them:
+from the root of the checkout with perfbench/run.py.  A result that
+no longer matches its fingerprint, or a known failure that stops
+raising, fails this test.  The run's records go to the git-ignored
+perfbench/out/."""
+
+import json
+import pathlib
+import subprocess
+import sys
+
+import pytest
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+
+@pytest.mark.parametrize("workload", ["word-scan", "exact-law"])
+def test_benchmark_pass_is_correct(workload):
+    args = ["perfbench/run.py", "--workload", workload, "--seconds", "0"]
+    run = subprocess.run([sys.executable, *args], cwd=ROOT, capture_output=True, text=True,
+                         timeout=600)
+    assert run.returncode == 0, run.stderr
+    result = json.loads(run.stdout.splitlines()[-1])
+    assert result["correct"] is True
+    assert result["failed"] == 0

@@ -9,7 +9,14 @@ import numpy as np
 import pytest
 
 from gibbslab import stats, transfer, verify
-from gibbslab.gibbs import gibbs_measure, gibbs_ratio_scan, wasserstein_distance, wasserstein_lp
+from gibbslab.gibbs import (
+    _levels,
+    expectation,
+    gibbs_measure,
+    gibbs_ratio_scan,
+    wasserstein_distance,
+    wasserstein_lp,
+)
 from gibbslab.models import ModelFile
 from gibbslab.potential import FiniteMemoryFunction, birkhoff_sum, total_variation
 from gibbslab.sampler import empirical_birkhoff, sample_path
@@ -67,6 +74,22 @@ def test_cylinder_consistency_and_shift_invariance(model, solved):
             if model.space.allows(a, w[0])
         )
         assert lifted == pytest.approx(mu.cylinder_measure(w), abs=1e-13)
+
+
+def test_levels_are_the_cylinder_measures(model, solved):
+    """Block length 2, so length 1 is a short level summed over the
+    blocks it starts; the lengths above it follow the block moves.  A
+    recursion started at length j gives the same level, and expectation
+    reads the same floats at the observable's memory."""
+    _, _, mu = solved
+    assert mu.block_length == 2
+    for j, (words, masses, _) in zip(range(1, 8), _levels(mu)):
+        assert words == tuple(enumerate_words(mu.space, j))
+        assert masses.tolist() == [mu.cylinder_measure(w) for w in words]
+        assert next(_levels(mu, j))[1].tolist() == masses.tolist()
+    for f in (model.observable, model.potential):
+        by_word = sum(v * mu.cylinder_measure(w) for w, v in sorted(f.values.items()))
+        assert expectation(mu, f) == by_word
 
 
 def test_five_characterizations(model):
