@@ -33,12 +33,13 @@ def dumps(obj, indent=0):
     if isinstance(obj, (float, np.floating)):
         return format_float(float(obj))
     if isinstance(obj, np.ndarray):
+        if obj.ndim and obj.size and obj.dtype == float and np.isfinite(obj).all():
+            return _finite_array(obj, indent)
         obj = obj.tolist()
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        items = [dumps(v, indent + 1) for v in obj]
-        return "[\n" + ",\n".join(inner + it for it in items) + "\n" + pad + "]"
+        return _list([dumps(v, indent + 1) for v in obj], indent)
     if isinstance(obj, dict):
         if not obj:
             return "{}"
@@ -47,6 +48,19 @@ def dumps(obj, indent=0):
         ]
         return "{\n" + ",\n".join(items) + "\n" + pad + "}"
     raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def _list(items, indent):
+    inner = "  " * (indent + 1)
+    return "[\n" + inner + (",\n" + inner).join(items) + "\n" + "  " * indent + "]"
+
+
+def _finite_array(a, indent):
+    """dumps of a non-empty float64 array with no NaN or inf: the same
+    17-digit strings as format_float, one join per row."""
+    if a.ndim == 1:
+        return _list([format(v, ".17g") for v in a.tolist()], indent)
+    return _list([_finite_array(row, indent + 1) for row in a], indent)
 
 
 def dump_json(obj):

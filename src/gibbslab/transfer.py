@@ -13,6 +13,7 @@ the eigenmeasure nu solves matrix @ nu = lambda nu.
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -51,9 +52,8 @@ class EigenData:
     """Dominant eigendata of a transfer system.
 
     h is normalized so nu(h) = 1 and nu sums to 1; min_h records min(h)
-    for the min-h = 1 convention.  gap_ratio is |second eigenvalue| /
-    lambda, read off one dense eigenvalue solve of the matrix, and
-    ess_radius_bound is alpha * lambda.
+    for the min-h = 1 convention, and ess_radius_bound is alpha * lambda.
+    matrix is the solved transfer matrix itself, not a copy.
     """
 
     lambda_: float
@@ -61,11 +61,17 @@ class EigenData:
     h: np.ndarray
     nu: np.ndarray
     min_h: float
-    gap_ratio: float
     ess_radius_bound: float
     residual_h: float
     residual_nu: float
     iterations: int
+    matrix: np.ndarray = field(repr=False)
+
+    @cached_property
+    def gap_ratio(self):
+        """|second eigenvalue| / lambda, from one dense eigenvalue solve
+        of matrix made on the first read and kept."""
+        return float(np.sort(np.abs(np.linalg.eigvals(self.matrix)))[-2] / self.lambda_)
 
 
 def build(space, phi):
@@ -105,6 +111,11 @@ def dominant_eigendata(T, tol=DEFAULT_TOL, start=None):
     Primitivity guarantees convergence at the spectral-gap rate; the
     MAX_ITER cap signals a nearly degenerate gap, and a non-finite
     lambda estimate or residual fails at the iteration it appears.
+    The loop's future depends only on the products (M nu, M.T h), so
+    the pair saved at each power-of-two iteration is compared with
+    every later pair whose residuals equal the saved ones; a repeat
+    means no later iteration can meet the tolerance, and the solve
+    fails there, naming the period (Brent's cycle detection).
     lambda is at least the smallest row sum of M, so a matrix whose
     smallest row sum overflows fails before the first iteration.
     """
@@ -141,6 +152,14 @@ def dominant_eigendata(T, tol=DEFAULT_TOL, start=None):
                 raise NoConvergence(
                     f"eigendata: lambda estimate {lam}, residuals {res_h} (h) and "
                     f"{res_nu} (nu) at iteration {iters}")
+            if iters & (iters - 1) == 0:  # a power of two
+                saved = iters, res_h, res_nu, Mnu, Mh
+            elif (res_h == saved[1] and res_nu == saved[2]
+                  and np.array_equal(Mnu, saved[3]) and np.array_equal(Mh, saved[4])):
+                raise NoConvergence(
+                    f"eigendata: residuals {res_h:.2g} (h) and {res_nu:.2g} (nu) above "
+                    f"{tol:g}*lambda repeat from iteration {saved[0]} "
+                    f"(period {iters - saved[0]})")
         else:
             raise NoConvergence(
                 f"eigendata residuals above {tol:g}*lambda after {MAX_ITER} iterations"
@@ -153,11 +172,11 @@ def dominant_eigendata(T, tol=DEFAULT_TOL, start=None):
         h=h,
         nu=nu,
         min_h=float(h.min()),
-        gap_ratio=float(np.sort(np.abs(np.linalg.eigvals(M)))[-2] / lam),
         ess_radius_bound=float(alpha * lam),
         residual_h=float(np.abs(M.T @ h - lam * h).max()),
         residual_nu=float(np.abs(M @ nu - lam * nu).sum()),
         iterations=iters,
+        matrix=M,
     )
 
 
@@ -172,7 +191,8 @@ def _start_vector(v, k):
 
 def spectral_gap(T, eigendata):
     """Ratio of the second eigenvalue modulus to lambda, as T's
-    eigendata carry it."""
+    eigendata carry it: solved on the first read of
+    eigendata.gap_ratio and kept."""
     return eigendata.gap_ratio
 
 

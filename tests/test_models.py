@@ -1,11 +1,12 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from gibbslab import models
 from gibbslab.errors import ValidationError
-from gibbslab.jsonio import dump_json
+from gibbslab.jsonio import dump_json, dumps
 
 
 def test_builtin_registry():
@@ -124,3 +125,21 @@ def test_dump_json_strings_round_trip():
     text = dump_json(doc)
     assert json.loads(text) == doc
     assert "\xe9\u2028" in text and "\\u0001" in text
+
+
+def test_float_arrays_dump_as_their_lists():
+    """An array is written with the same bytes as its nested lists,
+    which take the per-element path: finite matrices with 0.0, -0.0 and
+    a subnormal, empty arrays, and a matrix with NaN and infinities."""
+    rng = np.random.default_rng(3)
+    A = rng.standard_normal((256, 256))
+    A[0, :3] = 0.0, -0.0, 5e-324
+    odd = np.array([[1.5, np.nan], [np.inf, -np.inf]])
+    cases = [A, A[0], rng.standard_normal((2, 3, 4)), np.zeros(0), np.zeros((0, 3)),
+             np.zeros((3, 0)), odd, np.arange(4)]
+    for a in cases:
+        for indent in (0, 2):
+            assert dumps(a, indent) == dumps(a.tolist(), indent)
+    assert dump_json({"m": odd}) == (
+        '{\n  "m": [\n    [\n      1.5,\n      NaN\n    ],\n'
+        '    [\n      Infinity,\n      -Infinity\n    ]\n  ]\n}\n')

@@ -263,6 +263,27 @@ def test_family_builds_once(monkeypatch):
     assert len(calls) == 1
 
 
+def test_gap_is_solved_only_when_read(ising, monkeypatch):
+    """A family's pressures and rate points run no dense eigenvalue
+    solve; an eigendata's gap ratio runs one, on its first read."""
+    calls = []
+    eigvals = np.linalg.eigvals
+
+    def counted(a):
+        calls.append(a.shape)
+        return eigvals(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", counted)
+    fam = stats.PressureFamily(ising.space, ising.phi, ising.psi)
+    for s in np.linspace(-2.0, 2.0, 9):
+        fam.pressure(s)
+    stats.rate_function(ising.space, ising.phi, ising.psi, 0.3, family=fam)
+    assert calls == []
+    E = transfer.dominant_eigendata(ising.T, tol=1e-13)
+    assert E.gap_ratio == E.gap_ratio == pytest.approx(math.tanh(1.0), abs=1e-10)
+    assert len(calls) == 1
+
+
 def _cold(fam, s):
     """A cold solve of the family's M(s), with its tilted mean."""
     T = fam._cache[s][0]

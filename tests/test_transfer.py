@@ -1,12 +1,13 @@
 import dataclasses
 import itertools
 import math
+import re
 import warnings
 
 import numpy as np
 import pytest
 
-from gibbslab import transfer
+from gibbslab import models, transfer
 from gibbslab.errors import NoConvergence, ValidationError
 from gibbslab.gibbs import gibbs_measure, gibbs_ratio_scan
 from gibbslab.potential import FiniteMemoryFunction, affine_combine, total_variation
@@ -115,6 +116,39 @@ def test_no_convergence_signalled(golden, monkeypatch):
     monkeypatch.setattr(transfer, "MAX_ITER", 3)
     with pytest.raises(NoConvergence):
         transfer.dominant_eigendata(golden.T, tol=1e-13)
+
+
+def _repeat(exc):
+    """(first iteration, period) that a repeated-state failure names."""
+    found = re.search(r"repeat from iteration (\d+) \(period (\d+)\)$", str(exc.value))
+    assert found, str(exc.value)
+    return int(found[1]), int(found[2])
+
+
+def test_stalled_solve_fails_at_its_first_repeat():
+    """Golden-mean a = -8: at tol 1e-13 the loop's state falls into a
+    cycle whose residuals miss the tolerance, so the solve fails at the
+    repeat, well inside the iteration cap; at 1e-12 it certifies."""
+    m = models.golden_mean(-8.0)
+    T = transfer.build(m.space, m.potential)
+    with pytest.raises(NoConvergence, match=r"above 1e-13\*lambda repeat") as exc:
+        transfer.dominant_eigendata(T, tol=1e-13)
+    first, period = _repeat(exc)
+    assert first + period < transfer.MAX_ITER
+    E = transfer.dominant_eigendata(T, tol=1e-12)
+    assert max(E.residual_h, E.residual_nu) <= 1e-12 * E.lambda_
+
+
+def test_repeat_stop_does_not_lean_on_the_cap(monkeypatch):
+    """At tol 1e-300 golden-mean a = 0.5 never certifies, and with a cap
+    of 10**9 (only a range bound) it still fails within a few dozen
+    iterations."""
+    monkeypatch.setattr(transfer, "MAX_ITER", 10**9)
+    m = models.golden_mean(0.5)
+    with pytest.raises(NoConvergence) as exc:
+        transfer.dominant_eigendata(transfer.build(m.space, m.potential), tol=1e-300)
+    first, period = _repeat(exc)
+    assert first + period <= 100
 
 
 def test_normalized_operator(builtin_triple):
