@@ -35,7 +35,8 @@ def dumps(obj, indent=0):
     if isinstance(obj, np.ndarray):
         if obj.ndim and obj.size and obj.dtype == float and np.isfinite(obj).all():
             return _finite_array(obj, indent)
-        obj = obj.tolist()
+        # a 0-d array lists as its scalar
+        return dumps(obj.tolist(), indent)
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"

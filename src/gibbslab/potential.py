@@ -7,6 +7,7 @@ n >= m and every norm below is an exact finite computation.
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import TooShort, ValidationError
 from .shift_space import enumerate_words
@@ -73,6 +74,21 @@ class FiniteMemoryFunction:
     def sup_norm(self):
         return max(abs(v) for v in self.values.values())
 
+    @cached_property
+    def variations(self):
+        """(var_0, ..., var_{memory-1}): for each n, the largest spread
+        of values over memory-words sharing their first n symbols."""
+        out = []
+        for n in range(self.memory):
+            groups = {}
+            for w in self._words:
+                key = w[:n]
+                v = self.values[w]
+                lo, hi = groups.get(key, (v, v))
+                groups[key] = (min(lo, v), max(hi, v))
+            out.append(max(hi - lo for lo, hi in groups.values()))
+        return tuple(out)
+
 
 def var_n(f, n):
     """Oscillation over pairs of memory-words agreeing in the first
@@ -81,18 +97,12 @@ def var_n(f, n):
         raise ValidationError("n must be nonnegative")
     if n >= f.memory:
         return 0.0
-    groups = {}
-    for w in f._words:
-        key = w[:n]
-        v = f.values[w]
-        lo, hi = groups.get(key, (v, v))
-        groups[key] = (min(lo, v), max(hi, v))
-    return max(hi - lo for lo, hi in groups.values())
+    return f.variations[n]
 
 
 def total_variation(f):
     """V(f) = sum of var_n over n < memory (all later terms vanish)."""
-    return sum(var_n(f, n) for n in range(f.memory))
+    return sum(f.variations)
 
 
 def holder_seminorm(f, alpha=None):
@@ -100,7 +110,7 @@ def holder_seminorm(f, alpha=None):
     a = f.alpha if alpha is None else alpha
     if not 0.0 < a < 1.0:
         raise ValidationError("alpha must lie in (0, 1)")
-    return max(var_n(f, n) / a**n for n in range(f.memory))
+    return max(v / a**n for n, v in enumerate(f.variations))
 
 
 def or_inf(f, *args):

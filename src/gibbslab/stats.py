@@ -51,8 +51,8 @@ def correlation(mu, f, g, n):
     eg = float(pi @ gv)
     w = pi * fv
     for _ in range(n):
-        w = w @ Q
-    return float(w @ gv - ef * eg)
+        w = w.dot(Q)
+    return float(w.dot(gv) - ef * eg)
 
 
 def asymptotic_variance(mu, psi, tol=1e-9):
@@ -82,8 +82,8 @@ def asymptotic_variance(mu, psi, tol=1e-9):
     gk = var0
     w = pi * c
     for _ in range(1, 200_000):
-        w = w @ Q
-        term = float(w @ c)
+        w = w.dot(Q)
+        term = float(w.dot(c))
         gk += 2.0 * term
         if abs(term) < 1e-15 * var0:
             break

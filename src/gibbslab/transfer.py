@@ -19,7 +19,7 @@ import numpy as np
 
 from . import cone
 from .errors import NoConvergence, ValidationError
-from .potential import holder_seminorm, or_inf, total_variation, var_n
+from .potential import holder_seminorm, or_inf, total_variation
 from .shift_space import block_moves, check_cap, enumerate_words
 
 DEFAULT_TOL = 1e-12
@@ -121,12 +121,22 @@ def dominant_eigendata(T, tol=DEFAULT_TOL, start=None):
     """
     if tol <= 0:
         raise ValidationError("tolerance must be positive")
-    M = T.matrix
+    M, MT = T.matrix, T.matrix.T
     k = T.state_count
+    # rows: the state (nu, h), its products (M nu, M.T h), a residual scratch
+    buf = np.empty((3, 2, k))
+    P, prod, R = buf
+    nu, h = P
+    Mnu, Mh = prod
     if start is None:
-        h, nu = np.ones(k), np.full(k, 1.0 / k)
+        nu[:], h[:] = 1.0 / k, 1.0
     else:
-        h, nu = (_start_vector(v, k) for v in start)
+        shapes = [np.shape(v) for v in start]
+        if shapes != [(k,), (k,)]:
+            raise ValidationError(f"start vectors have shapes {shapes}, expected ({k},)")
+        h[:], nu[:] = start
+        if not (np.isfinite(P).all() and (P > 0).all()):
+            raise ValidationError("start vector entries must be finite and positive")
     if not np.isfinite(M).all():
         raise NoConvergence("eigendata: the transfer matrix has non-finite entries")
     # overflow in a product shows up as a non-finite estimate, checked below
@@ -137,14 +147,19 @@ def dominant_eigendata(T, tol=DEFAULT_TOL, start=None):
                 "eigendata: lambda is at least the smallest row sum of the transfer "
                 f"matrix, which is {floor}, so lambda is not representable")
         # each iteration's residual products are the next iteration's products
-        Mnu, Mh = M @ nu, M.T @ h
+        np.dot(M, nu, out=Mnu)
+        np.dot(MT, h, out=Mh)
         for iters in range(1, MAX_ITER + 1):
-            lam = Mnu.sum()  # nu is a probability vector, so this estimates lambda
-            nu = Mnu / lam
-            h = Mh / (nu @ Mh)
-            Mnu, Mh = M @ nu, M.T @ h
-            res_h = np.abs(Mh - lam * h).max()
-            res_nu = np.abs(Mnu - lam * nu).sum()
+            lam = float(Mnu.sum())  # nu is a probability vector, so this estimates lambda
+            np.divide(Mnu, lam, out=nu)
+            np.divide(Mh, nu.dot(Mh), out=h)
+            np.dot(M, nu, out=Mnu)
+            np.dot(MT, h, out=Mh)
+            np.multiply(P, lam, out=R)
+            np.subtract(prod, R, out=R)
+            np.absolute(R, out=R)
+            res_h = R[1].max()
+            res_nu = R[0].sum()
             if res_h <= tol * lam and res_nu <= tol * lam:
                 break
             # a non-finite lambda makes res_nu NaN, and NaN never turns finite
@@ -153,9 +168,9 @@ def dominant_eigendata(T, tol=DEFAULT_TOL, start=None):
                     f"eigendata: lambda estimate {lam}, residuals {res_h} (h) and "
                     f"{res_nu} (nu) at iteration {iters}")
             if iters & (iters - 1) == 0:  # a power of two
-                saved = iters, res_h, res_nu, Mnu, Mh
+                saved = iters, res_h, res_nu, prod.copy()
             elif (res_h == saved[1] and res_nu == saved[2]
-                  and np.array_equal(Mnu, saved[3]) and np.array_equal(Mh, saved[4])):
+                  and np.array_equal(prod, saved[3])):
                 raise NoConvergence(
                     f"eigendata: residuals {res_h:.2g} (h) and {res_nu:.2g} (nu) above "
                     f"{tol:g}*lambda repeat from iteration {saved[0]} "
@@ -164,29 +179,21 @@ def dominant_eigendata(T, tol=DEFAULT_TOL, start=None):
             raise NoConvergence(
                 f"eigendata residuals above {tol:g}*lambda after {MAX_ITER} iterations"
             )
+    nu = nu.copy()
     h = h / (nu @ h)
     alpha = T.potential.alpha
     return EigenData(
-        lambda_=float(lam),
+        lambda_=lam,
         pressure=float(np.log(lam)),
         h=h,
         nu=nu,
         min_h=float(h.min()),
         ess_radius_bound=float(alpha * lam),
-        residual_h=float(np.abs(M.T @ h - lam * h).max()),
+        residual_h=float(np.abs(MT @ h - lam * h).max()),
         residual_nu=float(np.abs(M @ nu - lam * nu).sum()),
         iterations=iters,
         matrix=M,
     )
-
-
-def _start_vector(v, k):
-    a = np.asarray(v, dtype=float)
-    if a.shape != (k,):
-        raise ValidationError(f"start vector has shape {a.shape}, expected ({k},)")
-    if not (np.isfinite(a).all() and (a > 0).all()):
-        raise ValidationError("start vector entries must be finite and positive")
-    return a
 
 
 def spectral_gap(T, eigendata):
@@ -273,7 +280,7 @@ def constants_report(space, phi, alpha, eigendata):
     lam = eigendata.lambda_
     bm = {}
     for m in range(phi.memory + 1):
-        tail = sum(2.0 * var_n(phi, k) for k in range(m + 1, phi.memory))
+        tail = sum(2.0 * v for v in phi.variations[m + 1 :])
         bm[m] = or_inf(math.exp, tail)
     halpha = holder_seminorm(phi, alpha)
     b0_geom = or_inf(math.exp, 2.0 * halpha * alpha / (1.0 - alpha))

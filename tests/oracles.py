@@ -1,17 +1,27 @@
-"""Brute-force references for the exact recursions in gibbslab.
+"""Brute-force and earlier-form references for gibbslab.
 
-Each function enumerates what the library computes by a recursion or a
+The first four enumerate what the library computes by a recursion or a
 closed form: every admissible word and continuation for the cylinder
 Gibbs scan and the partition pressure, and the dense transportation LP
 (scipy's HiGHS) for the ultrametric transport value.  They are
 exponential in the word length and only meant for small n.
+
+The others are earlier forms of code that now computes the same bits
+another way: the power loop with a fresh array per product, the
+sampler step comparing float uniforms with the cumulative rows, and
+var_n grouping the words again on every call.
 """
 
 import math
 
 import numpy as np
+from numpy.random import Philox
 
+from gibbslab import transfer
+from gibbslab.errors import NoConvergence, ValidationError
+from gibbslab.gibbs import block_chain
 from gibbslab.potential import total_variation
+from gibbslab.sampler import _BATCH, _WORDS_PER_COUNTER, SampleConfig
 from gibbslab.shift_space import enumerate_words
 
 
@@ -85,3 +95,118 @@ def transport_lp(mu1, mu2, alpha, n):
     )
     assert res.success, res.message
     return float(res.fun)
+
+
+def power_loop(T, tol=transfer.DEFAULT_TOL, start=None):
+    """dominant_eigendata as one fresh array per product."""
+    if tol <= 0:
+        raise ValidationError("tolerance must be positive")
+    M = T.matrix
+    k = T.state_count
+    if start is None:
+        h, nu = np.ones(k), np.full(k, 1.0 / k)
+    else:
+        h, nu = (_start_vector(v, k) for v in start)
+    if not np.isfinite(M).all():
+        raise NoConvergence("eigendata: the transfer matrix has non-finite entries")
+    with np.errstate(over="ignore", invalid="ignore"):
+        floor = M.sum(axis=1).min()
+        if not math.isfinite(floor):
+            raise NoConvergence(
+                "eigendata: lambda is at least the smallest row sum of the transfer "
+                f"matrix, which is {floor}, so lambda is not representable")
+        Mnu, Mh = M @ nu, M.T @ h
+        for iters in range(1, transfer.MAX_ITER + 1):
+            lam = Mnu.sum()
+            nu = Mnu / lam
+            h = Mh / (nu @ Mh)
+            Mnu, Mh = M @ nu, M.T @ h
+            res_h = np.abs(Mh - lam * h).max()
+            res_nu = np.abs(Mnu - lam * nu).sum()
+            if res_h <= tol * lam and res_nu <= tol * lam:
+                break
+            if not math.isfinite(res_h + res_nu):
+                raise NoConvergence(
+                    f"eigendata: lambda estimate {lam}, residuals {res_h} (h) and "
+                    f"{res_nu} (nu) at iteration {iters}")
+            if iters & (iters - 1) == 0:
+                saved = iters, res_h, res_nu, Mnu, Mh
+            elif (res_h == saved[1] and res_nu == saved[2]
+                  and np.array_equal(Mnu, saved[3]) and np.array_equal(Mh, saved[4])):
+                raise NoConvergence(
+                    f"eigendata: residuals {res_h:.2g} (h) and {res_nu:.2g} (nu) above "
+                    f"{tol:g}*lambda repeat from iteration {saved[0]} "
+                    f"(period {iters - saved[0]})")
+        else:
+            raise NoConvergence(
+                f"eigendata residuals above {tol:g}*lambda after {transfer.MAX_ITER} "
+                "iterations"
+            )
+    h = h / (nu @ h)
+    alpha = T.potential.alpha
+    return transfer.EigenData(
+        lambda_=float(lam),
+        pressure=float(np.log(lam)),
+        h=h,
+        nu=nu,
+        min_h=float(h.min()),
+        ess_radius_bound=float(alpha * lam),
+        residual_h=float(np.abs(M.T @ h - lam * h).max()),
+        residual_nu=float(np.abs(M @ nu - lam * nu).sum()),
+        iterations=iters,
+        matrix=M,
+    )
+
+
+def _start_vector(v, k):
+    a = np.asarray(v, dtype=float)
+    if a.shape != (k,):
+        raise ValidationError(f"start vector has shape {a.shape}, expected ({k},)")
+    if not (np.isfinite(a).all() and (a > 0).all()):
+        raise ValidationError("start vector entries must be finite and positive")
+    return a
+
+
+def float_sampler(mu, psi, n, trials, seed):
+    """The samples of empirical_birkhoff, each step counting the
+    cumulative weights of the row that the float uniform reaches."""
+    cfg = SampleConfig(seed=seed, n=n, trials=trials)
+    L = max(mu.block_length, psi.memory)
+    states, pi, Q = block_chain(mu, L)
+    pv = np.array([psi(u) for u in states])
+    k = len(states)
+    cum_pi = np.cumsum(pi)
+    cum_q = np.cumsum(Q, axis=1)
+    blocks_per_trial = -(-n // _WORDS_PER_COUNTER)
+    words_per_trial = blocks_per_trial * _WORDS_PER_COUNTER
+    samples = np.empty(trials)
+    for start in range(0, trials, _BATCH):
+        batch = min(_BATCH, trials - start)
+        u = _uniforms(cfg.seed, start * blocks_per_trial, batch * words_per_trial)
+        u = u.reshape(batch, words_per_trial)
+        state = np.minimum((u[:, 0, None] >= cum_pi).sum(axis=1), k - 1)
+        total = pv[state].copy()
+        for t in range(1, n):
+            state = np.minimum((u[:, t, None] >= cum_q[state]).sum(axis=1), k - 1)
+            total += pv[state]
+        samples[start : start + batch] = total
+    return samples
+
+
+def _uniforms(seed, counter_start, count):
+    bg = Philox(key=seed, counter=counter_start)
+    raw = bg.random_raw(count)
+    return (raw >> np.uint64(11)) * 2.0**-53
+
+
+def grouped_var_n(f, n):
+    """var_n by grouping the memory-words on their first n symbols."""
+    if n >= f.memory:
+        return 0.0
+    groups = {}
+    for w in f._words:
+        key = w[:n]
+        v = f.values[w]
+        lo, hi = groups.get(key, (v, v))
+        groups[key] = (min(lo, v), max(hi, v))
+    return max(hi - lo for lo, hi in groups.values())

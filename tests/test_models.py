@@ -143,3 +143,10 @@ def test_float_arrays_dump_as_their_lists():
     assert dump_json({"m": odd}) == (
         '{\n  "m": [\n    [\n      1.5,\n      NaN\n    ],\n'
         '    [\n      Infinity,\n      -Infinity\n    ]\n  ]\n}\n')
+
+
+def test_zero_d_arrays_dump_as_their_scalars():
+    for a, text in ((np.array(0.1), "0.10000000000000001"), (np.array(-3), "-3"),
+                    (np.array(True), "true"), (np.array(np.nan), "NaN")):
+        assert dumps(a) == dumps(a.item()) == text
+    assert dump_json({"x": np.array(2.5)}) == '{\n  "x": 2.5\n}\n'

@@ -1,7 +1,9 @@
 """The exact recursions against their brute-force references in
 tests/oracles.py: the cylinder Gibbs scan and the partition pressure
 against every word and continuation, and the closed-form ultrametric
-transport against the transportation LP."""
+transport against the transportation LP.  The power loop, the sampler
+step and the cached variations against their earlier forms, bit for
+bit."""
 
 import dataclasses
 import functools
@@ -10,7 +12,8 @@ import math
 import numpy as np
 import pytest
 
-from gibbslab import models, transfer
+from gibbslab import cone, models, sampler, transfer
+from gibbslab.errors import GibbsLabError, SizeGuard
 from gibbslab.gibbs import (
     GibbsMeasure,
     gibbs_measure,
@@ -19,11 +22,18 @@ from gibbslab.gibbs import (
     wasserstein_distance,
     wasserstein_lp,
 )
-from gibbslab.potential import FiniteMemoryFunction
-from gibbslab.shift_space import enumerate_words, validate
+from gibbslab.potential import FiniteMemoryFunction, affine_combine, or_inf, var_n
+from gibbslab.shift_space import block_moves, enumerate_words, validate
 from gibbslab.verify import uniform_chain
 
-from oracles import enumerated_partition, enumerated_scan, transport_lp
+from oracles import (
+    enumerated_partition,
+    enumerated_scan,
+    float_sampler,
+    grouped_var_n,
+    power_loop,
+    transport_lp,
+)
 
 
 def solve(space, phi):
@@ -175,3 +185,159 @@ def test_transport_with_tiny_marginals():
         value, tail = wasserstein_distance(mu, other, 0.5, n)
         assert math.isfinite(w)
         assert value <= w <= value + tail
+
+
+def outcome(solver, T, tol, start=None):
+    """Every EigenData field but the matrix, or the failure's type and
+    message."""
+    try:
+        E = solver(T, tol=tol, start=start)
+    except GibbsLabError as exc:
+        return type(exc).__name__, str(exc)
+    return (E.lambda_, E.pressure, E.h.tobytes(), E.nu.tobytes(), E.min_h,
+            E.ess_radius_bound, E.residual_h, E.residual_nu, E.iterations)
+
+
+def random_full_shift(seed, memory):
+    space = validate(4, np.ones((4, 4), dtype=int), symbols=(1, 2, 3, 4))
+    rng = np.random.default_rng(seed)
+    words = enumerate_words(space, memory)
+    return FiniteMemoryFunction(
+        space, memory, {w: round(float(rng.uniform(-1.0, 1.0)), 6) for w in words}
+    )
+
+
+@pytest.mark.parametrize("name", ["bernoulli", "ising", "golden-mean"])
+def test_power_loop_matches_its_oracle_on_tilts(name):
+    """Each built-in and 13 tilts of its family, M(s) = M * exp(s Psi),
+    cold and warm-started from the tilt below, at tol 1e-12 and 1e-13."""
+    m = models.builtin(name)
+    T = transfer.build(m.space, affine_combine(m.potential, m.observable, 0.0))
+    I, J, words = block_moves(m.space, T.states)
+    Psi = np.zeros_like(T.matrix)
+    Psi[I, J] = [m.observable(w) for w in words]
+    for tol in (1e-12, 1e-13):
+        Tb = transfer.build(m.space, m.potential)
+        assert outcome(transfer.dominant_eigendata, Tb, tol) == outcome(power_loop, Tb, tol)
+        start = None
+        for s in np.linspace(-3.0, 3.0, 13):
+            Ts = dataclasses.replace(T, matrix=T.matrix * np.exp(s * Psi))
+            for st in (None, start):
+                got = outcome(transfer.dominant_eigendata, Ts, tol, st)
+                assert got == outcome(power_loop, Ts, tol, st), (s, tol, st is None)
+            E = transfer.dominant_eigendata(Ts, tol=tol)
+            start = E.h, E.nu
+
+
+@pytest.mark.parametrize("memory", [3, 4, 5, 6])
+def test_power_loop_matches_its_oracle_at_size(memory):
+    """Random potentials on the full 4-shift, k = 16, 64, 256, 1024."""
+    phi = random_full_shift(memory, memory)
+    T = transfer.build(phi.space, phi)
+    assert T.state_count == 4 ** (memory - 1)
+    assert outcome(transfer.dominant_eigendata, T, 1e-12) == outcome(power_loop, T, 1e-12)
+
+
+def test_power_loop_matches_its_oracle_on_a_stall():
+    """golden-mean a = -8 certifies at 1e-12 after 56,491 iterations and
+    fails at its first repeated state at 1e-13, with the same message."""
+    m = models.golden_mean(-8.0)
+    T = transfer.build(m.space, m.potential)
+    got = outcome(transfer.dominant_eigendata, T, 1e-12)
+    assert got == outcome(power_loop, T, 1e-12)
+    assert got[-1] == 56_491
+    got = outcome(transfer.dominant_eigendata, T, 1e-13)
+    assert got == outcome(power_loop, T, 1e-13)
+    assert got == ("NoConvergence",
+                   "eigendata: residuals 1.7e-13 (h) and 2.4e-13 (nu) above "
+                   "1e-13*lambda repeat from iteration 65536 (period 2)")
+
+
+def test_integer_thresholds_keep_the_tie_rule():
+    """w >= threshold exactly when w * 2**-53 >= c, at and around each
+    threshold, for weights on the 2**-53 grid, between its points, at 1,
+    above 1 and NaN."""
+    ulp = 2.0**-53
+    cum = np.array([0.0, ulp, 3 * ulp, 2.0**-54, 1e-300, 0.25, 0.5 + ulp,
+                    1.0 - ulp, 1.0 - 2 * ulp, 1.0, 1.0 + 2 * ulp, np.nan])
+    # the last column is the sentinel, so give the weights one more
+    t = sampler._thresholds(np.append(cum, 0.0))[:-1]
+    for c, ti in zip(cum, t.tolist()):
+        for w in (ti - 2, ti - 1, ti, ti + 1):
+            if 0 <= w < 2**53:
+                assert (w >= ti) == (w * ulp >= c), (c, w)
+    assert sampler._thresholds(np.array([[0.5, 0.9], [1.0, 1.0]]))[:, -1].tolist() == [
+        2**53, 2**53]
+
+
+def sampled_chains():
+    """(chain, observable): the built-ins, golden-mean's zero-mass move
+    1 -> 1, and a chain with zero transitions on allowed moves, lifted to
+    3-blocks of which some carry no mass."""
+    chains = [(case(name)[0], models.builtin(name).observable)
+              for name in ("bernoulli", "ising", "golden-mean")]
+    mu, phi, _ = case("full-3-shift-sparse-chain")
+    return chains + [(mu, phi)]
+
+
+@pytest.mark.parametrize("trials", [1, 4095, 4097, 10_000])
+def test_sampler_matches_its_oracle(trials):
+    for mu, psi in sampled_chains():
+        for n in (1, 2, 256) if trials < 10_000 else (256,):
+            got, _ = sampler.empirical_birkhoff(mu, psi, n, trials, 2024)
+            assert got.tobytes() == float_sampler(mu, psi, n, trials, 2024).tobytes()
+
+
+def test_sampler_at_its_state_limit():
+    """2**10 lifted states sample as before; 2**10 + 1 is a SizeGuard,
+    raised before the chain is lifted."""
+    mu, _, _ = case("bernoulli")
+    space = mu.space
+    rng = np.random.default_rng(10)
+    psi = FiniteMemoryFunction(
+        space, 10, {w: float(rng.integers(-3, 4)) for w in enumerate_words(space, 10)})
+    got, _ = sampler.empirical_birkhoff(mu, psi, 3, 50, 9)
+    assert got.tobytes() == float_sampler(mu, psi, 3, 50, 9).tobytes()
+    # 1025 admissible 5-words
+    space = validate(5, [[1, 1, 1, 1, 1], [1, 1, 0, 1, 1], [1, 1, 0, 0, 1],
+                         [0, 1, 1, 1, 1], [0, 1, 0, 1, 1]])
+    mu = solve(space, FiniteMemoryFunction.constant(space, 0.0))
+    psi = FiniteMemoryFunction.constant(space, 1.0, memory=5)
+    assert len(psi.values) == 2**10 + 1
+    with pytest.raises(SizeGuard, match="1025 states"):
+        sampler.empirical_birkhoff(mu, psi, 3, 5, 9)
+
+
+@pytest.mark.parametrize("memory", [1, 2, 3, 4, 5])
+def test_constants_report_reads_the_variations_once(memory, monkeypatch):
+    """Every constants_report value equals the one formed from var_n
+    grouped afresh for each term, on the full 2-shift and on golden-mean."""
+    for space in (models.bernoulli().space, models.golden_mean().space):
+        rng = np.random.default_rng(memory)
+        words = enumerate_words(space, memory)
+        phi = FiniteMemoryFunction(
+            space, memory, {w: round(float(rng.uniform(-2.0, 2.0)), 6) for w in words})
+        E = transfer.dominant_eigendata(transfer.build(space, phi))
+        got = transfer.constants_report(space, phi, 0.5, E)
+
+        def total(f):
+            return sum(grouped_var_n(f, n) for n in range(f.memory))
+
+        assert [var_n(phi, n) for n in range(memory + 2)] == [
+            grouped_var_n(phi, n) for n in range(memory + 2)]
+        halpha = max(grouped_var_n(phi, n) / 0.5**n for n in range(memory))
+        b0 = or_inf(math.exp, 2.0 * halpha * 0.5 / (1.0 - 0.5))
+        M = space.mixing_time
+        monkeypatch.setattr(cone, "var_n", grouped_var_n)
+        monkeypatch.setattr(cone, "total_variation", total)
+        want = dict(got, var_total=total(phi), holder_seminorm=halpha, B0_geometric=b0,
+                    K=or_inf(pow, E.lambda_, M) * or_inf(math.exp, M * phi.sup_norm) * b0,
+                    B_m={m: or_inf(math.exp, sum(2.0 * grouped_var_n(phi, k)
+                                                 for k in range(m + 1, memory)))
+                         for m in range(memory + 1)})
+        cc = cone.cone_constants(space, phi)
+        want.update(cone_delta_prime=cc.delta_prime, cone_n0=cc.n0,
+                    cone_kappa_at_2delta=cc.kappa(2.0 * cc.delta_prime)
+                    if cc.delta_prime > 0 else 0.0)
+        monkeypatch.undo()
+        assert got == want

@@ -1,4 +1,4 @@
-"""One pass of three benchmark workloads, run as the benchmark runs them:
+"""One pass of each benchmark workload, run as the benchmark runs them:
 from the root of the checkout with perfbench/run.py.  A result that
 no longer matches its fingerprint, or a known failure that stops
 raising, fails this test.  The run's records go to the git-ignored
@@ -14,7 +14,8 @@ import pytest
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize("workload", ["word-scan", "exact-law", "spectral-ladder"])
+@pytest.mark.parametrize("workload",
+                         ["word-scan", "exact-law", "spectral-ladder", "tilted-family"])
 def test_benchmark_pass_is_correct(workload):
     args = ["perfbench/run.py", "--workload", workload, "--seconds", "0"]
     run = subprocess.run([sys.executable, *args], cwd=ROOT, capture_output=True, text=True,
