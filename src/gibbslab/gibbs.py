@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import SolveFailure, Undefined, ValidationError
 from .potential import fnorm, or_inf, total_variation
-from .shift_space import block_moves, check_cap
+from .shift_space import block_moves, check_cap, enumerate_words, word_codes
 from .transfer import _by_prefix, _tropical_step, normalized_operator
 
 
@@ -45,6 +45,10 @@ class GibbsMeasure:
             raise ValidationError("stationary vector must sum to 1")
         if np.abs(self.transition.sum(axis=1) - 1.0).max() > 1e-9:
             raise ValidationError("transition rows must sum to 1")
+        if self.states != tuple(enumerate_words(self.space, self.block_length)):
+            raise ValidationError(
+                f"states must be the admissible {self.block_length}-blocks in "
+                "enumerate_words order")
         object.__setattr__(self, "_index", {s: k for k, s in enumerate(self.states)})
         self.stationary.setflags(write=False)
         self.transition.setflags(write=False)
@@ -150,22 +154,22 @@ def entropy(mu):
 
 
 def _levels(mu, start=1):
-    """Yield (words, masses, last) for word lengths start, start + 1, ...
-
-    Words shorter than a block sum pi over the blocks they start.  From
-    the block length on, each level is the moves u -> v of the one
+    """Yield (word_codes, masses, last) for word lengths start, start + 1,
+    ...  Words shorter than a block sum pi over the blocks they start.
+    From the block length on, each level is the moves u -> v of the one
     below (in order, the words u + (s,)) with mass pi[u] Q[last(u),
     last(v)], last indexing each word's final block: the product that
     cylinder_measure forms, so the masses are the same floats."""
-    for n in range(start, mu.block_length):
-        prefixes = tuple(dict.fromkeys(u[:n] for u in mu.states))
-        yield prefixes, _by_prefix(mu.stationary, mu.states, n, np.add), None
-    blocks, pi, last = mu.states, mu.stationary, np.arange(len(mu.states))
-    for n in itertools.count(mu.block_length + 1):
+    N, ell = mu.space.alphabet_size, mu.block_length
+    blocks, pi, last = word_codes(mu.space, ell), mu.stationary, np.arange(len(mu.states))
+    for n in range(start, ell):
+        prefix = blocks // N ** (ell - n)
+        yield np.unique(prefix), _by_prefix(pi, prefix, np.add), None
+    for n in itertools.count(ell + 1):
         if n > start:  # blocks are the (n - 1)-words
             yield blocks, pi, last
-        check_cap(mu.space.alphabet_size**n, f"{mu.space.alphabet_size}**{n}")
-        I, J, blocks = block_moves(mu.space, blocks)
+        check_cap(N**n, f"{N}**{n}")
+        _, I, J, blocks = block_moves(mu.space, n - 1)
         pi, last = pi[I] * mu.transition[last[I], last[J]], last[J]
 
 
@@ -175,8 +179,7 @@ def expectation(mu, psi):
     if not psi.space.same_as(mu.space):
         raise ValidationError("observable is not defined on this shift space")
     blocks, pi, _ = next(_levels(mu, psi.memory))
-    mass = dict(zip(blocks, pi.tolist()))
-    return float(sum(v * mass[w] for w, v in sorted(psi.values.items())))
+    return float(sum(v * p for v, p in zip(psi.on(blocks, psi.memory).tolist(), pi.tolist())))
 
 
 def variational_defect(mu, phi, pressure):
@@ -194,12 +197,12 @@ def block_chain(mu, L):
         raise ValidationError("cannot coarsen below the native block length")
     if L == mu.block_length:
         return mu.states, np.array(mu.stationary), np.array(mu.transition)
-    states, pi, last = next(_levels(mu, L))
-    I, J, _ = block_moves(mu.space, states)
-    Q = np.zeros((len(states), len(states)))
+    _, pi, last = next(_levels(mu, L))
+    _, I, J, _ = block_moves(mu.space, L)
+    Q = np.zeros((len(pi), len(pi)))
     Q[I, J] = mu.transition[last[I], last[J]]
     Q /= Q.sum(axis=1, keepdims=True)
-    return states, pi, Q
+    return tuple(enumerate_words(mu.space, L)), pi, Q
 
 
 @dataclass(frozen=True)
@@ -244,17 +247,18 @@ def gibbs_ratio_scan(mu, phi, n_max, tol=1e-12):
     if mu.pressure is None:
         raise ValidationError("scan needs a chain with a pressure attached")
     L = max(mu.block_length, phi.memory - 1)
-    states, pi, Q = block_chain(mu, L)
-    k = len(states)
-    I, J, words = block_moves(mu.space, states)
-    phis = np.array([phi.values[w[: phi.memory]] for w in words])
+    _, pi, Q = block_chain(mu, L)
+    k = len(pi)
+    blocks, I, J, words = block_moves(mu.space, L)
+    phis = phi.on(words, L + 1)
     keep = Q[I, J] > 0.0
     inside = I[keep], J[keep], np.log(Q[I, J][keep]) - phis[keep]
     heads, tails = [np.log(np.where(pi > 0.0, pi, np.nan))] * 2, [np.zeros(k)] * 2
     per_length = []
     for n in range(1, n_max + 1):
         if n < L:
-            mass = _by_prefix(pi, states, n, np.add)
+            prefix = blocks // mu.space.alphabet_size ** (L - n)
+            mass = _by_prefix(pi, prefix, np.add)
             short = np.log(np.where(mass > 0.0, mass, np.nan))
         band = [n]
         for b, op in enumerate((np.fmin, np.fmax)):
@@ -263,7 +267,7 @@ def gibbs_ratio_scan(mu, phi, n_max, tol=1e-12):
             else:
                 heads[b] = _tropical_step(heads[b], *inside, op, k)
             if n < L:
-                total = short + _by_prefix(tails[b], states, n, op)
+                total = short + _by_prefix(tails[b], prefix, op)
             else:
                 total = heads[b] + tails[b]
             band.append(or_inf(math.exp, op.reduce(total) + n * mu.pressure))

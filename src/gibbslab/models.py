@@ -98,7 +98,7 @@ def to_document(model):
     def table(f):
         return {
             "memory": f.memory,
-            "values": {",".join(str(s) for s in w): f.values[w] for w in f._words},
+            "values": {",".join(str(s) for s in w): v for w, v in sorted(f.values.items())},
         }
 
     doc = {

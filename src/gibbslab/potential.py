@@ -6,11 +6,13 @@ n >= m and every norm below is an exact finite computation.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
+import numpy as np
+
 from .errors import TooShort, ValidationError
-from .shift_space import enumerate_words
+from .shift_space import enumerate_words, word_codes
 
 DEFAULT_ALPHA = 0.5
 
@@ -28,7 +30,6 @@ class FiniteMemoryFunction:
     memory: int
     values: dict
     alpha: float = DEFAULT_ALPHA
-    _words: tuple = field(repr=False, compare=False, default=None)
 
     def __post_init__(self):
         if self.memory < 1:
@@ -46,7 +47,6 @@ class FiniteMemoryFunction:
         for w, v in self.values.items():
             if not math.isfinite(v):
                 raise ValidationError(f"non-finite value at {w!r}")
-        object.__setattr__(self, "_words", tuple(words))
 
     @classmethod
     def constant(cls, space, c, memory=1, alpha=DEFAULT_ALPHA):
@@ -75,19 +75,26 @@ class FiniteMemoryFunction:
         return max(abs(v) for v in self.values.values())
 
     @cached_property
+    def _table(self):
+        """The memory-words' codes, increasing, and the values in that
+        order, which is the sorted order of the words."""
+        values = [v for _, v in sorted(self.values.items())]
+        return word_codes(self.space, self.memory), np.array(values)
+
+    def on(self, codes, n):
+        """The values at the first `memory` symbols of the admissible
+        n-words (n >= memory) with these codes."""
+        keys, vals = self._table
+        return vals[np.searchsorted(keys, codes // self.space.alphabet_size ** (n - self.memory))]
+
+    @cached_property
     def variations(self):
         """(var_0, ..., var_{memory-1}): for each n, the largest spread
         of values over memory-words sharing their first n symbols."""
-        out = []
-        for n in range(self.memory):
-            groups = {}
-            for w in self._words:
-                key = w[:n]
-                v = self.values[w]
-                lo, hi = groups.get(key, (v, v))
-                groups[key] = (min(lo, v), max(hi, v))
-            out.append(max(hi - lo for lo, hi in groups.values()))
-        return tuple(out)
+        (keys, vals), N, m = self._table, self.space.alphabet_size, self.memory
+        starts = [np.unique(keys // N ** (m - n), return_index=True)[1] for n in range(m)]
+        return tuple((np.maximum.reduceat(vals, s) - np.minimum.reduceat(vals, s)).max().item()
+                     for s in starts)
 
 
 def var_n(f, n):

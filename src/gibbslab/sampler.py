@@ -5,7 +5,7 @@ counter-based generator keyed by the 64-bit seed.  Uniform variates are
 raw 64-bit words mapped to [0, 1) by u = (word >> 11) * 2**-53, and
 categorical draws invert the row CDF over states in lexicographic
 order (tie rule: number of cumulative weights <= u, at most k - 1).
-In integers the same rule reads: u >= c exactly when
+Both samplers apply it in integers: u >= c exactly when
 word >> 11 >= ceil(c * 2**53).  Trial t consumes the counter block
 starting at t * blocks_per_trial, so outputs are bit-identical across
 platforms, runs, and batch sizes.
@@ -19,7 +19,7 @@ from numpy.random import Philox
 
 from .errors import SizeGuard, ValidationError
 from .gibbs import block_chain
-from .shift_space import word_count
+from .shift_space import word_codes, word_count
 
 _WORDS_PER_COUNTER = 4
 _BATCH = 4096
@@ -47,10 +47,6 @@ def _words(seed, counter_start, count):
     return w
 
 
-def _uniforms(seed, counter_start, count):
-    return _words(seed, counter_start, count) * 2.0**-53
-
-
 def sample_path(mu, n, seed, stream=0):
     """One trajectory of n symbols: initial block from pi, then symbols
     from the rows of Q.  Distinct streams own disjoint counter blocks
@@ -60,15 +56,14 @@ def sample_path(mu, n, seed, stream=0):
     steps = max(n - ell, 0)
     draws = 1 + steps
     blocks = -(-draws // _WORDS_PER_COUNTER)
-    u = _uniforms(cfg.seed, stream * blocks, draws).tolist()
-    cum_pi = np.cumsum(mu.stationary).tolist()
-    cum_rows = [row.tolist() for row in np.cumsum(mu.transition, axis=1)]
+    w = _words(cfg.seed, stream * blocks, draws).tolist()
+    first = _thresholds(np.cumsum(mu.stationary)).tolist()
+    rows = _thresholds(np.cumsum(mu.transition, axis=1)).tolist()
     last = [s[-1] for s in mu.states]
-    km1 = len(mu.states) - 1
-    state = min(bisect_right(cum_pi, u[0]), km1)
+    state = bisect_right(first, w[0])
     out = list(mu.states[state][:n])
     for t in range(steps):
-        state = min(bisect_right(cum_rows[state], u[1 + t]), km1)
+        state = bisect_right(rows[state], w[1 + t])
         out.append(last[state])
     return tuple(out)
 
@@ -93,8 +88,8 @@ def empirical_birkhoff(mu, psi, n, trials, seed, exact=None):
     k = word_count(mu.space, L)
     if k > _MAX_STATES:
         raise SizeGuard(f"sampler: {k} states of {L}-blocks exceed its limit of {_MAX_STATES}")
-    states, pi, Q = block_chain(mu, L)
-    pv = np.array([psi(u) for u in states])
+    _, pi, Q = block_chain(mu, L)
+    pv = psi.on(word_codes(mu.space, L), L)
     row_base = np.arange(k, dtype=np.uint64) << np.uint64(54)
     first = _thresholds(np.cumsum(pi))
     keys = (_thresholds(np.cumsum(Q, axis=1)) + row_base[:, None]).ravel()

@@ -142,36 +142,46 @@ def _mixing_time(A):
     raise NotPrimitive(f"no power up to {(n - 1)**2 + 1} is strictly positive")
 
 
-def enumerate_words(space, n):
-    """All admissible words of length n, lexicographically ordered.
-
-    The count equals the sum of entries of A**(n-1).  Guarded by the
-    enumeration cap on alphabet_size**n.
-    """
+def word_codes(space, n):
+    """Codes of the admissible n-words in increasing (lexicographic)
+    order: the base-N numbers of their symbol positions.  They need
+    N**n < 2**63; past that, and past the enumeration cap, a SizeGuard."""
     if n < 1:
         raise ValidationError("word length must be at least 1")
     check_cap(space.alphabet_size**n, f"{space.alphabet_size}**{n}")
-    words = [(s,) for s in space.symbols]
-    for _ in range(n - 1):
-        words = [w + (s,) for w in words for s in space.successors(w[-1])]
-    return words
+    codes = np.arange(space.alphabet_size, dtype=np.int64)
+    for m in range(1, n):
+        codes = _extend(space, codes, m)[1]
+    return codes
 
 
-def block_moves(space, states):
-    """Every move u -> u[1:] + (s,) between the admissible blocks
-    `states`, in order of u and then of s, as index arrays I -> J and
-    the words u + (s,).
+def _extend(space, codes, n):
+    """(index of the word, code of the extension) of every admissible
+    one-symbol extension of these n-word codes, by word and then symbol."""
+    N = space.alphabet_size
+    if N ** (n + 1) >= 2**63:
+        raise SizeGuard(f"codes of {N}**{n + 1} words exceed 64 bits")
+    I, s = np.nonzero(space.transitions[codes % N])
+    return I, codes[I] * N + s
 
-    `states` must hold every admissible block of its length, so each
-    move lands on one of them.
-    """
-    index = {w: i for i, w in enumerate(states)}
-    I, J, words = zip(*[
-        (i, index[u[1:] + (s,)], u + (s,))
-        for i, u in enumerate(states)
-        for s in space.successors(u[-1])
-    ])
-    return np.array(I), np.array(J), words
+
+def enumerate_words(space, n):
+    """All admissible words of length n, lexicographically ordered: the
+    words of `word_codes`, under its guards.  The count equals the sum
+    of entries of A**(n-1)."""
+    N, symbols = space.alphabet_size, space.symbols
+    digits = word_codes(space, n)[:, None] // N ** np.arange(n - 1, -1, -1) % N
+    return [tuple(map(symbols.__getitem__, row)) for row in digits.tolist()]
+
+
+def block_moves(space, L):
+    """The admissible L-blocks and every move u -> u[1:] + (s,) between
+    them, in order of u and then of s: (blocks, I, J, words), blocks and
+    words being the codes of the L-blocks and of the (L + 1)-words
+    u + (s,), and I -> J the moves as indices into blocks."""
+    blocks = word_codes(space, L)
+    I, words = _extend(space, blocks, L)
+    return blocks, I, np.searchsorted(blocks, words % space.alphabet_size**L), words
 
 
 def word_count(space, n):
@@ -233,9 +243,8 @@ def recode(space, block_length):
         raise ValidationError("block length must be at least 1")
     if block_length == 1:
         return space
-    states = enumerate_words(space, block_length)
-    k = len(states)
-    B = np.zeros((k, k), dtype=np.uint8)
-    I, J, _ = block_moves(space, states)
+    states = tuple(enumerate_words(space, block_length))
+    _, I, J, _ = block_moves(space, block_length)
+    B = np.zeros((len(states), len(states)), dtype=np.uint8)
     B[I, J] = 1
-    return validate(k, B, symbols=tuple(states))
+    return validate(len(states), B, symbols=states)

@@ -27,7 +27,7 @@ from .errors import (
 from . import transfer
 from .gibbs import block_chain, gibbs_measure
 from .potential import affine_combine
-from .shift_space import block_moves
+from .shift_space import block_moves, word_codes
 
 DP_CELL_CAP = 10**8
 
@@ -37,8 +37,8 @@ def _block_data(mu, *fns):
     vector."""
     L = max([mu.block_length] + [f.memory for f in fns])
     states, pi, Q = block_chain(mu, L)
-    vecs = [np.array([f(u) for u in states]) for f in fns]
-    return states, pi, Q, vecs
+    codes = word_codes(mu.space, L)
+    return states, pi, Q, [f.on(codes, L) for f in fns]
 
 
 def correlation(mu, f, g, n):
@@ -155,9 +155,9 @@ class PressureFamily:
         self._cache = {}
         self._solved = []  # sorted tilts whose (h, nu) can start a solve
         self._T = transfer.build(space, affine_combine(phi, psi, 0.0))
-        I, J, words = block_moves(space, self._T.states)
+        _, I, J, words = block_moves(space, self._T.block_length)
         self._Psi = np.zeros_like(self._T.matrix)
-        self._Psi[I, J] = [psi(w) for w in words]
+        self._Psi[I, J] = psi.on(words, self._T.block_length + 1)
         self._p0 = self._solve(0.0)[1].pressure
 
     def _solve(self, s):

@@ -33,18 +33,13 @@ class TransferSystem:
     block_length: int
     states: tuple
     matrix: np.ndarray
-    _index: dict = field(repr=False, default=None)
 
     def __post_init__(self):
-        object.__setattr__(self, "_index", {s: k for k, s in enumerate(self.states)})
         self.matrix.setflags(write=False)
 
     @property
     def state_count(self):
         return len(self.states)
-
-    def state_index(self, block):
-        return self._index[tuple(block)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,19 +79,17 @@ def build(space, phi):
     if not phi.space.same_as(space):
         raise ValidationError("potential is not defined on this shift space")
     ell = max(phi.memory - 1, 1)
-    states = enumerate_words(space, ell)
-    k = len(states)
+    blocks, I, J, words = block_moves(space, ell)
+    k = len(blocks)
     check_cap(k * k, f"{k}x{k} transfer matrix")
-    I, J, words = block_moves(space, states)
     M = np.zeros((k, k))
     try:
-        M[I, J] = [math.exp(phi(w)) for w in words]
+        M[I, J] = [math.exp(v) for v in phi.on(words, ell + 1).tolist()]
     except OverflowError:
-        w = max(words, key=phi)[: phi.memory]
+        # every memory-word starts a move, and moves run in word order
+        w = max(sorted(phi.values), key=phi)
         raise ValidationError(f"exp(phi) overflows at word {w!r} (phi = {phi(w):g})")
-    return TransferSystem(
-        space=space, potential=phi, block_length=ell, states=tuple(states), matrix=M
-    )
+    return TransferSystem(space, phi, ell, tuple(enumerate_words(space, ell)), M)
 
 
 def dominant_eigendata(T, tol=DEFAULT_TOL, start=None):
@@ -229,10 +222,9 @@ def pressure_via_partition(space, phi, n):
     if n < 1:
         raise ValidationError("n must be at least 1")
     L = max(phi.memory - 1, 1)
-    states = enumerate_words(space, L)
-    k = len(states)
-    I, J, words = block_moves(space, states)
-    phis = np.array([phi.values[w[: phi.memory]] for w in words])
+    blocks, I, J, words = block_moves(space, L)
+    k = len(blocks)
+    phis = phi.on(words, L + 1)
     tail = np.zeros(k)
     for _ in range(min(n, L)):
         tail = _tropical_step(tail, J, I, phis, np.fmax, k)
@@ -241,7 +233,8 @@ def pressure_via_partition(space, phi, n):
         f = np.bincount(J, weights=f[I] * np.exp(phis), minlength=k)
         log_scale += math.log(f.max())
         f /= f.max()
-    terms = np.log(f) + tail if n >= L else _by_prefix(tail, states, n, np.fmax)
+    terms = (np.log(f) + tail if n >= L
+             else _by_prefix(tail, blocks // space.alphabet_size ** (L - n), np.fmax))
     # factor out the max before exponentiating to keep the sum stable
     best = terms.max()
     return (log_scale + best + math.log(np.exp(terms - best).sum())) / n
@@ -256,12 +249,11 @@ def _tropical_step(v, src, dst, weights, op, k):
     return out
 
 
-def _by_prefix(v, states, n, op):
-    """Reduce v over the states sharing each n-symbol prefix, in order
-    of first appearance (np.add sums, np.fmin/np.fmax take extremes)."""
-    first = {}
-    ids = np.array([first.setdefault(u[:n], len(first)) for u in states])
-    out = np.zeros(len(first)) if op is np.add else np.full(len(first), np.nan)
+def _by_prefix(v, prefix, op):
+    """Reduce v over the states of each prefix code, in code order (np.add
+    sums in state order, np.fmin/np.fmax take extremes)."""
+    keys, ids = np.unique(prefix, return_inverse=True)
+    out = np.zeros(len(keys)) if op is np.add else np.full(len(keys), np.nan)
     op.at(out, ids, v)
     return out
 

@@ -32,7 +32,7 @@ from .gibbs import (
     variational_defect,
 )
 from .potential import FiniteMemoryFunction
-from .shift_space import block_moves
+from .shift_space import block_moves, enumerate_words
 from .stats import PressureFamily, rate_function
 
 EIGEN_TOL = 1e-13  # verify's eigensolver tolerance, also the CLI's --tol default
@@ -69,7 +69,7 @@ def default_observable(model):
     return psi
 
 
-def jacobian_max_error(mu, phi, eigendata, states):
+def jacobian_max_error(mu, phi, eigendata):
     """Max relative error of the Jacobian identity over every move
     u -> v between the block states, i.e. over all words of length
     block_length + 1.
@@ -82,11 +82,12 @@ def jacobian_max_error(mu, phi, eigendata, states):
     exp(P - phi)-conformal.  A cylinder whose measure underflows to
     zero is a numerical failure of the check, not invalid input.
     """
-    h = eigendata.h
+    h, n = eigendata.h, mu.block_length + 1
+    _, I, J, codes = block_moves(mu.space, mu.block_length)
     worst = 0.0
-    for i, j, w in zip(*block_moves(mu.space, states)):
-        ratio = h[j] / h[i]
-        target = math.exp(eigendata.pressure - phi(w)) * ratio
+    # the moves' words are the admissible n-words, in order
+    for i, j, w, p in zip(I, J, enumerate_words(mu.space, n), phi.on(codes, n).tolist()):
+        target = math.exp(eigendata.pressure - p) * (h[j] / h[i])
         try:
             worst = max(worst, abs(mu.jacobian(w) / target - 1.0))
         except Undefined as exc:
@@ -115,7 +116,7 @@ def verify_model(model, n_max=8, inject_chain=None, inject_nu=None, eigen_tol=EI
     mu = gibbs_measure(T, E)
     psi = default_observable(model)
 
-    err_jac = jacobian_max_error(mu, phi, E, T.states)
+    err_jac = jacobian_max_error(mu, phi, E)
     scan = gibbs_ratio_scan(mu, phi, n_max, tol=TOLS["gibbs_band"])
     band = {"min_ratio": scan.min_ratio, "max_ratio": scan.max_ratio,
             "c1": scan.c1, "c2": scan.c2, "band_spread": scan.band_spread}

@@ -7,12 +7,15 @@ Gibbs scan and the partition pressure, and the dense transportation LP
 exponential in the word length and only meant for small n.
 
 The others are earlier forms of code that now computes the same bits
-another way: the power loop with a fresh array per product, the
-sampler step comparing float uniforms with the cumulative rows, and
-var_n grouping the words again on every call.
+another way: the admissible words and the block graph's moves from
+word tuples and a position dict, the power loop with a fresh array per
+product, the sampler step and the single path comparing float uniforms
+with the cumulative rows, and var_n grouping the words again on every
+call.
 """
 
 import math
+from bisect import bisect_right
 
 import numpy as np
 from numpy.random import Philox
@@ -95,6 +98,35 @@ def transport_lp(mu1, mu2, alpha, n):
     )
     assert res.success, res.message
     return float(res.fun)
+
+
+def encode(space, word):
+    """The base-N code of a word's symbol positions."""
+    code = 0
+    for s in word:
+        code = code * space.alphabet_size + space.index(s)
+    return code
+
+
+def tuple_words(space, n):
+    """enumerate_words as tuples extended one successor at a time."""
+    words = [(s,) for s in space.symbols]
+    for _ in range(n - 1):
+        words = [w + (s,) for w in words for s in space.successors(w[-1])]
+    return words
+
+
+def tuple_moves(space, states):
+    """Every move u -> u[1:] + (s,) between the admissible blocks
+    `states`, in order of u and then of s, as index arrays I -> J and
+    the words u + (s,)."""
+    index = {w: i for i, w in enumerate(states)}
+    I, J, words = zip(*[
+        (i, index[u[1:] + (s,)], u + (s,))
+        for i, u in enumerate(states)
+        for s in space.successors(u[-1])
+    ])
+    return np.array(I), np.array(J), words
 
 
 def power_loop(T, tol=transfer.DEFAULT_TOL, start=None):
@@ -193,6 +225,27 @@ def float_sampler(mu, psi, n, trials, seed):
     return samples
 
 
+def float_path(mu, n, seed, stream=0):
+    """sample_path, each draw counting the cumulative weights of the
+    row that the float uniform reaches, clamped to the last state."""
+    cfg = SampleConfig(seed=seed, n=n)
+    ell = mu.block_length
+    steps = max(n - ell, 0)
+    draws = 1 + steps
+    blocks = -(-draws // _WORDS_PER_COUNTER)
+    u = _uniforms(cfg.seed, stream * blocks, draws).tolist()
+    cum_pi = np.cumsum(mu.stationary).tolist()
+    cum_rows = [row.tolist() for row in np.cumsum(mu.transition, axis=1)]
+    last = [s[-1] for s in mu.states]
+    km1 = len(mu.states) - 1
+    state = min(bisect_right(cum_pi, u[0]), km1)
+    out = list(mu.states[state][:n])
+    for t in range(steps):
+        state = min(bisect_right(cum_rows[state], u[1 + t]), km1)
+        out.append(last[state])
+    return tuple(out)
+
+
 def _uniforms(seed, counter_start, count):
     bg = Philox(key=seed, counter=counter_start)
     raw = bg.random_raw(count)
@@ -204,7 +257,7 @@ def grouped_var_n(f, n):
     if n >= f.memory:
         return 0.0
     groups = {}
-    for w in f._words:
+    for w in sorted(f.values):
         key = w[:n]
         v = f.values[w]
         lo, hi = groups.get(key, (v, v))

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from gibbslab import models, stats, transfer
 from gibbslab.errors import SizeGuard, SolveFailure, Undefined, ValidationError
 from gibbslab.gibbs import (
+    GibbsMeasure,
     _levels,
     block_chain,
     entropy,
@@ -25,7 +26,7 @@ from gibbslab.potential import FiniteMemoryFunction
 from gibbslab.shift_space import enumerate_words, validate
 from gibbslab.verify import jacobian_max_error
 
-from oracles import transport_lp
+from oracles import encode, transport_lp
 
 PHI_G = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -122,7 +123,7 @@ def test_jacobian_identity_every_builtin(builtin_triple):
     # h is constant for both full-shift models, so the correction only
     # matters on the golden mean shift
     for s in builtin_triple.values():
-        assert jacobian_max_error(s.mu, s.phi, s.E, s.T.states) <= 1e-10
+        assert jacobian_max_error(s.mu, s.phi, s.E) <= 1e-10
 
 
 def test_golden_jacobian_values(golden):
@@ -286,6 +287,22 @@ def test_markov_measure_solves_stationary(bernoulli):
         markov_measure(space, 1, states, np.eye(3))
 
 
+def test_states_must_be_the_enumerated_blocks(golden):
+    """A chain's states are read by position as the admissible blocks in
+    enumerate_words order, so any other order or set is rejected."""
+    space = golden.mu.space
+    Q = np.array([[0.5, 0.5], [1.0, 0.0]])
+    for states in [((1,), (0,)), ((0,), (0,)), ((0, 0), (0, 1))]:
+        with pytest.raises(ValidationError, match="enumerate_words order"):
+            GibbsMeasure(space=space, block_length=1, states=states,
+                         stationary=np.array([2 / 3, 1 / 3]), transition=Q)
+    states, pi, Q = block_chain(golden.mu, 2)
+    assert markov_measure(space, 2, states, Q, pi).states == ((0, 0), (0, 1), (1, 0))
+    for permuted in (states[1:] + states[:1], states[::-1]):
+        with pytest.raises(ValidationError, match="enumerate_words order"):
+            markov_measure(space, 2, permuted, Q, pi)
+
+
 def test_block_chain_lift_matches_cylinders(golden):
     """Lifting a chain to longer blocks: pi_L is the cylinder measure,
     each row with mass is cyl(u + s) / cyl(u), and each zero-mass row
@@ -339,8 +356,9 @@ def test_asymptotic_variance_through_a_zero_mass_block():
 
 def test_levels_are_the_cylinder_measures():
     mu = zero_transition_chain()
-    for j, (words, masses, _) in zip(range(1, 8), _levels(mu)):
-        assert words == tuple(enumerate_words(mu.space, j))
+    for j, (codes, masses, _) in zip(range(1, 8), _levels(mu)):
+        words = enumerate_words(mu.space, j)
+        assert codes.tolist() == [encode(mu.space, w) for w in words]
         assert masses.tolist() == [mu.cylinder_measure(w) for w in words]
 
 

@@ -1,9 +1,9 @@
 """The exact recursions against their brute-force references in
 tests/oracles.py: the cylinder Gibbs scan and the partition pressure
 against every word and continuation, and the closed-form ultrametric
-transport against the transportation LP.  The power loop, the sampler
-step and the cached variations against their earlier forms, bit for
-bit."""
+transport against the transportation LP.  The block graph's moves and
+value gathers, the power loop, the sampler step and path and the
+cached variations against their earlier forms, bit for bit."""
 
 import dataclasses
 import functools
@@ -23,16 +23,20 @@ from gibbslab.gibbs import (
     wasserstein_lp,
 )
 from gibbslab.potential import FiniteMemoryFunction, affine_combine, or_inf, var_n
-from gibbslab.shift_space import block_moves, enumerate_words, validate
+from gibbslab.shift_space import block_moves, enumerate_words, recode, validate, word_count
 from gibbslab.verify import uniform_chain
 
 from oracles import (
+    encode,
     enumerated_partition,
     enumerated_scan,
+    float_path,
     float_sampler,
     grouped_var_n,
     power_loop,
     transport_lp,
+    tuple_moves,
+    tuple_words,
 )
 
 
@@ -213,7 +217,7 @@ def test_power_loop_matches_its_oracle_on_tilts(name):
     cold and warm-started from the tilt below, at tol 1e-12 and 1e-13."""
     m = models.builtin(name)
     T = transfer.build(m.space, affine_combine(m.potential, m.observable, 0.0))
-    I, J, words = block_moves(m.space, T.states)
+    I, J, words = tuple_moves(m.space, T.states)
     Psi = np.zeros_like(T.matrix)
     Psi[I, J] = [m.observable(w) for w in words]
     for tol in (1e-12, 1e-13):
@@ -341,3 +345,95 @@ def test_constants_report_reads_the_variations_once(memory, monkeypatch):
                     if cc.delta_prime > 0 else 0.0)
         monkeypatch.undo()
         assert got == want
+
+
+def cycle_with_loop(n=64):
+    """An n-cycle with a self-loop at its first symbol: few admissible
+    words of each length, but codes that outgrow 64 bits by length 11."""
+    A = np.roll(np.eye(n, dtype=int), 1, axis=1)
+    A[0, 0] = 1
+    return validate(n, A)
+
+
+def graph_cases():
+    """(name, space, L): the built-ins, the three-symbol shift and its
+    2-block recoding (tuple symbols), golden-mean to L = 8, the full
+    4-shift and random 4-symbol shifts up to k = 1024, the 64-cycle."""
+    three = three_symbol_potential().space
+    cases = [(f"{n}-L{L}", models.builtin(n).space, L)
+             for n in ("bernoulli", "ising") for L in (1, 2, 3)]
+    cases += [(f"golden-mean-L{L}", models.golden_mean().space, L) for L in range(1, 9)]
+    cases += [(f"three-symbol-L{L}", three, L) for L in range(1, 6)]
+    cases += [(f"three-symbol-recoded-L{L}", recode(three, 2), L) for L in (1, 2, 3)]
+    cases += [("full-4-shift-L5", validate(4, np.ones((4, 4), dtype=int)), 5)]
+    rng = np.random.default_rng(4)
+    while len(cases) < 40:
+        try:
+            space = validate(4, rng.integers(0, 2, (4, 4)))
+        except GibbsLabError:
+            continue
+        L = 1  # the gathers read (L + 1)-word tables: 4**(L + 1) within the cap
+        while L < 9 and word_count(space, L + 1) <= 1024:
+            L += 1
+        cases.append((f"random-4-shift-{len(cases)}-L{L}", space, L))
+    cases += [(f"64-cycle-L{L}", cycle_with_loop(), L) for L in (1, 2)]
+    return cases
+
+
+def assert_moves_match(space, L):
+    """The words of enumerate_words and I, J and the words of block_moves
+    equal their tuple forms, and every gather equals the per-word value."""
+    blocks, I, J, words = block_moves(space, L)
+    states = tuple_words(space, L)
+    tI, tJ, twords = tuple_moves(space, states)
+    assert enumerate_words(space, L) == states
+    assert enumerate_words(space, L + 1) == list(twords)
+    assert blocks.tolist() == [encode(space, u) for u in states]
+    assert I.tolist() == tI.tolist()
+    assert J.tolist() == tJ.tolist()
+    assert words.tolist() == [encode(space, w) for w in twords]
+    rng = np.random.default_rng(L)
+    for m in range(1, L + 2):
+        f = FiniteMemoryFunction(
+            space, m, {w: float(rng.uniform(-1.0, 1.0)) for w in enumerate_words(space, m)})
+        assert f.on(words, L + 1).tolist() == [f(w) for w in twords]
+        if m <= L:
+            assert f.on(blocks, L).tolist() == [f(u) for u in states]
+
+
+@pytest.mark.parametrize("space, L", [c[1:] for c in graph_cases()],
+                         ids=[c[0] for c in graph_cases()])
+def test_block_moves_match_tuple_moves(space, L):
+    assert_moves_match(space, L)
+
+
+def test_codes_past_64_bits_are_a_size_guard(monkeypatch):
+    """With the enumeration cap out of the way, the 64-cycle's 10-words
+    still have codes below 2**63 and build as before; its 11-words would
+    not, so they are a SizeGuard, not wrong words or moves."""
+    monkeypatch.setenv("GIBBSLAB_ENUM_CAP", str(2**70))
+    space = cycle_with_loop()
+    assert_moves_match(space, 9)
+    assert word_count(space, 11) == 119
+    T = transfer.build(space, FiniteMemoryFunction.constant(space, 0.0, memory=10))
+    assert T.state_count == 100
+    with pytest.raises(SizeGuard, match="codes of 64\\*\\*11 words exceed 64 bits"):
+        FiniteMemoryFunction.constant(space, 0.0, memory=11)
+    with pytest.raises(SizeGuard, match="64 bits"):
+        block_moves(space, 10)
+    with pytest.raises(SizeGuard, match="64 bits"):
+        enumerate_words(space, 11)
+
+
+@pytest.mark.parametrize("name", ["bernoulli", "ising", "golden-mean", "three-symbol",
+                                  "full-4-shift-k16", "full-3-shift-sparse-chain"])
+def test_sample_path_matches_its_oracle(name):
+    """Integer thresholds give the float rule's paths, on golden-mean's
+    zero-mass move 1 -> 1 and for n below the block length (2 on
+    three-symbol and the 4-shift) too."""
+    mu = case(name)[0]
+    for seed in (0, 2024, 2**64 - 1):
+        for stream in (0, 1, 7):
+            for n in (1, 2, 3, 257):
+                assert sampler.sample_path(mu, n, seed, stream) == float_path(
+                    mu, n, seed, stream), (seed, stream, n)

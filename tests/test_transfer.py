@@ -40,12 +40,12 @@ def test_memory_three_block_states():
     T = transfer.build(space, phi)
     assert T.block_length == 2
     assert len(T.states) == 4
-    i = T.state_index((1, 2))
-    j = T.state_index((2, 1))
+    i = T.states.index((1, 2))
+    j = T.states.index((2, 1))
     # move (1,2) -> (2,1) reads phi on the word (1,2,1)
     assert T.matrix[i, j] == pytest.approx(math.exp(vals[(1, 2, 1)]))
     # non-overlapping blocks are forbidden
-    assert T.matrix[i, T.state_index((1, 2))] == 0.0
+    assert T.matrix[i, T.states.index((1, 2))] == 0.0
 
 
 def test_eigendata_bernoulli(bernoulli):
