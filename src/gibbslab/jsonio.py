@@ -7,8 +7,11 @@ canonical field order).
 """
 
 import json
+from math import isfinite
 
 import numpy as np
+
+_FLOATS = (float, np.float64)
 
 
 def format_float(x):
@@ -68,22 +71,28 @@ def dump_json(obj):
     return dumps(obj) + "\n"
 
 
+def _cell(v):
+    """One CSV cell: empty for None, true/false, floats as format_float,
+    anything else as its str, double-quoted when it holds a separator."""
+    if v is None:
+        return ""
+    if isinstance(v, (bool, np.bool_)):
+        return "true" if v else "false"
+    if isinstance(v, (float, np.floating)):
+        return format_float(float(v))
+    s = str(v)
+    if any(ch in s for ch in ',"\n'):
+        s = '"' + s.replace('"', '""') + '"'
+    return s
+
+
 def dump_csv(header, rows):
     """CSV text with 17-significant-digit floats; cells containing
-    separators are double-quoted."""
-    def cell(v):
-        if v is None:
-            return ""
-        if isinstance(v, (bool, np.bool_)):
-            return "true" if v else "false"
-        if isinstance(v, (float, np.floating)):
-            return format_float(float(v))
-        s = str(v)
-        if any(ch in s for ch in ',"\n'):
-            s = '"' + s.replace('"', '""') + '"'
-        return s
-
+    separators are double-quoted.  A finite float or float64 cell, most
+    of a law's cells, is formatted straight, as `_cell` would."""
     lines = [",".join(header)]
     for row in rows:
-        lines.append(",".join(cell(v) for v in row))
+        lines.append(",".join([
+            format(float(v), ".17g") if type(v) in _FLOATS and isfinite(v) else _cell(v)
+            for v in row]))
     return "\n".join(lines) + "\n"

@@ -353,14 +353,39 @@ def _real_gcd(x, y, tol):
     return x
 
 
+def _overlap_layout(space, Q, L):
+    """Q on L-blocks as a stack W of per-overlap blocks, with each
+    state's row in the product's input (src) and output (dst) layouts.
+
+    A move u = (c, w) -> v = (w, b) exists only on an (L - 1)-symbol
+    overlap w, so with g numbering the overlaps, W[g, b, c] = Q[u, v],
+    u sits at input row g*N + c and v at output row g*N + b; rows of no
+    state stay zero.  When the S overlaps' S*N*N entries are no fewer
+    than Q's k*k (L = 1, sparse many-symbol shifts) the one group
+    W[0] = Q.T over the states in their own order is used instead."""
+    N, k = space.alphabet_size, len(Q)
+    _, I, J, words = block_moves(space, L)
+    overlaps, g = np.unique(words // N % N ** (L - 1), return_inverse=True)
+    if len(overlaps) * N * N >= k * k:
+        rows = np.arange(k)
+        return Q.T[None], rows, rows
+    c, b = words // N**L, words % N
+    W = np.zeros((len(overlaps), N, N))
+    W[g, b, c] = Q[I, J]
+    src, dst = np.empty(k, dtype=np.int64), np.empty(k, dtype=np.int64)
+    src[I], dst[J] = g * N + c, g * N + b
+    return W, src, dst
+
+
 def exact_birkhoff_distribution(mu, psi, n):
     """Exact law of S_n psi by dynamic programming over
     (state, accumulated lattice index).
 
     table[u, x] is the probability of sitting in state u with the
     lattice indices summed so far, u's own included, equal to x; each
-    step is one transition product followed by a shift of row v by
-    v's index."""
+    step is one batched product over the block graph's overlaps (see
+    `_overlap_layout`) followed by a shift of row v by v's index, which
+    also moves v from its output row back to its input row."""
     if n < 1:
         raise ValidationError("n must be at least 1")
     states, pi, Q, (pv,) = _block_data(mu, psi)
@@ -370,17 +395,19 @@ def exact_birkhoff_distribution(mu, psi, n):
     width = n * span_idx + 1
     if n * width > DP_CELL_CAP:
         raise SizeGuard(f"DP table of {n * width} cells exceeds cap {DP_CELL_CAP}")
-    k = len(states)
-    table = np.zeros((k, width))
-    table[np.arange(k), idx] = pi
-    groups = [(j, np.flatnonzero(idx == j)) for j in np.unique(idx)]
+    W, src, dst = _overlap_layout(mu.space, Q, len(states[0]))
+    S, R, _ = W.shape
+    table = np.zeros((S * R, width))
+    table[src, idx] = pi
+    groups = [(j, src[idx == j], dst[idx == j]) for j in np.unique(idx)]
     for t in range(1, n):
         used = t * span_idx + 1
-        step = Q.T @ table[:, :used]
-        table[:, :used] = 0.0
-        for j, rows in groups:
-            table[rows, j : j + used] = step[rows]
-    out = table.sum(axis=0)
+        step = np.matmul(W, table[:, :used].reshape(S, R, used)).reshape(S * R, used)
+        # a state's row is only ever written from its own index j on, and
+        # below j + used it is overwritten in full, so nothing is cleared
+        for j, rows, moved in groups:
+            table[rows, j : j + used] = step[moved]
+    out = table[src].sum(axis=0)  # over the states in their own order
     total = out.sum()
     if abs(total - 1.0) > 1e-12:
         raise SolveFailure(

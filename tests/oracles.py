@@ -10,8 +10,9 @@ The others are earlier forms of code that now computes the same bits
 another way: the admissible words and the block graph's moves from
 word tuples and a position dict, the power loop with a fresh array per
 product, the sampler step and the single path comparing float uniforms
-with the cumulative rows, and var_n grouping the words again on every
-call.
+with the cumulative rows, var_n grouping the words again on every
+call, the Jacobian identity formed per move from cylinder measures,
+and the exact law of S_n stepped by the dense transition matrix.
 """
 
 import math
@@ -21,11 +22,12 @@ import numpy as np
 from numpy.random import Philox
 
 from gibbslab import transfer
-from gibbslab.errors import NoConvergence, ValidationError
+from gibbslab.errors import NoConvergence, SizeGuard, SolveFailure, Undefined, ValidationError
 from gibbslab.gibbs import block_chain
 from gibbslab.potential import total_variation
 from gibbslab.sampler import _BATCH, _WORDS_PER_COUNTER, SampleConfig
-from gibbslab.shift_space import enumerate_words
+from gibbslab.shift_space import block_moves, enumerate_words
+from gibbslab.stats import DP_CELL_CAP, LatticeDistribution, _block_data, lattice_parameters
 
 
 def continuation_sums(space, phi, w):
@@ -263,3 +265,56 @@ def grouped_var_n(f, n):
         lo, hi = groups.get(key, (v, v))
         groups[key] = (min(lo, v), max(hi, v))
     return max(hi - lo for lo, hi in groups.values())
+
+
+def per_move_jacobian_error(mu, phi, eigendata):
+    """jacobian_max_error with mu.jacobian, two cylinder measures, per
+    move."""
+    h, n = eigendata.h, mu.block_length + 1
+    _, I, J, codes = block_moves(mu.space, mu.block_length)
+    worst = 0.0
+    for i, j, w, p in zip(I, J, enumerate_words(mu.space, n), phi.on(codes, n).tolist()):
+        target = math.exp(eigendata.pressure - p) * (h[j] / h[i])
+        try:
+            worst = max(worst, abs(mu.jacobian(w) / target - 1.0))
+        except Undefined as exc:
+            raise SolveFailure(f"jacobian_identity: {exc}")
+    return worst
+
+
+def dense_law(mu, psi, n):
+    """exact_birkhoff_distribution with each step one dense product
+    Q.T @ table over all states, the whole used table cleared."""
+    if n < 1:
+        raise ValidationError("n must be at least 1")
+    states, pi, Q, (pv,) = _block_data(mu, psi)
+    a, b = lattice_parameters(pv)
+    idx = np.array([round((v - a) / b) for v in pv], dtype=np.int64)
+    span_idx = int(idx.max())
+    width = n * span_idx + 1
+    if n * width > DP_CELL_CAP:
+        raise SizeGuard(f"DP table of {n * width} cells exceeds cap {DP_CELL_CAP}")
+    k = len(states)
+    table = np.zeros((k, width))
+    table[np.arange(k), idx] = pi
+    groups = [(j, np.flatnonzero(idx == j)) for j in np.unique(idx)]
+    for t in range(1, n):
+        used = t * span_idx + 1
+        step = Q.T @ table[:, :used]
+        table[:, :used] = 0.0
+        for j, rows in groups:
+            table[rows, j : j + used] = step[rows]
+    out = table.sum(axis=0)
+    total = out.sum()
+    if abs(total - 1.0) > 1e-12:
+        raise SolveFailure(
+            f"DP mass at n = {n} drifted to {float(total)!r}, more than 1e-12 from 1")
+    support = np.flatnonzero(out > 0.0)
+    lo, hi = int(support.min()), int(support.max())
+    return LatticeDistribution(
+        n=n,
+        offset=a,
+        span=b,
+        indices=np.arange(lo, hi + 1),
+        probs=out[lo : hi + 1].copy(),
+    )

@@ -6,7 +6,7 @@ import pytest
 
 from gibbslab import models
 from gibbslab.errors import ValidationError
-from gibbslab.jsonio import dump_json, dumps
+from gibbslab.jsonio import _cell, dump_csv, dump_json, dumps
 
 
 def test_builtin_registry():
@@ -143,6 +143,24 @@ def test_float_arrays_dump_as_their_lists():
     assert dump_json({"m": odd}) == (
         '{\n  "m": [\n    [\n      1.5,\n      NaN\n    ],\n'
         '    [\n      Infinity,\n      -Infinity\n    ]\n  ]\n}\n')
+
+
+def test_csv_cells_keep_the_per_cell_bytes():
+    """dump_csv writes every cell as the per-cell path `_cell` does,
+    finite floats and float64s included, and these are its bytes."""
+    cells = [None, "", True, False, np.bool_(True), np.bool_(False), 7, -3, np.int64(-5),
+             "a,b", 'say "hi"', "two\nlines", "plain", 0.1, np.float64(0.1), -0.0,
+             np.float64(-0.0), 5e-324, np.float64(2.5e-310), 1e300, np.nan, np.float64(np.nan),
+             np.inf, -np.inf, np.float64(-np.inf), np.float32(0.1)]
+    want = ["", "", "true", "false", "true", "false", "7", "-3", "-5", '"a,b"',
+            '"say ""hi"""', '"two\nlines"', "plain", "0.10000000000000001",
+            "0.10000000000000001", "-0", "-0", "4.9406564584124654e-324",
+            "2.5000000000000171e-310", "1.0000000000000001e+300", "NaN", "NaN", "Infinity",
+            "-Infinity", "-Infinity", "0.10000000149011612"]
+    assert [_cell(v) for v in cells] == want
+    rows = [cells, cells[::-1], [1.5, -0.0], []]
+    text = "h1,h2\n" + "".join(",".join(map(_cell, r)) + "\n" for r in rows)
+    assert dump_csv(("h1", "h2"), rows) == text
 
 
 def test_zero_d_arrays_dump_as_their_scalars():

@@ -3,7 +3,9 @@ tests/oracles.py: the cylinder Gibbs scan and the partition pressure
 against every word and continuation, and the closed-form ultrametric
 transport against the transportation LP.  The block graph's moves and
 value gathers, the power loop, the sampler step and path and the
-cached variations against their earlier forms, bit for bit."""
+cached variations and the Jacobian identity against their earlier
+forms, bit for bit; the exact law of S_n against its dense-product
+form, to rounding."""
 
 import dataclasses
 import functools
@@ -12,8 +14,8 @@ import math
 import numpy as np
 import pytest
 
-from gibbslab import cone, models, sampler, transfer
-from gibbslab.errors import GibbsLabError, SizeGuard
+from gibbslab import cone, models, sampler, stats, transfer
+from gibbslab.errors import GibbsLabError, SizeGuard, SolveFailure
 from gibbslab.gibbs import (
     GibbsMeasure,
     gibbs_measure,
@@ -24,15 +26,17 @@ from gibbslab.gibbs import (
 )
 from gibbslab.potential import FiniteMemoryFunction, affine_combine, or_inf, var_n
 from gibbslab.shift_space import block_moves, enumerate_words, recode, validate, word_count
-from gibbslab.verify import uniform_chain
+from gibbslab.verify import jacobian_max_error, uniform_chain
 
 from oracles import (
+    dense_law,
     encode,
     enumerated_partition,
     enumerated_scan,
     float_path,
     float_sampler,
     grouped_var_n,
+    per_move_jacobian_error,
     power_loop,
     transport_lp,
     tuple_moves,
@@ -437,3 +441,118 @@ def test_sample_path_matches_its_oracle(name):
             for n in (1, 2, 3, 257):
                 assert sampler.sample_path(mu, n, seed, stream) == float_path(
                     mu, n, seed, stream), (seed, stream, n)
+
+
+def integer_observable(space, memory, seed, top=2):
+    rng = np.random.default_rng(seed)
+    return FiniteMemoryFunction(
+        space, memory, {w: float(rng.integers(0, top + 1)) for w in enumerate_words(space, memory)})
+
+
+LAW_CASES = ["bernoulli", "ising", "golden-mean", "golden-mean-psi-m2", "three-symbol",
+             "full-4-shift-m3", "full-4-shift-m4", "full-4-shift-m5", "8-cycle-chord-L3"]
+
+
+@functools.cache
+def law_case(name):
+    """(chain, observable): the built-ins, golden-mean with a memory-2
+    observable (its chain lifted to 2-blocks), three-symbol on 3-blocks
+    (16 of its 21 (overlap, symbol) rows are states), the full 4-shift
+    with memory-m observables (k = 4**m) and an 8-cycle with one chord
+    lifted to 3-blocks."""
+    if name in ("bernoulli", "ising", "golden-mean"):
+        return case(name)[0], models.builtin(name).observable
+    if name == "golden-mean-psi-m2":
+        mu = case("golden-mean")[0]
+        return mu, integer_observable(mu.space, 2, 2)
+    if name == "three-symbol":
+        mu = case("three-symbol")[0]
+        return mu, integer_observable(mu.space, 3, 3)
+    if name.startswith("full-4-shift-m"):
+        memory = int(name[-1])
+        phi = random_full_shift(memory, memory)
+        return solve(phi.space, phi), integer_observable(phi.space, memory, memory, top=1)
+    if name == "8-cycle-chord-L3":
+        A = np.roll(np.eye(8, dtype=int), 1, axis=1)
+        A[0, 2] = 1
+        space = validate(8, A)
+        phi = FiniteMemoryFunction(
+            space, 2, {w: float(np.sin(3 * w[0] + w[1])) for w in enumerate_words(space, 2)})
+        return solve(space, phi), integer_observable(space, 4, 8)
+    raise KeyError(name)
+
+
+def law_outcome(law, mu, psi, n):
+    try:
+        return law(mu, psi, n)
+    except SolveFailure as exc:
+        return exc
+
+
+@pytest.mark.parametrize("name", LAW_CASES)
+def test_law_matches_its_dense_oracle(name):
+    """Same lattice, support and mass-check outcome as the dense
+    product, and every atom within 2*n*N half-ulps of it (each atom is a
+    sum of nonnegative products, summed in another order)."""
+    mu, psi = law_case(name)
+    N = mu.space.alphabet_size
+    for n in (1, 2, 3, 64, 257):
+        got, want = law_outcome(stats.exact_birkhoff_distribution, mu, psi, n), law_outcome(
+            dense_law, mu, psi, n)
+        assert type(got) is type(want), (n, got, want)
+        if isinstance(want, SolveFailure):
+            continue
+        assert (got.n, got.offset, got.span) == (want.n, want.offset, want.span)
+        assert got.indices.tolist() == want.indices.tolist()
+        assert ((got.probs > 0.0) == (want.probs > 0.0)).all()
+        rel = np.abs(got.probs - want.probs) / np.maximum(got.probs, want.probs).clip(1e-300)
+        assert rel.max() <= 2 * n * N * 2.0**-53, (n, rel.max())
+
+
+@pytest.mark.parametrize("name", LAW_CASES)
+def test_law_layout_is_no_larger_than_dense(name):
+    """The overlap layout does at most k*k multiply-adds per column,
+    and falls back to the one dense group where the overlaps would not
+    be fewer: at L = 1 and on the sparse 8-cycle."""
+    mu, psi = law_case(name)
+    states, _, Q, _ = stats._block_data(mu, psi)
+    L, k = len(states[0]), len(states)
+    W, src, dst = stats._overlap_layout(mu.space, Q, L)
+    S, R, _ = W.shape
+    assert S * R * R <= k * k
+    assert (S == 1) == (L == 1 or name == "8-cycle-chord-L3")
+    assert len(set(src.tolist())) == len(set(dst.tolist())) == k
+
+
+def jacobian_error_or_failure(check, mu, phi, E):
+    try:
+        return check(mu, phi, E)
+    except SolveFailure as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("name", ["bernoulli", "ising", "golden-mean", "three-symbol",
+                                  "full-4-shift-m4", "full-3-shift-sparse-chain"])
+def test_jacobian_error_matches_its_per_move_oracle(name):
+    """The same float as mu.jacobian per move: on the built-ins (golden-
+    mean's zero entry Q[1, 1] is no move), three-symbol and the full
+    4-shift at memory 4; on a chain with zero-mass moves, the same
+    SolveFailure naming the same first word."""
+    if name == "full-4-shift-m4":
+        phi = random_full_shift(4, 4)
+        mu = solve(phi.space, phi)
+    elif name == "full-3-shift-sparse-chain":
+        space = case(name)[0].space
+        rng = np.random.default_rng(2)
+        phi = FiniteMemoryFunction(
+            space, 2, {w: float(rng.uniform(-1.0, 1.0)) for w in enumerate_words(space, 2)})
+        mu = dataclasses.replace(case(name)[0], potential=phi)
+    else:
+        mu, phi, _ = case(name)
+    E = transfer.dominant_eigendata(transfer.build(mu.space, phi), tol=1e-12)
+    got = jacobian_error_or_failure(jacobian_max_error, mu, phi, E)
+    assert got == jacobian_error_or_failure(per_move_jacobian_error, mu, phi, E)
+    if name == "full-3-shift-sparse-chain":
+        assert got == "jacobian_identity: word (1, 1) has measure zero"
+    else:
+        assert got <= 1e-10
