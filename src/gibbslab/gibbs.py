@@ -1,14 +1,16 @@
 """Gibbs measures as stationary Markov chains on block states.
 
-The measure is stored only through (pi, Q) on the recoded chain; every
-cylinder value is an O(|word|) product, never a table.  The same class
-carries arbitrary stationary chains on the block graph so that
-non-equilibrium candidates can be pushed through the same diagnostics.
+The measure is stored only through (pi, Q) on the l-blocks in code
+order; every cylinder value is an O(|word|) product over the word's
+block codes, never a table.  The same class carries any stationary
+chain on the block graph's moves, checked once when built, so that
+non-equilibrium candidates go through the same diagnostics.
 """
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -20,71 +22,67 @@ from .transfer import _by_prefix, _tropical_step, normalized_operator
 
 @dataclass(frozen=True, eq=False)
 class GibbsMeasure:
-    """Stationary Markov measure on l-block states.
-
-    states are the admissible l-blocks in `enumerate_words` order.
-    stationary is the state distribution pi, transition the
-    row-stochastic forward kernel Q.  For the equilibrium chain
-    pi = h * nu and pressure = log lambda.
+    """Stationary Markov measure whose states are the admissible
+    l-blocks in `enumerate_words` order: stationary is their
+    distribution pi, transition the row-stochastic forward kernel Q,
+    positive only on the block graph's moves u -> u[1:] + (s,).  For
+    the equilibrium chain pi = h * nu and pressure = log lambda.
     """
 
     space: object
     block_length: int
-    states: tuple
     stationary: np.ndarray
     transition: np.ndarray
     pressure: float = None
     potential: object = None
-    _index: dict = field(repr=False, default=None)
 
     def __post_init__(self):
-        k = len(self.states)
-        if self.stationary.shape != (k,) or self.transition.shape != (k, k):
-            raise ValidationError("stationary/transition shapes do not match states")
-        if abs(self.stationary.sum() - 1.0) > 1e-9:
+        blocks, I, J, _ = block_moves(self.space, self.block_length)
+        k, pi, Q = len(blocks), self.stationary, self.transition
+        if pi.shape != (k,) or Q.shape != (k, k):
+            raise ValidationError(f"stationary/transition shapes do not match the {k} blocks")
+        # the checks are written so that NaN fails them; an infinite
+        # entry makes its sum infinite
+        if not (pi.min() >= 0.0 and Q.min() >= 0.0):
+            raise ValidationError("stationary and transition entries must be finite and nonnegative")
+        if np.count_nonzero(Q) != np.count_nonzero(Q[I, J]):
+            raise ValidationError("transition has mass off the block graph's moves")
+        if not abs(pi.sum() - 1.0) <= 1e-9:
             raise ValidationError("stationary vector must sum to 1")
-        if np.abs(self.transition.sum(axis=1) - 1.0).max() > 1e-9:
+        if not np.abs(Q.sum(axis=1) - 1.0).max() <= 1e-9:
             raise ValidationError("transition rows must sum to 1")
-        if self.states != tuple(enumerate_words(self.space, self.block_length)):
-            raise ValidationError(
-                f"states must be the admissible {self.block_length}-blocks in "
-                "enumerate_words order")
-        object.__setattr__(self, "_index", {s: k for k, s in enumerate(self.states)})
-        self.stationary.setflags(write=False)
-        self.transition.setflags(write=False)
+        pi.setflags(write=False)
+        Q.setflags(write=False)
+
+    @cached_property
+    def states(self):
+        return tuple(enumerate_words(self.space, self.block_length))
 
     def cylinder_measure(self, word):
         """mu([word]); zero when the word is not admissible.
 
-        Words shorter than the block length are summed over their
-        completions to full blocks.
+        A word shorter than the block length sums pi over the blocks it
+        starts, one contiguous range of codes; a longer word is pi of
+        its first block times Q along the blocks of its windows.
         """
         word = tuple(word)
-        n = len(word)
+        n, ell, N = len(word), self.block_length, self.space.alphabet_size
         if n == 0:
             return 1.0
-        ell = self.block_length
-        if n < ell:
-            return float(
-                sum(
-                    self.stationary[i]
-                    for i, s in enumerate(self.states)
-                    if s[:n] == word
-                )
-            )
-        first = self._index.get(word[:ell])
-        if first is None:
+        if not self.space.is_admissible(word):
             return 0.0
-        p = self.stationary[first]
-        cur = first
-        for t in range(1, n - ell + 1):
-            nxt = self._index.get(word[t : t + ell])
-            if nxt is None:
-                return 0.0
-            p *= self.transition[cur, nxt]
-            if p == 0.0:
-                return 0.0
-            cur = nxt
+        code, windows = 0, []  # the codes of the word's last ell symbols so far
+        for s in word:
+            code = (code * N + self.space.index(s)) % N**ell
+            windows.append(code)
+        blocks = word_codes(self.space, ell)
+        if n < ell:
+            lo, hi = blocks.searchsorted([code * N ** (ell - n), (code + 1) * N ** (ell - n)])
+            return float(sum(self.stationary[lo:hi]))
+        path = blocks.searchsorted(windows[ell - 1 :]).tolist()
+        p = self.stationary[path[0]]
+        for u, v in zip(path, path[1:]):
+            p *= self.transition[u, v]
         return float(p)
 
     def jacobian(self, word):
@@ -113,7 +111,6 @@ def gibbs_measure(T, eigendata):
     return GibbsMeasure(
         space=T.space,
         block_length=T.block_length,
-        states=T.states,
         stationary=pi,
         transition=Q,
         pressure=eigendata.pressure,
@@ -121,25 +118,25 @@ def gibbs_measure(T, eigendata):
     )
 
 
-def markov_measure(space, block_length, states, transition, stationary=None):
-    """Arbitrary stationary chain on the recoded graph (candidate
-    measures for the variational diagnostics).  When not supplied, the
-    stationary vector is solved from Q in one dense solve of
-    pi (I - Q + 1 1^T) = 1^T; a chain without a unique stationary
-    vector raises SolveFailure."""
+def markov_measure(space, block_length, transition, stationary=None):
+    """Arbitrary stationary chain on the block_length-blocks, Q indexed
+    by them in `enumerate_words` order (candidate measures for the
+    variational diagnostics).  When not supplied, the stationary vector
+    is solved from Q in one dense solve of pi (I - Q + 1 1^T) = 1^T; a
+    chain without a unique stationary vector raises SolveFailure."""
     Q = np.asarray(transition, dtype=float)
     if stationary is None:
-        k = Q.shape[0]
         try:
-            stationary = np.linalg.solve((np.eye(k) - Q + 1.0).T, np.ones(k))
+            stationary = np.linalg.solve((np.eye(len(Q)) - Q + 1.0).T, np.ones(len(Q)))
         except np.linalg.LinAlgError as exc:
             raise SolveFailure(f"stationary system is singular: {exc}")
         if not np.all(np.isfinite(stationary)):
             raise SolveFailure("stationary solve produced non-finite entries")
+        # rounding leaves entries like -6e-17 where a transient block's mass is 0
+        stationary = np.maximum(stationary, 0.0)
     return GibbsMeasure(
         space=space,
         block_length=block_length,
-        states=tuple(states),
         stationary=np.asarray(stationary, dtype=float),
         transition=Q,
     )
@@ -161,7 +158,7 @@ def _levels(mu, start=1):
     last(v)], last indexing each word's final block: the product that
     cylinder_measure forms, so the masses are the same floats."""
     N, ell = mu.space.alphabet_size, mu.block_length
-    blocks, pi, last = word_codes(mu.space, ell), mu.stationary, np.arange(len(mu.states))
+    blocks, pi, last = word_codes(mu.space, ell), mu.stationary, np.arange(len(mu.stationary))
     for n in range(start, ell):
         prefix = blocks // N ** (ell - n)
         yield np.unique(prefix), _by_prefix(pi, prefix, np.add), None
@@ -189,20 +186,20 @@ def variational_defect(mu, phi, pressure):
 
 
 def block_chain(mu, L):
-    """Present the same measure on L-blocks (L >= block_length): pi_L
-    from `_levels`, and Q_L[u, v] = Q[last(u), last(v)] on each move,
-    rows renormalised, so a block of zero mass keeps its final block's
-    row and the lift has the native chain's recurrent classes."""
+    """The same measure as (pi_L, Q_L) on L-blocks (L >= block_length):
+    pi_L from `_levels`, and Q_L[u, v] = Q[last(u), last(v)] on each
+    move, rows renormalised, so a block of zero mass keeps its final
+    block's row and the lift has the native chain's recurrent classes."""
     if L < mu.block_length:
         raise ValidationError("cannot coarsen below the native block length")
     if L == mu.block_length:
-        return mu.states, np.array(mu.stationary), np.array(mu.transition)
+        return np.array(mu.stationary), np.array(mu.transition)
     _, pi, last = next(_levels(mu, L))
     _, I, J, _ = block_moves(mu.space, L)
     Q = np.zeros((len(pi), len(pi)))
     Q[I, J] = mu.transition[last[I], last[J]]
     Q /= Q.sum(axis=1, keepdims=True)
-    return tuple(enumerate_words(mu.space, L)), pi, Q
+    return pi, Q
 
 
 @dataclass(frozen=True)
@@ -247,7 +244,7 @@ def gibbs_ratio_scan(mu, phi, n_max, tol=1e-12):
     if mu.pressure is None:
         raise ValidationError("scan needs a chain with a pressure attached")
     L = max(mu.block_length, phi.memory - 1)
-    _, pi, Q = block_chain(mu, L)
+    pi, Q = block_chain(mu, L)
     k = len(pi)
     blocks, I, J, words = block_moves(mu.space, L)
     phis = phi.on(words, L + 1)

@@ -147,11 +147,12 @@ def affine_combine(f, g, s):
     """f + s*g on the common memory max(m_f, m_g).
 
     A memory-m table lifts to any larger memory by ignoring trailing
-    coordinates, so the combination is exact.
+    coordinates, so the combination is exact; both tables are read at
+    the codes of the m-words.
     """
     if not f.space.same_as(g.space):
         raise ValidationError("operands must live on the same shift space")
     m = max(f.memory, g.memory)
-    words = enumerate_words(f.space, m)
-    vals = {w: f(w) + s * g(w) for w in words}
-    return FiniteMemoryFunction(f.space, m, vals, f.alpha)
+    codes = word_codes(f.space, m)
+    vals = (f.on(codes, m) + s * g.on(codes, m)).tolist()
+    return FiniteMemoryFunction(f.space, m, dict(zip(enumerate_words(f.space, m), vals)), f.alpha)

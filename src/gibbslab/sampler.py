@@ -88,7 +88,7 @@ def empirical_birkhoff(mu, psi, n, trials, seed, exact=None):
     k = word_count(mu.space, L)
     if k > _MAX_STATES:
         raise SizeGuard(f"sampler: {k} states of {L}-blocks exceed its limit of {_MAX_STATES}")
-    _, pi, Q = block_chain(mu, L)
+    pi, Q = block_chain(mu, L)
     pv = psi.on(word_codes(mu.space, L), L)
     row_base = np.arange(k, dtype=np.uint64) << np.uint64(54)
     first = _thresholds(np.cumsum(pi))

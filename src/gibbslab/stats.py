@@ -27,18 +27,18 @@ from .errors import (
 from . import transfer
 from .gibbs import block_chain, gibbs_measure
 from .potential import affine_combine
-from .shift_space import block_moves, word_codes
+from .shift_space import block_moves, enumerate_words, word_codes
 
 DP_CELL_CAP = 10**8
 
 
 def _block_data(mu, *fns):
-    """Common block presentation carrying every observable as a state
-    vector."""
+    """Common block presentation (L, pi, Q, values) carrying every
+    observable as a vector over the L-blocks."""
     L = max([mu.block_length] + [f.memory for f in fns])
-    states, pi, Q = block_chain(mu, L)
+    pi, Q = block_chain(mu, L)
     codes = word_codes(mu.space, L)
-    return states, pi, Q, [f.on(codes, L) for f in fns]
+    return L, pi, Q, [f.on(codes, L) for f in fns]
 
 
 def correlation(mu, f, g, n):
@@ -100,18 +100,18 @@ def cohomology_check(mu, psi, tol=1e-10):
     """Structural test for xi^2 = 0: the centered observable must be a
     block coboundary, i.e. U(v) = U(u) - psi_hat(u) consistently over
     every edge of the recoded graph.  A spanning-tree assignment fixes
-    U; the chords certify or refute."""
-    states, pi, Q, (pv,) = _block_data(mu, psi)
+    U; the chords certify or refute.  The edges are the moves with
+    Q > 0, in order of source and then target block."""
+    L, pi, Q, (pv,) = _block_data(mu, psi)
     c = pv - float(pi @ pv)
-    k = len(states)
-    adj = [[] for _ in range(k)]
-    edges = []
-    for i in range(k):
-        for j in np.flatnonzero(Q[i] > 0):
-            edges.append((i, int(j)))
-            adj[i].append((int(j), -c[i]))  # forward: U(j) = U(i) - c(i)
-            adj[int(j)].append((i, +c[i]))  # backward
-    U = np.full(k, np.nan)
+    _, I, J, _ = block_moves(mu.space, L)
+    keep = Q[I, J] > 0
+    edges = list(zip(I[keep].tolist(), J[keep].tolist()))
+    adj = [[] for _ in pi]
+    for i, j in edges:
+        adj[i].append((j, -c[i]))  # forward: U(j) = U(i) - c(i)
+        adj[j].append((i, +c[i]))  # backward
+    U = np.full(len(pi), np.nan)
     U[0] = 0.0
     stack = [0]
     while stack:
@@ -122,7 +122,7 @@ def cohomology_check(mu, psi, tol=1e-10):
                 stack.append(j)
     defect = max(abs(U[j] - (U[i] - c[i])) for i, j in edges)
     degenerate = bool(defect <= tol)
-    witness = {states[i]: float(U[i]) for i in range(k)} if degenerate else None
+    witness = dict(zip(enumerate_words(mu.space, L), U.tolist())) if degenerate else None
     return {"degenerate": degenerate, "witness": witness, "max_cycle_defect": float(defect)}
 
 
@@ -388,14 +388,14 @@ def exact_birkhoff_distribution(mu, psi, n):
     also moves v from its output row back to its input row."""
     if n < 1:
         raise ValidationError("n must be at least 1")
-    states, pi, Q, (pv,) = _block_data(mu, psi)
+    L, pi, Q, (pv,) = _block_data(mu, psi)
     a, b = lattice_parameters(pv)
     idx = np.array([round((v - a) / b) for v in pv], dtype=np.int64)
     span_idx = int(idx.max())
     width = n * span_idx + 1
     if n * width > DP_CELL_CAP:
         raise SizeGuard(f"DP table of {n * width} cells exceeds cap {DP_CELL_CAP}")
-    W, src, dst = _overlap_layout(mu.space, Q, len(states[0]))
+    W, src, dst = _overlap_layout(mu.space, Q, L)
     S, R, _ = W.shape
     table = np.zeros((S * R, width))
     table[src, idx] = pi

@@ -162,12 +162,13 @@ def verify_model(model, n_max=8, inject_chain=None, inject_nu=None, eigen_tol=EI
 
 
 def uniform_chain(model):
-    """Row-uniform candidate chain on the recoded graph (maximal-
-    entropy-style guess, not the equilibrium chain in general)."""
-    T = transfer.build(model.space, model.potential)
-    adj = (T.matrix > 0).astype(float)
-    Q = adj / adj.sum(axis=1, keepdims=True)
-    return markov_measure(model.space, T.block_length, T.states, Q)
+    """Row-uniform candidate chain on the moves of the potential's block
+    graph (maximal-entropy-style guess, not the equilibrium chain)."""
+    L = max(model.potential.memory - 1, 1)
+    blocks, I, J, _ = block_moves(model.space, L)
+    Q = np.zeros((len(blocks), len(blocks)))
+    Q[I, J] = 1.0 / np.bincount(I)[I]
+    return markov_measure(model.space, L, Q)
 
 
 def perturbed_nu(model, epsilon=0.01):

@@ -12,7 +12,9 @@ word tuples and a position dict, the power loop with a fresh array per
 product, the sampler step and the single path comparing float uniforms
 with the cumulative rows, var_n grouping the words again on every
 call, the Jacobian identity formed per move from cylinder measures,
-and the exact law of S_n stepped by the dense transition matrix.
+the exact law of S_n stepped by the dense transition matrix, cylinder
+measures walked over tuple blocks, affine combinations formed word by
+word, and the coboundary check's edges found by scanning rows of Q.
 """
 
 import math
@@ -206,9 +208,9 @@ def float_sampler(mu, psi, n, trials, seed):
     cumulative weights of the row that the float uniform reaches."""
     cfg = SampleConfig(seed=seed, n=n, trials=trials)
     L = max(mu.block_length, psi.memory)
-    states, pi, Q = block_chain(mu, L)
-    pv = np.array([psi(u) for u in states])
-    k = len(states)
+    pi, Q = block_chain(mu, L)
+    pv = np.array([psi(u) for u in enumerate_words(mu.space, L)])
+    k = len(pi)
     cum_pi = np.cumsum(pi)
     cum_q = np.cumsum(Q, axis=1)
     blocks_per_trial = -(-n // _WORDS_PER_COUNTER)
@@ -287,14 +289,14 @@ def dense_law(mu, psi, n):
     Q.T @ table over all states, the whole used table cleared."""
     if n < 1:
         raise ValidationError("n must be at least 1")
-    states, pi, Q, (pv,) = _block_data(mu, psi)
+    _, pi, Q, (pv,) = _block_data(mu, psi)
     a, b = lattice_parameters(pv)
     idx = np.array([round((v - a) / b) for v in pv], dtype=np.int64)
     span_idx = int(idx.max())
     width = n * span_idx + 1
     if n * width > DP_CELL_CAP:
         raise SizeGuard(f"DP table of {n * width} cells exceeds cap {DP_CELL_CAP}")
-    k = len(states)
+    k = len(pi)
     table = np.zeros((k, width))
     table[np.arange(k), idx] = pi
     groups = [(j, np.flatnonzero(idx == j)) for j in np.unique(idx)]
@@ -318,3 +320,64 @@ def dense_law(mu, psi, n):
         indices=np.arange(lo, hi + 1),
         probs=out[lo : hi + 1].copy(),
     )
+
+
+def tuple_cylinder(mu, word):
+    """cylinder_measure as a walk over the word's blocks as tuples,
+    looked up in a dict of the states' positions."""
+    word = tuple(word)
+    n, ell = len(word), mu.block_length
+    if n == 0:
+        return 1.0
+    states = mu.states
+    if n < ell:
+        return float(sum(mu.stationary[i] for i, s in enumerate(states) if s[:n] == word))
+    index = {s: i for i, s in enumerate(states)}
+    cur = index.get(word[:ell])
+    if cur is None:
+        return 0.0
+    p = mu.stationary[cur]
+    for t in range(1, n - ell + 1):
+        nxt = index.get(word[t : t + ell])
+        if nxt is None:
+            return 0.0
+        p *= mu.transition[cur, nxt]
+        if p == 0.0:
+            return 0.0
+        cur = nxt
+    return float(p)
+
+
+def per_word_affine(f, g, s):
+    """affine_combine's value table, f(w) + s * g(w) word by word."""
+    m = max(f.memory, g.memory)
+    return {w: f(w) + s * g(w) for w in enumerate_words(f.space, m)}
+
+
+def scanned_cohomology(mu, psi, tol=1e-10):
+    """cohomology_check with its edges found by scanning each row of Q
+    for positive entries."""
+    L, pi, Q, (pv,) = _block_data(mu, psi)
+    states = enumerate_words(mu.space, L)
+    c = pv - float(pi @ pv)
+    k = len(states)
+    adj = [[] for _ in range(k)]
+    edges = []
+    for i in range(k):
+        for j in np.flatnonzero(Q[i] > 0):
+            edges.append((i, int(j)))
+            adj[i].append((int(j), -c[i]))
+            adj[int(j)].append((i, +c[i]))
+    U = np.full(k, np.nan)
+    U[0] = 0.0
+    stack = [0]
+    while stack:
+        i = stack.pop()
+        for j, delta in adj[i]:
+            if math.isnan(U[j]):
+                U[j] = U[i] + delta
+                stack.append(j)
+    defect = max(abs(U[j] - (U[i] - c[i])) for i, j in edges)
+    degenerate = bool(defect <= tol)
+    witness = {states[i]: float(U[i]) for i in range(k)} if degenerate else None
+    return {"degenerate": degenerate, "witness": witness, "max_cycle_defect": float(defect)}

@@ -77,7 +77,7 @@ def test_c01_bernoulli_rate_value_as_quoted(bernoulli):
 
 
 def test_c01_fair_coin_defect_exact(bernoulli):
-    fair = markov_measure(bernoulli.space, 1, ((1,), (2,)), np.full((2, 2), 0.5))
+    fair = markov_measure(bernoulli.space, 1, np.full((2, 2), 0.5))
     defect = variational_defect(fair, bernoulli.phi, bernoulli.E.pressure)
     # log 2 + (log 0.21)/2 = -0.0871767, the defect is its negation,
     # equal to D(1/2 || 0.7)
@@ -92,7 +92,7 @@ def test_c01_fair_coin_defect_exact(bernoulli):
     "0.0871767",
 )
 def test_c01_fair_coin_defect_as_quoted(bernoulli):
-    fair = markov_measure(bernoulli.space, 1, ((1,), (2,)), np.full((2, 2), 0.5))
+    fair = markov_measure(bernoulli.space, 1, np.full((2, 2), 0.5))
     defect = variational_defect(fair, bernoulli.phi, bernoulli.E.pressure)
     check("C01", "fair-coin defect as quoted", defect, 0.0834, 5e-4)
 

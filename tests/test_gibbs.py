@@ -143,7 +143,7 @@ def test_entropy_values(builtin_triple):
 
 def test_entropy_deterministic_chain(bernoulli):
     perm = markov_measure(
-        bernoulli.space, 1, ((1,), (2,)),
+        bernoulli.space, 1,
         np.array([[0.0, 1.0], [1.0, 0.0]]),
         stationary=np.array([0.5, 0.5]),
     )
@@ -165,9 +165,7 @@ def test_variational_defect_gibbs_is_zero(builtin_triple):
 
 
 def test_variational_defect_fair_coin(bernoulli):
-    fair = markov_measure(
-        bernoulli.space, 1, ((1,), (2,)), np.full((2, 2), 0.5)
-    )
+    fair = markov_measure(bernoulli.space, 1, np.full((2, 2), 0.5))
     defect = variational_defect(fair, bernoulli.phi, bernoulli.E.pressure)
     # -(log 2 + (log 0.21)/2): the relative-entropy gap of the fair coin,
     # equal to the binary divergence D(1/2 || 0.7)
@@ -185,7 +183,7 @@ def test_variational_defect_positive_off_equilibrium(builtin_triple):
         bump /= bump.sum(axis=1, keepdims=True)
         if np.abs(bump - Q).max() < 1e-12:
             continue
-        cand = markov_measure(s.space, s.mu.block_length, s.mu.states, bump)
+        cand = markov_measure(s.space, s.mu.block_length, bump)
         assert variational_defect(cand, s.phi, s.E.pressure) > 1e-6
 
 
@@ -274,33 +272,82 @@ def test_wasserstein_pseudometric():
 
 
 def test_markov_measure_solves_stationary(bernoulli):
-    fair = markov_measure(bernoulli.space, 1, ((1,), (2,)), np.full((2, 2), 0.5))
+    fair = markov_measure(bernoulli.space, 1, np.full((2, 2), 0.5))
     assert fair.stationary == pytest.approx(np.array([0.5, 0.5]), abs=1e-12)
     # a period-2 chain on the full 3-shift: powers of Q never settle
     space = validate(3, np.ones((3, 3), dtype=int), symbols=(1, 2, 3))
-    states = ((1,), (2,), (3,))
     Q = np.array([[0.0, 0.5, 0.5], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
-    periodic = markov_measure(space, 1, states, Q)
+    periodic = markov_measure(space, 1, Q)
     assert periodic.stationary == pytest.approx(np.array([0.5, 0.25, 0.25]), abs=1e-12)
     # Q = I has no unique stationary vector
     with pytest.raises(SolveFailure):
-        markov_measure(space, 1, states, np.eye(3))
+        markov_measure(space, 1, np.eye(3))
 
 
-def test_states_must_be_the_enumerated_blocks(golden):
-    """A chain's states are read by position as the admissible blocks in
-    enumerate_words order, so any other order or set is rejected."""
-    space = golden.mu.space
-    Q = np.array([[0.5, 0.5], [1.0, 0.0]])
-    for states in [((1,), (0,)), ((0,), (0,)), ((0, 0), (0, 1))]:
-        with pytest.raises(ValidationError, match="enumerate_words order"):
-            GibbsMeasure(space=space, block_length=1, states=states,
-                         stationary=np.array([2 / 3, 1 / 3]), transition=Q)
-    states, pi, Q = block_chain(golden.mu, 2)
-    assert markov_measure(space, 2, states, Q, pi).states == ((0, 0), (0, 1), (1, 0))
-    for permuted in (states[1:] + states[:1], states[::-1]):
-        with pytest.raises(ValidationError, match="enumerate_words order"):
-            markov_measure(space, 2, permuted, Q, pi)
+def test_states_are_the_enumerated_blocks(golden):
+    """A chain's states are the admissible blocks in enumerate_words
+    order, derived from (space, block_length); a chain rebuilt from its
+    lift to 2-blocks gives the same cylinder measures."""
+    pi, Q = block_chain(golden.mu, 2)
+    lifted = markov_measure(golden.space, 2, Q, pi)
+    assert lifted.states == ((0, 0), (0, 1), (1, 0))
+    assert golden.mu.states == ((0,), (1,))
+    for w in enumerate_words(golden.space, 5):
+        assert lifted.cylinder_measure(w) == pytest.approx(
+            golden.mu.cylinder_measure(w), rel=1e-12, abs=0.0)
+
+
+def test_states_argument_is_gone(bernoulli, golden):
+    """Passed in its old place, a states tuple lands on the transition
+    matrix and fails its shape check; with the stationary vector too it
+    is one argument too many; and GibbsMeasure takes no states."""
+    Q = np.full((2, 2), 0.5)
+    with pytest.raises(ValidationError, match="shapes do not match"):
+        markov_measure(bernoulli.space, 1, ((1,), (2,)), Q)
+    pi, QL = block_chain(golden.mu, 2)
+    states = enumerate_words(golden.space, 2)
+    with pytest.raises(ValidationError, match="shapes do not match"):
+        markov_measure(golden.space, 2, states, QL)
+    with pytest.raises(TypeError):
+        markov_measure(golden.space, 2, states, QL, pi)
+    with pytest.raises(TypeError):
+        GibbsMeasure(space=bernoulli.space, block_length=1, states=((1,), (2,)),
+                     stationary=np.array([0.5, 0.5]), transition=Q)
+
+
+def test_chain_is_validated_once_at_construction(bernoulli, golden):
+    """A negative or non-finite entry, or transition mass between blocks
+    that are no move of the block graph, is a ValidationError when the
+    chain is built, not a measure with negative or inconsistent
+    cylinders."""
+    space = bernoulli.space
+    # its stationary vector is [3, -2], so mu([1, 2]) would be -0.6
+    with pytest.raises(ValidationError, match="finite and nonnegative"):
+        markov_measure(space, 1, [[1.2, -0.2], [0.3, 0.7]])
+    # NaN > 1e-9 is False, so a NaN row passes a row-sum check
+    with pytest.raises(ValidationError, match="finite and nonnegative"):
+        markov_measure(space, 1, [[np.nan, np.nan], [0.5, 0.5]], [0.5, 0.5])
+    for pi in ([np.nan, 1.0], [1.5, -0.5]):
+        with pytest.raises(ValidationError, match="finite and nonnegative"):
+            markov_measure(space, 1, np.full((2, 2), 0.5), pi)
+    # an infinite entry is nonnegative, but its sum is not 1
+    with pytest.raises(ValidationError, match="stationary vector must sum to 1"):
+        markov_measure(space, 1, np.full((2, 2), 0.5), [np.inf, 0.0])
+    with pytest.raises(ValidationError, match="transition rows must sum to 1"):
+        markov_measure(space, 1, [[np.inf, 0.5], [0.5, 0.5]], [0.5, 0.5])
+    # the full 2-shift's 2-blocks: (1, 2) -> (1, 1) is no move
+    with pytest.raises(ValidationError, match="off the block graph's moves"):
+        markov_measure(space, 2, np.full((4, 4), 0.25))
+    # golden-mean forbids 1 -> 1, which would give mu([1, 1]) = 0.25
+    with pytest.raises(ValidationError, match="off the block graph's moves"):
+        markov_measure(golden.space, 1, np.full((2, 2), 0.5))
+    # zeros on allowed moves are a valid chain; (2, 2) is transient, and
+    # the stationary solve's -6e-17 there is rounding, read as 0
+    chain = markov_measure(space, 2, [[0.5, 0.5, 0, 0], [0, 0, 1.0, 0],
+                                      [1.0, 0, 0, 0], [0, 0, 0.5, 0.5]])
+    assert chain.stationary[3] == 0.0
+    assert chain.stationary == pytest.approx([0.5, 0.25, 0.25, 0.0], abs=1e-15)
+    assert chain.cylinder_measure((2, 2)) == 0.0
 
 
 def test_block_chain_lift_matches_cylinders(golden):
@@ -310,11 +357,11 @@ def test_block_chain_lift_matches_cylinders(golden):
     identity row."""
     space = validate(3, np.ones((3, 3), dtype=int), symbols=(1, 2, 3))
     Q = np.array([[0.0, 0.5, 0.5], [0.5, 0.5, 0.0], [0.25, 0.25, 0.5]])
-    sparse = markov_measure(space, 1, ((1,), (2,), (3,)), Q)
+    sparse = markov_measure(space, 1, Q)
     for mu, L, zero_rows in [(golden.mu, golden.psi.memory, 0), (sparse, 2, 2)]:
-        states, pi, QL = block_chain(mu, L)
+        pi, QL = block_chain(mu, L)
         assert L == mu.block_length + 1
-        assert states == tuple(enumerate_words(mu.space, L))
+        states = enumerate_words(mu.space, L)
         assert pi.tolist() == [mu.cylinder_measure(u) for u in states]
         final = [mu.states.index(v[-mu.block_length:]) for v in states]
         for i, u in enumerate(states):
@@ -339,7 +386,7 @@ def zero_transition_chain():
     (1, 1) has no mass."""
     space = validate(3, np.ones((3, 3), dtype=int), symbols=(1, 2, 3))
     Q = np.array([[0.0, 0.5, 0.5], [0.25, 0.25, 0.5], [1 / 3, 1 / 3, 1 / 3]])
-    return markov_measure(space, 1, ((1,), (2,), (3,)), Q)
+    return markov_measure(space, 1, Q)
 
 
 def test_asymptotic_variance_through_a_zero_mass_block():
@@ -424,7 +471,7 @@ def test_scan_rejects_non_gibbs_chain(bernoulli):
     from gibbslab.gibbs import GibbsMeasure
 
     fair = GibbsMeasure(
-        space=bernoulli.space, block_length=1, states=((1,), (2,)),
+        space=bernoulli.space, block_length=1,
         stationary=np.array([0.5, 0.5]), transition=np.full((2, 2), 0.5),
         pressure=bernoulli.E.pressure, potential=bernoulli.phi,
     )

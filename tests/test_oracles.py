@@ -3,19 +3,21 @@ tests/oracles.py: the cylinder Gibbs scan and the partition pressure
 against every word and continuation, and the closed-form ultrametric
 transport against the transportation LP.  The block graph's moves and
 value gathers, the power loop, the sampler step and path and the
-cached variations and the Jacobian identity against their earlier
-forms, bit for bit; the exact law of S_n against its dense-product
-form, to rounding."""
+cached variations, the Jacobian identity, cylinder measures, affine
+combinations and the coboundary check against their earlier forms, bit
+for bit; the exact law of S_n against its dense-product form, to
+rounding."""
 
 import dataclasses
 import functools
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from gibbslab import cone, models, sampler, stats, transfer
-from gibbslab.errors import GibbsLabError, SizeGuard, SolveFailure
+from gibbslab import cone, gibbs, models, sampler, stats, transfer
+from gibbslab.errors import GibbsLabError, SizeGuard, SolveFailure, Undefined
 from gibbslab.gibbs import (
     GibbsMeasure,
     gibbs_measure,
@@ -37,8 +39,11 @@ from oracles import (
     float_sampler,
     grouped_var_n,
     per_move_jacobian_error,
+    per_word_affine,
     power_loop,
+    scanned_cohomology,
     transport_lp,
+    tuple_cylinder,
     tuple_moves,
     tuple_words,
 )
@@ -62,7 +67,7 @@ def three_symbol_potential():
 def symbol_chain(space, Q, pressure):
     """Block-length-1 stationary chain with transitions Q, pressure
     attached."""
-    chain = markov_measure(space, 1, [(s,) for s in space.symbols], Q)
+    chain = markov_measure(space, 1, Q)
     return dataclasses.replace(chain, pressure=pressure)
 
 
@@ -94,7 +99,7 @@ def case(name):
         m = models.bernoulli(0.7)
         P = solve(m.space, m.potential).pressure
         fair = GibbsMeasure(
-            space=m.space, block_length=1, states=((1,), (2,)),
+            space=m.space, block_length=1,
             stationary=np.array([0.5, 0.5]), transition=np.full((2, 2), 0.5),
             pressure=P, potential=m.potential,
         )
@@ -515,8 +520,8 @@ def test_law_layout_is_no_larger_than_dense(name):
     and falls back to the one dense group where the overlaps would not
     be fewer: at L = 1 and on the sparse 8-cycle."""
     mu, psi = law_case(name)
-    states, _, Q, _ = stats._block_data(mu, psi)
-    L, k = len(states[0]), len(states)
+    L, _, Q, _ = stats._block_data(mu, psi)
+    k = len(Q)
     W, src, dst = stats._overlap_layout(mu.space, Q, L)
     S, R, _ = W.shape
     assert S * R * R <= k * k
@@ -556,3 +561,128 @@ def test_jacobian_error_matches_its_per_move_oracle(name):
         assert got == "jacobian_identity: word (1, 1) has measure zero"
     else:
         assert got <= 1e-10
+
+
+def lifted_golden_chain():
+    """golden-mean's chain lifted to 2-blocks and built there."""
+    mu = case("golden-mean")[0]
+    pi, Q = gibbs.block_chain(mu, 2)
+    return markov_measure(mu.space, 2, Q, pi)
+
+
+CYLINDER_CHAINS = {
+    "bernoulli": lambda: case("bernoulli")[0],
+    "ising": lambda: case("ising")[0],
+    "golden-mean": lambda: case("golden-mean")[0],
+    "three-symbol": lambda: case("three-symbol")[0],
+    "golden-mean-lifted": lifted_golden_chain,
+    "full-4-shift-m3": lambda: law_case("full-4-shift-m3")[0],
+    "full-4-shift-m4": lambda: law_case("full-4-shift-m4")[0],
+    "full-3-shift-sparse-chain": lambda: case("full-3-shift-sparse-chain")[0],
+}
+
+
+@pytest.mark.parametrize("name", list(CYLINDER_CHAINS))
+def test_cylinder_measure_matches_tuple_walk(name):
+    """Every word up to two symbols past the block length over the
+    alphabet and one unknown symbol, the empty word included: the same
+    float as the walk over tuple blocks, and the same Jacobian or the
+    same Undefined."""
+    mu = CYLINDER_CHAINS[name]()
+    ell = mu.block_length
+    letters = mu.space.symbols + ("?",)
+    for n in range(ell + 3):
+        for w in itertools.product(letters, repeat=n):
+            want = tuple_cylinder(mu, w)
+            assert mu.cylinder_measure(w).hex() == want.hex(), w
+            if n <= ell:
+                continue
+            if want == 0.0:
+                with pytest.raises(Undefined):
+                    mu.jacobian(w)
+            else:
+                assert mu.jacobian(w).hex() == (tuple_cylinder(mu, w[1:]) / want).hex(), w
+
+
+def affine_pairs():
+    """(f, g) of equal and of different memories: each built-in's
+    potential and observable both ways round (ising's potential has
+    memory 2, its spin memory 1), three-symbol's potential with a
+    memory-1 observable, and random memory-3..6 potentials on the full
+    4-shift with a memory-2 observable."""
+    pairs = {}
+    for name in ("bernoulli", "ising", "golden-mean"):
+        m = models.builtin(name)
+        pairs[name] = m.potential, m.observable
+        pairs[f"{name}-swapped"] = m.observable, m.potential
+    phi = three_symbol_potential()
+    pairs["three-symbol"] = phi, integer_observable(phi.space, 1, 3)
+    for memory in (3, 4, 5, 6):
+        phi = random_full_shift(memory, memory)
+        pairs[f"full-4-shift-m{memory}"] = phi, integer_observable(phi.space, 2, memory, top=3)
+    return pairs
+
+
+@pytest.mark.parametrize("name", ["bernoulli", "bernoulli-swapped", "ising",
+                                  "ising-swapped", "golden-mean", "golden-mean-swapped",
+                                  "three-symbol", "full-4-shift-m3", "full-4-shift-m4",
+                                  "full-4-shift-m5", "full-4-shift-m6"])
+def test_affine_combine_matches_per_word(name):
+    f, g = affine_pairs()[name]
+    for s in (0.0, 0.37, -2.5):
+        got = affine_combine(f, g, s)
+        assert got.memory == max(f.memory, g.memory)
+        assert [(w, float.hex(v)) for w, v in got.values.items()] == [
+            (w, float.hex(v)) for w, v in per_word_affine(f, g, s).items()]
+
+
+COHOMOLOGY_CASES = {
+    "bernoulli": lambda: (case("bernoulli")[0], models.bernoulli().observable),
+    "ising": lambda: (case("ising")[0], models.ising().observable),
+    "ising-potential": lambda: (case("ising")[0], models.ising().potential),
+    "golden-mean": lambda: (case("golden-mean")[0], models.golden_mean().observable),
+    "golden-mean-a-8": lambda: (case("golden-mean-a-8")[0], models.golden_mean().observable),
+    "three-symbol": lambda: law_case("three-symbol"),
+    "full-4-shift-m3": lambda: law_case("full-4-shift-m3"),
+    "full-4-shift-m4": lambda: law_case("full-4-shift-m4"),
+    "fair-chain": lambda: (case("fair-chain")[0], models.bernoulli().observable),
+    "full-3-shift-sparse-chain": lambda: case("full-3-shift-sparse-chain")[:2],
+}
+
+
+@pytest.mark.parametrize("name", list(COHOMOLOGY_CASES))
+def test_cohomology_check_matches_row_scan(name):
+    """Edges from the moves with Q > 0 are the row scan's edges in the
+    same order, so the depth-first tree, the defect and the witness,
+    with its key order, are the same."""
+    mu, psi = COHOMOLOGY_CASES[name]()
+    got, want = stats.cohomology_check(mu, psi), scanned_cohomology(mu, psi)
+    assert repr(got) == repr(want)
+
+
+def test_cohomology_coboundary_on_a_constrained_shift():
+    """psi(a, b) = v(a) - v(b) + 3 on the admissible 2-words of the
+    three-symbol shift is a coboundary plus a constant: degenerate, with
+    a witness equal to v of each 2-block's first symbol up to one
+    constant, and the row scan's answer."""
+    mu = case("three-symbol")[0]
+    v = {1: 0.7, 2: -1.3, 3: 2.1}
+    psi = FiniteMemoryFunction(
+        mu.space, 2, {(a, b): v[a] - v[b] + 3.0 for a, b in enumerate_words(mu.space, 2)})
+    out = stats.cohomology_check(mu, psi)
+    assert out["degenerate"]
+    assert list(out["witness"]) == enumerate_words(mu.space, 2)
+    diffs = [U - v[u[0]] for u, U in out["witness"].items()]
+    assert max(diffs) - min(diffs) <= 1e-10
+    assert repr(out) == repr(scanned_cohomology(mu, psi))
+
+
+def test_cohomology_rejects_an_indicator_on_golden_mean():
+    """The indicator of 0 on golden-mean is no coboundary plus a
+    constant (its means on the fixed point 0 and the cycle 01 differ)."""
+    mu = case("golden-mean")[0]
+    psi = FiniteMemoryFunction.indicator(mu.space, (0,))
+    out = stats.cohomology_check(mu, psi)
+    assert not out["degenerate"] and out["witness"] is None
+    assert out["max_cycle_defect"] > 0.1
+    assert repr(out) == repr(scanned_cohomology(mu, psi))

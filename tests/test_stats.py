@@ -431,7 +431,7 @@ def test_dp_mass_message_is_plain(bernoulli):
     """Rows off by 1e-10 pass the chain's 1e-9 row check but leak DP
     mass; the error names n, the bound and a plain float."""
     Q = np.array([[0.6, 0.4 + 1e-10], [0.5, 0.5]])
-    chain = markov_measure(bernoulli.space, 1, ((1,), (2,)), Q)
+    chain = markov_measure(bernoulli.space, 1, Q)
     with pytest.raises(SolveFailure, match=r"DP mass at n = 8 drifted to 1\.0000000\d*, "
                                            r"more than 1e-12 from 1") as err:
         stats.exact_birkhoff_distribution(chain, bernoulli.psi, 8)
