@@ -1,10 +1,10 @@
 """Gibbs measures as stationary Markov chains on block states.
 
 The measure is stored only through (pi, Q) on the l-blocks in code
-order; every cylinder value is an O(|word|) product over the word's
-block codes, never a table.  The same class carries any stationary
-chain on the block graph's moves, checked once when built, so that
-non-equilibrium candidates go through the same diagnostics.
+order; a cylinder value is a product over the word's block codes, each
+a binary search in the chain's codes, never a table.  The class carries
+any stationary chain on the block graph's moves, checked once when
+built, so that non-equilibrium candidates go through the same checks.
 """
 
 import itertools
@@ -53,6 +53,7 @@ class GibbsMeasure:
             raise ValidationError("transition rows must sum to 1")
         pi.setflags(write=False)
         Q.setflags(write=False)
+        object.__setattr__(self, "_blocks", blocks)  # the states' codes, for cylinder_measure
 
     @cached_property
     def states(self):
@@ -75,11 +76,10 @@ class GibbsMeasure:
         for s in word:
             code = (code * N + self.space.index(s)) % N**ell
             windows.append(code)
-        blocks = word_codes(self.space, ell)
         if n < ell:
-            lo, hi = blocks.searchsorted([code * N ** (ell - n), (code + 1) * N ** (ell - n)])
+            lo, hi = self._blocks.searchsorted(np.array([code, code + 1]) * N ** (ell - n))
             return float(sum(self.stationary[lo:hi]))
-        path = blocks.searchsorted(windows[ell - 1 :]).tolist()
+        path = self._blocks.searchsorted(windows[ell - 1 :]).tolist()
         p = self.stationary[path[0]]
         for u, v in zip(path, path[1:]):
             p *= self.transition[u, v]
@@ -134,12 +134,7 @@ def markov_measure(space, block_length, transition, stationary=None):
             raise SolveFailure("stationary solve produced non-finite entries")
         # rounding leaves entries like -6e-17 where a transient block's mass is 0
         stationary = np.maximum(stationary, 0.0)
-    return GibbsMeasure(
-        space=space,
-        block_length=block_length,
-        stationary=np.asarray(stationary, dtype=float),
-        transition=Q,
-    )
+    return GibbsMeasure(space, block_length, np.asarray(stationary, dtype=float), Q)
 
 
 def entropy(mu):

@@ -69,6 +69,14 @@ class EigenData:
         return float(np.sort(np.abs(np.linalg.eigvals(self.matrix)))[-2] / self.lambda_)
 
 
+def block_graph(space, phi):
+    """(l, *block_moves(space, l)) at phi's l = max(m-1, 1), capped for a dense k x k matrix."""
+    ell = max(phi.memory - 1, 1)
+    blocks, I, J, words = block_moves(space, ell)
+    check_cap(len(blocks) ** 2, f"{len(blocks)}x{len(blocks)} transfer matrix")
+    return ell, blocks, I, J, words
+
+
 def build(space, phi):
     """Assemble the transfer matrix of phi on l-block states.
 
@@ -78,10 +86,8 @@ def build(space, phi):
     """
     if not phi.space.same_as(space):
         raise ValidationError("potential is not defined on this shift space")
-    ell = max(phi.memory - 1, 1)
-    blocks, I, J, words = block_moves(space, ell)
+    ell, blocks, I, J, words = block_graph(space, phi)
     k = len(blocks)
-    check_cap(k * k, f"{k}x{k} transfer matrix")
     M = np.zeros((k, k))
     try:
         M[I, J] = [math.exp(v) for v in phi.on(words, ell + 1).tolist()]

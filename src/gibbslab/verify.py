@@ -164,8 +164,7 @@ def verify_model(model, n_max=8, inject_chain=None, inject_nu=None, eigen_tol=EI
 def uniform_chain(model):
     """Row-uniform candidate chain on the moves of the potential's block
     graph (maximal-entropy-style guess, not the equilibrium chain)."""
-    L = max(model.potential.memory - 1, 1)
-    blocks, I, J, _ = block_moves(model.space, L)
+    L, blocks, I, J, _ = transfer.block_graph(model.space, model.potential)
     Q = np.zeros((len(blocks), len(blocks)))
     Q[I, J] = 1.0 / np.bincount(I)[I]
     return markov_measure(model.space, L, Q)

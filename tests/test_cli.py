@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import os
@@ -12,7 +13,9 @@ import pytest
 
 from gibbslab import cli, models
 from gibbslab.cli import main
+from gibbslab.errors import SizeGuard
 from gibbslab.jsonio import dump_json
+from gibbslab.verify import uniform_chain
 
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
@@ -305,6 +308,26 @@ def test_verify_injections_fail_intended_check(tmp_path, capsys):
     flags = {c["name"]: c["pass"] for c in doc["checks"]}
     assert flags["eigen_residuals"] is False
     assert all(v for k, v in flags.items() if k != "eigen_residuals")
+
+
+def test_fair_chain_past_the_matrix_cap_is_a_size_guard(tmp_path, monkeypatch, capsys):
+    """The fair chain is a dense matrix on the potential's blocks, so it
+    falls under the transfer matrix's cap before anything is allocated:
+    a memory-3 potential on the full 2-shift has 4 blocks, and a cap of
+    15 admits its 8 words but not the 4x4 matrix."""
+    words = [",".join(map(str, w)) for w in itertools.product((1, 2), repeat=3)]
+    doc = {"alphabet": 2, "transitions": [[1, 1], [1, 1]],
+           "potential": {"memory": 3, "values": {w: 0.1 * i for i, w in enumerate(words)}}}
+    path = tmp_path / "m3.json"
+    path.write_text(json.dumps(doc))
+    monkeypatch.setenv("GIBBSLAB_ENUM_CAP", "15")
+    with pytest.raises(SizeGuard, match="4x4 transfer matrix exceeds"):
+        uniform_chain(models.from_json(path.read_text()))
+    assert run(["verify", "--model", str(path), "--inject", "fair-chain",
+                "--out", str(tmp_path / "out")]) == 1
+    assert "4x4 transfer matrix exceeds" in capsys.readouterr().err
+    monkeypatch.setenv("GIBBSLAB_ENUM_CAP", "16")
+    assert len(uniform_chain(models.from_json(path.read_text())).states) == 4
 
 
 def test_pressure_curve_golden_closed_form(tmp_path, capsys):
