@@ -14,10 +14,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import SolveFailure, Undefined, ValidationError
+from .errors import Undefined, ValidationError
 from .potential import fnorm, or_inf, total_variation
 from .shift_space import block_moves, check_cap, enumerate_words, word_codes
-from .transfer import _by_prefix, _tropical_step, normalized_operator
+from .transfer import _by_prefix, _linear_solve, _tropical_step, normalized_operator
 
 
 @dataclass(frozen=True, eq=False)
@@ -39,8 +39,9 @@ class GibbsMeasure:
     def __post_init__(self):
         blocks, I, J, _ = block_moves(self.space, self.block_length)
         k, pi, Q = len(blocks), self.stationary, self.transition
-        if pi.shape != (k,) or Q.shape != (k, k):
-            raise ValidationError(f"stationary/transition shapes do not match the {k} blocks")
+        for name, a, shape in (("stationary", pi, (k,)), ("transition", Q, (k, k))):
+            if not (isinstance(a, np.ndarray) and a.shape == shape):
+                raise _shape_error(name, shape, getattr(a, "shape", type(a).__name__))
         # the checks are written so that NaN fails them; an infinite
         # entry makes its sum infinite
         if not (pi.min() >= 0.0 and Q.min() >= 0.0):
@@ -104,6 +105,11 @@ class GibbsMeasure:
         return self.cylinder_measure(word[1:]) / denom
 
 
+def _shape_error(name, shape, got):
+    return ValidationError(f"stationary/transition shapes do not match the {shape[0]} "
+                           f"blocks: {name} must be an array of shape {shape}, got {got}")
+
+
 def gibbs_measure(T, eigendata):
     """Equilibrium chain of a solved transfer system: pi = h nu, Q the
     normalized operator."""
@@ -122,16 +128,17 @@ def markov_measure(space, block_length, transition, stationary=None):
     """Arbitrary stationary chain on the block_length-blocks, Q indexed
     by them in `enumerate_words` order (candidate measures for the
     variational diagnostics).  When not supplied, the stationary vector
-    is solved from Q in one dense solve of pi (I - Q + 1 1^T) = 1^T; a
-    chain without a unique stationary vector raises SolveFailure."""
-    Q = np.asarray(transition, dtype=float)
+    is solved from Q in one dense solve of pi (I - Q + 1 1^T) = 1^T, once
+    Q is k x k over the k blocks; without a unique solution, SolveFailure."""
+    shape = (len(word_codes(space, block_length)),) * 2
+    try:
+        Q = np.asarray(transition, dtype=float)
+    except ValueError:
+        raise _shape_error("transition", shape, "ragged or non-numeric rows")
+    if Q.shape != shape:
+        raise _shape_error("transition", shape, Q.shape)
     if stationary is None:
-        try:
-            stationary = np.linalg.solve((np.eye(len(Q)) - Q + 1.0).T, np.ones(len(Q)))
-        except np.linalg.LinAlgError as exc:
-            raise SolveFailure(f"stationary system is singular: {exc}")
-        if not np.all(np.isfinite(stationary)):
-            raise SolveFailure("stationary solve produced non-finite entries")
+        stationary = _linear_solve((np.eye(len(Q)) - Q + 1.0).T, np.ones(len(Q)), "stationary")
         # rounding leaves entries like -6e-17 where a transient block's mass is 0
         stationary = np.maximum(stationary, 0.0)
     return GibbsMeasure(space, block_length, np.asarray(stationary, dtype=float), Q)

@@ -1,12 +1,11 @@
 """Statistical diagnostics for Birkhoff sums under a Gibbs chain.
 
 The route avoids complex transfer operators entirely: the asymptotic
-variance comes from a resolvent solve cross-checked against the
-Green-Kubo series, normality and local-limit checks compare exact
-dynamic-programming laws of S_n psi to the Gaussian, and the rate
-function is the Legendre transform of the tilted-pressure curve
-Lambda(s) = P(phi + s psi) - P(phi), solved through the identity
-Lambda'(s) = integral of psi under the tilted Gibbs measure.
+variance is one resolvent solve with a refinement certificate,
+normality and local-limit checks compare exact dynamic-programming
+laws of S_n psi to the Gaussian, and the rate function is the Legendre
+transform of the tilted-pressure curve Lambda(s) = P(phi + s psi) - P(phi),
+whose first two derivatives are read off each tilt's eigendata.
 """
 
 import bisect
@@ -25,7 +24,7 @@ from .errors import (
     ValidationError,
 )
 from . import transfer
-from .gibbs import block_chain, gibbs_measure
+from .gibbs import block_chain
 from .potential import affine_combine
 from .shift_space import block_moves, enumerate_words, word_codes
 
@@ -56,44 +55,24 @@ def correlation(mu, f, g, n):
 
 
 def asymptotic_variance(mu, psi, tol=1e-9):
-    """Variance rate of S_n psi, by the resolvent route with a
-    Green-Kubo cross-check.
-
-    Resolvent: with psi centered, solve (I - Q) u = Q psi on the
-    mean-zero subspace through the fundamental matrix
-    (I - Q + 1 pi)^-1; then xi^2 = E[psi^2] + 2 E[psi u].  Green-Kubo
-    sums Var + 2 sum_k C_k until terms fall below 1e-15 Var.  The two
-    must agree within tol.
-    """
+    """Variance rate of S_n psi by one resolvent solve: with psi
+    centered to c, A Z = Q c for A = I - Q + 1 pi, and xi^2 = E[c^2] +
+    2 E[c Z].  One step of iterative refinement, A dZ = Q c - A Z,
+    certifies it: 2 sum |pi c dZ| must be at most tol.  dZ is not
+    added to Z."""
     _, pi, Q, (pv,) = _block_data(mu, psi)
     c = pv - pi @ pv
     var0 = float(pi @ c**2)
     if var0 == 0.0:
         return 0.0
-    k = Q.shape[0]
-    try:
-        Z = np.linalg.solve(np.eye(k) - Q + np.outer(np.ones(k), pi), Q @ c)
-    except np.linalg.LinAlgError as exc:
-        raise SolveFailure(f"resolvent system is singular: {exc}")
-    if not np.all(np.isfinite(Z)):
-        raise SolveFailure("resolvent solve produced non-finite entries")
-    resolvent = var0 + 2.0 * float(pi @ (c * Z))
-
-    gk = var0
-    w = pi * c
-    for _ in range(1, 200_000):
-        w = w.dot(Q)
-        term = float(w.dot(c))
-        gk += 2.0 * term
-        if abs(term) < 1e-15 * var0:
-            break
-    else:
-        raise SolveFailure("Green-Kubo series did not decay (gap ratio near 1)")
-    if abs(gk - resolvent) > tol:
-        raise SolveFailure(
-            f"Green-Kubo {gk:.12g} and resolvent {resolvent:.12g} disagree"
-        )
-    return float(resolvent)
+    A = np.eye(len(pi)) - Q + pi  # pi in every row
+    b = Q @ c
+    Z = transfer._linear_solve(A, b, "resolvent")
+    dZ = np.linalg.solve(A, b - A @ Z)
+    bound = 2.0 * float(np.abs(pi * c * dZ).sum())
+    if not bound <= tol:
+        raise SolveFailure(f"resolvent refinement bound {bound!r} exceeds tol {tol!r}")
+    return var0 + 2.0 * float(pi @ (c * Z))
 
 
 def cohomology_check(mu, psi, tol=1e-10):
@@ -134,8 +113,8 @@ class PressureFamily:
     tilt s solves M(s) = M exp(s Psi) entrywise on the same states.  The
     tilted systems never leave the family: their `potential` field is
     the lifted phi, of which only `alpha` is read.  Provides the
-    cumulant Lambda, its derivative as the tilted mean, its second
-    derivative as the tilted variance, and the Legendre transform.
+    cumulant Lambda, and its derivatives, the tilted mean and variance,
+    off each tilt's (lambda, h, nu) with no Gibbs chain built.
 
     Each new tilt is warm-started from the tilts already solved (the
     predictor step of a continuation method): between two of them, from
@@ -206,9 +185,16 @@ class PressureFamily:
         return float(E.h @ (T.matrix * self._Psi) @ E.nu / E.lambda_)
 
     def variance(self, s):
-        """Lambda''(s) = asymptotic variance under the tilted measure."""
+        """Lambda''(s), the tilted asymptotic variance, by second-order
+        perturbation of lambda along Psi_c = Psi - Lambda'(s): with
+        MP = M(s) * Psi_c and (lambda I - M(s) + nu h^T) x = MP nu,
+        Lambda'' = (h^T (MP * Psi_c) nu + 2 h^T MP x) / lambda."""
         T, E = self._solve(s)
-        return asymptotic_variance(gibbs_measure(T, E), self.psi)
+        Psi_c = self._Psi - self.mean(s)
+        MP = T.matrix * Psi_c  # zero off the moves, as M(s) is
+        A = E.lambda_ * np.eye(len(E.h)) - T.matrix + np.outer(E.nu, E.h)
+        x = transfer._linear_solve(A, MP @ E.nu, f"tilted variance (s = {s:g})")
+        return float((E.h @ (MP * Psi_c) @ E.nu + 2.0 * E.h @ MP @ x) / E.lambda_)
 
 
 @dataclass(frozen=True)

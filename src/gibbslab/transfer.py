@@ -18,7 +18,7 @@ from functools import cached_property
 import numpy as np
 
 from . import cone
-from .errors import NoConvergence, ValidationError
+from .errors import NoConvergence, SolveFailure, ValidationError
 from .potential import holder_seminorm, or_inf, total_variation
 from .shift_space import block_moves, check_cap, enumerate_words
 
@@ -215,6 +215,17 @@ def normalized_operator(T, eigendata):
     Q = T.matrix * nu[None, :] / (lam * nu[:, None])
     pi = h * nu
     return Q, pi
+
+
+def _linear_solve(A, b, what):
+    """x with A x = b; a singular A or non-finite x is a SolveFailure."""
+    try:
+        x = np.linalg.solve(A, b)
+    except np.linalg.LinAlgError as exc:
+        raise SolveFailure(f"{what} system is singular: {exc}")
+    if not np.all(np.isfinite(x)):
+        raise SolveFailure(f"{what} solve produced non-finite entries")
+    return x
 
 
 def pressure_via_partition(space, phi, n):

@@ -4,7 +4,9 @@ The first four enumerate what the library computes by a recursion or a
 closed form: every admissible word and continuation for the cylinder
 Gibbs scan and the partition pressure, and the dense transportation LP
 (scipy's HiGHS) for the ultrametric transport value.  They are
-exponential in the word length and only meant for small n.
+exponential in the word length and only meant for small n.  The
+tilted variance has a dense reference too: Lambda'' from a full
+eigendecomposition of the tilted matrix.
 
 The others are earlier forms of code that now computes the same bits
 another way: the admissible words and the block graph's moves from
@@ -14,7 +16,10 @@ with the cumulative rows, var_n grouping the words again on every
 call, the Jacobian identity formed per move from cylinder measures,
 the exact law of S_n stepped by the dense transition matrix, cylinder
 measures walked over tuple blocks, affine combinations formed word by
-word, and the coboundary check's edges found by scanning rows of Q.
+word, the coboundary check's edges found by scanning rows of Q, the
+asymptotic variance as its Green-Kubo series, one vector-matrix
+product per lag, and the tilted variance as the asymptotic variance of
+the tilt's Gibbs chain.
 """
 
 import math
@@ -25,11 +30,17 @@ from numpy.random import Philox
 
 from gibbslab import transfer
 from gibbslab.errors import NoConvergence, SizeGuard, SolveFailure, Undefined, ValidationError
-from gibbslab.gibbs import block_chain
+from gibbslab.gibbs import block_chain, gibbs_measure
 from gibbslab.potential import total_variation
 from gibbslab.sampler import _BATCH, _WORDS_PER_COUNTER, SampleConfig
 from gibbslab.shift_space import block_moves, enumerate_words
-from gibbslab.stats import DP_CELL_CAP, LatticeDistribution, _block_data, lattice_parameters
+from gibbslab.stats import (
+    DP_CELL_CAP,
+    LatticeDistribution,
+    _block_data,
+    asymptotic_variance,
+    lattice_parameters,
+)
 
 
 def continuation_sums(space, phi, w):
@@ -102,6 +113,24 @@ def transport_lp(mu1, mu2, alpha, n):
     )
     assert res.success, res.message
     return float(res.fun)
+
+
+def dense_curvature(M, Psi):
+    """Lambda''(0) of s -> log lambda(M * exp(s Psi)), by second-order
+    perturbation over a full eigendecomposition M = V diag(w) V^-1 with
+    Psi centred by the tilted mean: with A = M * Psi_c, Lambda'' =
+    (l1 (A * Psi_c) r1 + 2 sum_j (l1 A r_j)(l_j A r1) / (w1 - w_j)) / w1."""
+    w, V = np.linalg.eig(M)
+    order = np.argsort(-np.abs(w))
+    w, V = w[order], V[:, order]
+    L = np.linalg.inv(V)
+    r1, l1, lam = V[:, 0], L[0], w[0]
+    Psi_c = Psi - l1 @ (M * Psi) @ r1 / lam
+    A = M * Psi_c
+    d2 = l1 @ (A * Psi_c) @ r1
+    for j in range(1, len(w)):
+        d2 += 2.0 * (l1 @ A @ V[:, j]) * (L[j] @ A @ r1) / (lam - w[j])
+    return float((d2 / lam).real)
 
 
 def encode(space, word):
@@ -381,3 +410,30 @@ def scanned_cohomology(mu, psi, tol=1e-10):
     degenerate = bool(defect <= tol)
     witness = {states[i]: float(U[i]) for i in range(k)} if degenerate else None
     return {"degenerate": degenerate, "witness": witness, "max_cycle_defect": float(defect)}
+
+
+def green_kubo_variance(mu, psi):
+    """asymptotic_variance as the Green-Kubo series Var + 2 sum_k C_k,
+    the f-weighted distribution stepped one lag at a time until a term
+    falls below 1e-15 Var; 2 * 10**5 lags without that raise
+    SolveFailure."""
+    _, pi, Q, (pv,) = _block_data(mu, psi)
+    c = pv - pi @ pv
+    var0 = float(pi @ c**2)
+    if var0 == 0.0:
+        return 0.0
+    gk = var0
+    w = pi * c
+    for _ in range(1, 200_000):
+        w = w.dot(Q)
+        term = float(w.dot(c))
+        gk += 2.0 * term
+        if abs(term) < 1e-15 * var0:
+            return gk
+    raise SolveFailure("Green-Kubo series did not decay (gap ratio near 1)")
+
+
+def chain_variance(T, eigendata, psi):
+    """PressureFamily.variance at a solved tilt through its Gibbs chain:
+    the asymptotic variance of psi under gibbs_measure(T, eigendata)."""
+    return asymptotic_variance(gibbs_measure(T, eigendata), psi)

@@ -270,7 +270,7 @@ def test_c05_residuals_and_variance_routes(builtin_triple):
             and s.E.residual_nu <= 1e-10 * s.E.lambda_,
         )
         assert ok
-        xi2 = stats.asymptotic_variance(s.mu, s.psi)  # raises beyond 1e-9 gap
+        xi2 = stats.asymptotic_variance(s.mu, s.psi)  # raises past a 1e-9 refinement bound
         gk = stats.correlation(s.mu, s.psi, s.psi, 0)
         for k in range(1, 400):
             term = stats.correlation(s.mu, s.psi, s.psi, k)

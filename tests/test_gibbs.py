@@ -315,6 +315,23 @@ def test_states_argument_is_gone(bernoulli, golden):
                      stationary=np.array([0.5, 0.5]), transition=Q)
 
 
+def test_malformed_shapes_are_named_before_any_solve(bernoulli, monkeypatch):
+    """On the full 2-shift: a 1 x 2 Q, a ragged Q and a stationary list
+    passed straight to GibbsMeasure are ValidationErrors naming the
+    expected shape, and no stationary solve runs."""
+    def no_solve(*args):
+        raise AssertionError("solve called")
+
+    monkeypatch.setattr(np.linalg, "solve", no_solve)
+    space = bernoulli.space
+    with pytest.raises(ValidationError, match=r"transition .* shape \(2, 2\), got \(1, 2\)"):
+        markov_measure(space, 1, [[0.5, 0.5]])
+    with pytest.raises(ValidationError, match=r"transition .* shape \(2, 2\), got ragged"):
+        markov_measure(space, 1, [[0.5, 0.5], [1.0]])
+    with pytest.raises(ValidationError, match=r"stationary .* shape \(2,\), got list"):
+        GibbsMeasure(space, 1, stationary=[0.5, 0.5], transition=np.full((2, 2), 0.5))
+
+
 def test_chain_is_validated_once_at_construction(bernoulli, golden):
     """A negative or non-finite entry, or transition mass between blocks
     that are no move of the block graph, is a ValidationError when the

@@ -6,7 +6,9 @@ value gathers, the power loop, the sampler step and path and the
 cached variations, the Jacobian identity, cylinder measures, affine
 combinations and the coboundary check against their earlier forms, bit
 for bit; the exact law of S_n against its dense-product form, to
-rounding."""
+rounding; the asymptotic variance against its Green-Kubo series and
+the tilted variance against the tilt's Gibbs chain and a dense
+eigendecomposition, within a tolerance that follows from the solve's."""
 
 import dataclasses
 import functools
@@ -17,7 +19,7 @@ import numpy as np
 import pytest
 
 from gibbslab import cone, gibbs, models, sampler, stats, transfer
-from gibbslab.errors import GibbsLabError, SizeGuard, SolveFailure, Undefined
+from gibbslab.errors import GibbsLabError, SizeGuard, SolveFailure, Undefined, ValidationError
 from gibbslab.gibbs import (
     GibbsMeasure,
     gibbs_measure,
@@ -31,12 +33,15 @@ from gibbslab.shift_space import block_moves, enumerate_words, recode, validate,
 from gibbslab.verify import jacobian_max_error, uniform_chain
 
 from oracles import (
+    chain_variance,
+    dense_curvature,
     dense_law,
     encode,
     enumerated_partition,
     enumerated_scan,
     float_path,
     float_sampler,
+    green_kubo_variance,
     grouped_var_n,
     per_move_jacobian_error,
     per_word_affine,
@@ -686,3 +691,65 @@ def test_cohomology_rejects_an_indicator_on_golden_mean():
     assert not out["degenerate"] and out["witness"] is None
     assert out["max_cycle_defect"] > 0.1
     assert repr(out) == repr(scanned_cohomology(mu, psi))
+
+
+@pytest.mark.parametrize("name", ["golden-mean-a-8", "ising-b4-h0.01"])
+def test_variance_matches_its_green_kubo_oracle_on_stiff_chains(name):
+    """The resolvent answer against the Green-Kubo series, which needs
+    77,046 and 1,726 lags on these chains, beyond the 200- and 400-term
+    correlation sums of test_variance_green_kubo_oracle and C05."""
+    psi = {"golden-mean-a-8": models.golden_mean(-8.0),
+           "ising-b4-h0.01": models.ising(4.0, 0.01)}[name].observable
+    mu = case(name)[0]
+    assert stats.asymptotic_variance(mu, psi) == pytest.approx(
+        green_kubo_variance(mu, psi), rel=1e-10, abs=0.0)
+
+
+def tilted_case(name):
+    """(space, phi, psi) of a tilted family."""
+    if name in ("bernoulli", "ising", "golden-mean"):
+        m = models.builtin(name)
+        return m.space, m.potential, m.observable
+    if name == "golden-mean-a-8":
+        m = models.golden_mean(-8.0)
+        return m.space, m.potential, m.observable
+    if name == "three-symbol":
+        phi = three_symbol_potential()
+        return phi.space, phi, FiniteMemoryFunction(
+            phi.space, 1, {(1,): 1.0, (2,): 0.0, (3,): -1.0})
+    memory = int(name[1:])  # "m3" to "m5": k = 16, 64, 256
+    phi = random_full_shift(memory, memory)
+    return phi.space, phi, FiniteMemoryFunction.indicator(phi.space, (1,))
+
+
+@pytest.mark.parametrize("name", ["bernoulli", "ising", "golden-mean", "three-symbol",
+                                  "golden-mean-a-8", "m3", "m4", "m5"])
+def test_tilted_variance_matches_the_chain_route(name):
+    """PressureFamily.variance against the asymptotic variance of each
+    tilt's Gibbs chain.  Both read the same (lambda, h, nu), certified
+    to residuals tol * lambda, so each is off by about tol / (1 - gap
+    ratio) relative; they must agree within 10 times that."""
+    space, phi, psi = tilted_case(name)
+    fam = stats.PressureFamily(space, phi, psi, tol=1e-12)
+    for s in (-0.5, 0.0, 0.5):
+        T, E = fam._solve(s)
+        assert fam.variance(s) == pytest.approx(
+            chain_variance(T, E, psi), rel=10 * fam.tol / (1.0 - E.gap_ratio), abs=0.0)
+
+
+def test_stiff_tilted_variance_matches_a_dense_reference():
+    """Ising beta = 4, h = 0.01 at s = -1: the tilt's Q has rows off by
+    2.3e-9 although its eigendata are certified to 1e-12, so the chain
+    route raised 'transition rows must sum to 1'.  The curvature is
+    1.1e-7 and within 1e-8 relative of the dense 2 x 2 reference
+    (7.3e-10 measured)."""
+    m = models.ising(4.0, 0.01)
+    fam = stats.PressureFamily(m.space, m.potential, m.observable, tol=1e-12)
+    T, E = fam._solve(-1.0)
+    with pytest.raises(ValidationError, match="rows must sum to 1"):
+        chain_variance(T, E, m.observable)
+    Ts = transfer.build(m.space, affine_combine(m.potential, m.observable, -1.0))
+    I, J, words = tuple_moves(m.space, Ts.states)
+    Psi = np.zeros_like(Ts.matrix)
+    Psi[I, J] = [m.observable(w) for w in words]
+    assert fam.variance(-1.0) == pytest.approx(dense_curvature(Ts.matrix, Psi), rel=1e-8)

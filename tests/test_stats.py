@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -82,6 +83,35 @@ def test_variance_green_kubo_oracle(builtin_triple):
             if abs(term) < 1e-16:
                 break
         assert xi2 == pytest.approx(gk, abs=1e-9)
+
+
+def test_refinement_bound_below_tol_raises(ising):
+    """The certificate compares tol with the refinement bound itself: a
+    tol below it raises SolveFailure naming it, a tol equal to it
+    returns the resolvent answer unchanged."""
+    with pytest.raises(SolveFailure, match="refinement bound") as exc:
+        stats.asymptotic_variance(ising.mu, ising.psi, tol=1e-300)
+    bound = float(re.search(r"bound (\S+) exceeds", str(exc.value)).group(1))
+    assert 0.0 < bound <= 1e-14
+    with pytest.raises(SolveFailure, match=re.escape(repr(bound))):
+        stats.asymptotic_variance(ising.mu, ising.psi, tol=bound / 2)
+    assert stats.asymptotic_variance(ising.mu, ising.psi, tol=bound) == (
+        stats.asymptotic_variance(ising.mu, ising.psi))
+
+
+def test_family_variance_builds_no_chain(builtin_triple, monkeypatch):
+    """PressureFamily.variance reads the tilt's eigendata: with
+    block_chain raising, it still returns."""
+    def no_chain(*args):
+        raise AssertionError("block_chain called")
+
+    monkeypatch.setattr(stats, "block_chain", no_chain)
+    for s in builtin_triple.values():
+        fam = stats.PressureFamily(s.space, s.phi, s.psi)
+        for t in (-0.5, 0.0, 0.5):
+            assert fam.variance(t) > 0.0
+    with pytest.raises(AssertionError, match="block_chain called"):
+        stats.asymptotic_variance(s.mu, s.psi)
 
 
 def test_cohomology_constant(bernoulli):
