@@ -2,13 +2,14 @@
 
 The measure is stored only through (pi, Q) on the l-blocks in code
 order; a cylinder value is a product over the word's block codes, each
-a binary search in the chain's codes, never a table.  The class carries
+looked up in a dict of the chain's codes, never a table.  The class carries
 any stationary chain on the block graph's moves, checked once when
 built, so that non-equilibrium candidates go through the same checks.
 """
 
 import itertools
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -54,7 +55,7 @@ class GibbsMeasure:
             raise ValidationError("transition rows must sum to 1")
         pi.setflags(write=False)
         Q.setflags(write=False)
-        object.__setattr__(self, "_blocks", blocks)  # the states' codes, for cylinder_measure
+        object.__setattr__(self, "_codes", blocks.tolist())  # the states' codes, for cylinder_measure
 
     @cached_property
     def states(self):
@@ -63,28 +64,44 @@ class GibbsMeasure:
     def cylinder_measure(self, word):
         """mu([word]); zero when the word is not admissible.
 
-        A word shorter than the block length sums pi over the blocks it
-        starts, one contiguous range of codes; a longer word is pi of
-        its first block times Q along the blocks of its windows.
+        The word is coded once, as the base-N codes of its windows of
+        ell symbols.  A word shorter than the block length sums pi over
+        the blocks it starts, one contiguous range of codes; a longer
+        word is pi of its first block times Q along the blocks of its
+        windows, and zero when a window is no block (Q is zero off the
+        block graph's moves, which covers the pairs when ell = 1).
         """
         word = tuple(word)
         n, ell, N = len(word), self.block_length, self.space.alphabet_size
         if n == 0:
             return 1.0
-        if not self.space.is_admissible(word):
+        digits = self.space.positions(word)
+        if digits is None:
             return 0.0
-        code, windows = 0, []  # the codes of the word's last ell symbols so far
-        for s in word:
-            code = (code * N + self.space.index(s)) % N**ell
-            windows.append(code)
+        code = 0
+        for d in digits[: ell - 1]:
+            code = code * N + d
         if n < ell:
-            lo, hi = self._blocks.searchsorted(np.array([code, code + 1]) * N ** (ell - n))
+            lo, hi = (bisect_left(self._codes, c * N ** (ell - n)) for c in (code, code + 1))
             return float(sum(self.stationary[lo:hi]))
-        path = self._blocks.searchsorted(windows[ell - 1 :]).tolist()
-        p = self.stationary[path[0]]
+        position, size, path = self._positions, N**ell, []
+        for d in digits[ell - 1 :]:
+            code = (code * N + d) % size
+            path.append(position.get(code))
+        if None in path:
+            return 0.0
+        Q = self.transition
+        p = self.stationary.item(path[0])
         for u, v in zip(path, path[1:]):
-            p *= self.transition[u, v]
-        return float(p)
+            p *= Q.item(u, v)
+            if p == 0.0:
+                break
+        return p
+
+    @cached_property
+    def _positions(self):
+        """Each block code's state index."""
+        return {c: i for i, c in enumerate(self._codes)}
 
     def jacobian(self, word):
         """Shift expansion factor mu(sigma[word]) / mu([word]).

@@ -9,22 +9,32 @@ Both samplers apply it in integers: u >= c exactly when
 word >> 11 >= ceil(c * 2**53).  Trial t consumes the counter block
 starting at t * blocks_per_trial, so outputs are bit-identical across
 platforms, runs, and batch sizes.
+
+The sampler of S_n finds each next state by indexed search (a guide
+table; Chen and Asau 1974, Devroye 1986 section III.2.4): each row's
+53-bit words split into 2**8 buckets, the table holds the count of the
+row's thresholds at each bucket's first word, and a fixed number of
+integer comparisons finishes the count, so every draw is the state a
+binary search would give.  Trials run in batches whose words are copied
+step major, so that each step reads one contiguous row of them.
 """
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 from numpy.random import Philox
 
-from .errors import SizeGuard, ValidationError
+from .errors import ValidationError
 from .gibbs import block_chain
-from .shift_space import word_codes, word_count
+from .shift_space import check_cap, word_codes, word_count
 
 _WORDS_PER_COUNTER = 4
-_BATCH = 4096
+_BATCH = 1024  # trials; at n = 256 a batch's words are 2 MiB, so they stay in cache
 _SCALE = 2.0**53
-_MAX_STATES = 2**10  # s * 2**54 + w must fit in 64 bits
+_GUIDE_BITS = 8  # each row's words split into 2**8 buckets
+_SHIFT = 53 - _GUIDE_BITS  # a 53-bit word's bucket is w >> _SHIFT
 
 
 @dataclass(frozen=True)
@@ -56,7 +66,10 @@ def sample_path(mu, n, seed, stream=0):
     steps = max(n - ell, 0)
     draws = 1 + steps
     blocks = -(-draws // _WORDS_PER_COUNTER)
-    w = _words(cfg.seed, stream * blocks, draws).tolist()
+    if not (isinstance(stream, Integral) and 0 <= int(stream) * blocks < 2**256):
+        raise ValidationError(
+            f"stream must be an integer in [0, 2**256 / {blocks}), got {stream!r}")
+    w = _words(cfg.seed, int(stream) * blocks, draws).tolist()
     first = _thresholds(np.cumsum(mu.stationary)).tolist()
     rows = _thresholds(np.cumsum(mu.transition, axis=1)).tolist()
     last = [s[-1] for s in mu.states]
@@ -74,11 +87,11 @@ def empirical_birkhoff(mu, psi, n, trials, seed, exact=None):
     Trials run in batches but each trial owns a fixed counter block, so
     the sample set does not depend on the batch size.  Each step applies
     the inversion rule in integers: u = w * 2**-53 >= c exactly when
-    w >= ceil(c * 2**53), w = word >> 11.  Row s of these thresholds,
-    its last entry replaced by 2**53 (no w reaches it, which is the
-    clamp to the last state), sits at s * 2**54 in one sorted key table,
-    so one searchsorted of s * 2**54 + w per step finds the next state.
-    The key holds 2**10 rows, so a chain of more states is a SizeGuard.
+    w >= ceil(c * 2**53), w = word >> 11.  The next state from state s
+    is the count of row s's thresholds <= w (its last one is 2**53,
+    which no w reaches: the clamp to the last state), found by
+    `_search`.  Its k x k tables are capped like a transfer matrix,
+    before the chain is lifted.
     Returns (samples, summary); the summary carries the empirical mean,
     variance/n, and, when the exact lattice law is supplied, the
     Kolmogorov distance to it.
@@ -86,15 +99,13 @@ def empirical_birkhoff(mu, psi, n, trials, seed, exact=None):
     cfg = SampleConfig(seed=seed, n=n, trials=trials)
     L = max(mu.block_length, psi.memory)
     k = word_count(mu.space, L)
-    if k > _MAX_STATES:
-        raise SizeGuard(f"sampler: {k} states of {L}-blocks exceed its limit of {_MAX_STATES}")
+    check_cap(k * k, f"{k}x{k} sampler table ({k} states of {L}-blocks)")
     pi, Q = block_chain(mu, L)
     pv = psi.on(word_codes(mu.space, L), L)
-    row_base = np.arange(k, dtype=np.uint64) << np.uint64(54)
-    first = _thresholds(np.cumsum(pi))
-    keys = (_thresholds(np.cumsum(Q, axis=1)) + row_base[:, None]).ravel()
+    first = _thresholds(np.cumsum(pi)).astype(np.int64)
+    table = _guide_table(_thresholds(np.cumsum(Q, axis=1)).astype(np.int64))
     # the search result r = s * k + next state indexes these
-    next_base = np.tile(row_base, k)
+    next_base = np.tile(np.arange(k) << _GUIDE_BITS, k)
     next_psi = np.tile(pv, k)
     draws_per_trial = n  # one start block plus n - 1 transitions
     blocks_per_trial = -(-draws_per_trial // _WORDS_PER_COUNTER)
@@ -103,12 +114,13 @@ def empirical_birkhoff(mu, psi, n, trials, seed, exact=None):
     for start in range(0, trials, _BATCH):
         batch = min(_BATCH, trials - start)
         w = _words(cfg.seed, start * blocks_per_trial, batch * words_per_trial)
-        w = w.reshape(batch, words_per_trial)
-        state = first.searchsorted(w[:, 0], side="right")
-        base = row_base[state]
+        # step major: w[t] holds step t of every trial in the batch
+        w = w.reshape(batch, words_per_trial).T.astype(np.int64, order="C")
+        state = first.searchsorted(w[0], side="right")
+        base = state << _GUIDE_BITS
         total = pv[state].copy()
         for t in range(1, n):
-            r = keys.searchsorted(base + w[:, t], side="right")
+            r = _search(table, base, w[t])
             base = next_base[r]
             total += next_psi[r]
         samples[start : start + batch] = total
@@ -120,6 +132,48 @@ def empirical_birkhoff(mu, psi, n, trials, seed, exact=None):
     if exact is not None:
         summary["ks"] = kolmogorov_distance(samples, exact)
     return samples, summary
+
+
+def _guide_table(th):
+    """The indexed search in the m x k integer thresholds th (int64,
+    rows nondecreasing, last column 2**53): (guide, th.ravel(), past,
+    rounds).
+
+    guide[s << _GUIDE_BITS | b] is the flat index s * k + #{th[s] <= b's
+    first word}, for each bucket b of row s's words; past[r] is the flat
+    index just past the run of thresholds equal to the r-th (zero-mass
+    moves repeat a threshold); rounds, the most distinct thresholds
+    strictly inside one bucket, is the most jumps one search needs.
+    """
+    m, k = th.shape
+    buckets = 1 << _GUIDE_BITS
+    rows = np.repeat(np.arange(m), k)
+    flat = th.ravel()
+    # th <= b << _SHIFT exactly when b >= the ceiling of th / 2**_SHIFT
+    reached = (flat + ((1 << _SHIFT) - 1)) >> _SHIFT
+    counts = np.bincount(rows * (buckets + 1) + reached, minlength=m * (buckets + 1))
+    guide = np.cumsum(counts.reshape(m, buckets + 1)[:, :buckets], axis=1)
+    guide += (np.arange(m) * k)[:, None]
+    # runs of equal thresholds; one that crosses rows is of 2**53, which
+    # no search jumps past
+    starts = np.flatnonzero(np.r_[True, flat[1:] != flat[:-1]])
+    past = np.repeat(np.r_[starts[1:], flat.size], np.diff(np.r_[starts, flat.size]))
+    # a threshold off every bucket's first word lies strictly inside one
+    inside = starts[flat[starts] & ((1 << _SHIFT) - 1) != 0]
+    per_bucket = np.bincount(rows[inside] << _GUIDE_BITS | flat[inside] >> _SHIFT)
+    return guide.ravel(), flat, past, int(per_bucket.max(initial=0))
+
+
+def _search(table, base, w):
+    """Flat indices s * k + #{th[s] <= w} of the 53-bit words w (int64)
+    in rows s = base >> _GUIDE_BITS of a `_guide_table`: the count at
+    the start of w's bucket, then `rounds` jumps past each run of
+    thresholds <= w."""
+    guide, flat, past, rounds = table
+    r = guide[base | w >> _SHIFT]
+    for _ in range(rounds):
+        r = np.where(flat[r] <= w, past[r], r)
+    return r
 
 
 def _thresholds(cum):

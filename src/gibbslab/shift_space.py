@@ -65,18 +65,25 @@ class ShiftSpace:
         except KeyError:
             raise ValidationError(f"unknown symbol {symbol!r}")
 
+    def positions(self, word):
+        """The positions of the word's symbols, or None when one is not
+        in the alphabet."""
+        idx = self._index
+        try:
+            return [idx[s] for s in word]
+        except KeyError:
+            return None
+
     def allows(self, i, j):
         """Whether label j may follow label i."""
         return bool(self.transitions[self.index(i), self.index(j)])
 
     def is_admissible(self, word):
-        if len(word) == 0:
-            return False
-        idx = self._index
-        if any(s not in idx for s in word):
+        p = self.positions(word)
+        if not p:
             return False
         A = self.transitions
-        return all(A[idx[a], idx[b]] for a, b in zip(word, word[1:]))
+        return all(A[a, b] for a, b in zip(p, p[1:]))
 
     def successors(self, symbol):
         """Labels allowed after `symbol`, in increasing order."""

@@ -2,12 +2,23 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gibbslab.sampler as sampler_mod
 from gibbslab import stats
 from gibbslab.errors import ValidationError
 from gibbslab.potential import FiniteMemoryFunction
-from gibbslab.sampler import SampleConfig, empirical_birkhoff, sample_path
+from gibbslab.sampler import (
+    _GUIDE_BITS,
+    _SHIFT,
+    SampleConfig,
+    _guide_table,
+    _search,
+    _thresholds,
+    empirical_birkhoff,
+    sample_path,
+)
 
 # chi-squared upper quantiles at the 1e-4 level, frozen:
 # df=3 -> 21.108, df=2 -> 18.421 (one df per admissible 2-word minus one)
@@ -111,3 +122,70 @@ def test_trial_zero_matches_path_sum(ising):
     total = sum(path)
     samples, _ = empirical_birkhoff(ising.mu, ising.psi, n, 3, 31)
     assert samples[0] == pytest.approx(float(total), abs=1e-12)
+
+
+def test_sample_path_rejects_a_stream_that_is_no_counter(golden):
+    """A negative stream died in numpy's counter check and a fractional
+    one sampled from a fractional counter."""
+    for stream in (-1, 1.5, 2**256):
+        with pytest.raises(ValidationError, match="stream"):
+            sample_path(golden.mu, 10, 1, stream=stream)
+    assert sample_path(golden.mu, 10, 1, stream=np.int64(1)) == sample_path(golden.mu, 10, 1, 1)
+
+
+def searched_states(th, w):
+    """_search's next state of each word w from each row of the int64
+    thresholds th, through their guide table."""
+    table = _guide_table(th)
+    m, k = th.shape
+    return [(_search(table, np.full(w.shape, s << _GUIDE_BITS), w) - s * k).tolist()
+            for s in range(m)]
+
+
+def edge_words(th):
+    """0, 2**53 - 1, each bucket's first and last word, and each
+    threshold -1, 0 and +1, inside [0, 2**53)."""
+    firsts = np.arange(1 << _GUIDE_BITS) << _SHIFT
+    near = th.ravel()[:, None] + np.array([-1, 0, 1])
+    w = np.concatenate(([0, 2**53 - 1], firsts, firsts + (2**_SHIFT - 1), near.ravel()))
+    return np.unique(w[(w >= 0) & (w < 2**53)])
+
+
+@pytest.mark.parametrize("rows", [
+    [[0.3, 0.0, 0.7, 0.0],  # a zero-mass move repeats the threshold of 0.3
+     [0.0, 0.0, 1.0, 0.0],  # all the mass on one state
+     [0.5, 0.25, 0.125, 0.125],  # thresholds on bucket starts
+     [0.25, 0.75, 0.0, 0.0],  # the cumulative sum reaches 1 early
+     [np.nan, 0.5, 0.5, 0.0],
+     [0.1, 0.2, 0.3, 0.4]],
+    "golden-mean",  # its move 1 -> 1 carries no mass
+], ids=["crafted", "golden-mean"])
+def test_guide_search_inverts_the_rows_at_their_edges(rows, golden):
+    """The next state is min(#{c <= w * 2**-53}, k - 1) for the
+    cumulative weights c of the row, at every edge word of the table."""
+    if rows == "golden-mean":
+        rows = golden.mu.transition
+    cum = np.cumsum(np.array(rows, dtype=float), axis=1)
+    k = cum.shape[1]
+    th = _thresholds(cum).astype(np.int64)
+    w = edge_words(th)
+    u = w * 2.0**-53
+    want = [np.minimum((c[:, None] <= u).sum(axis=0), k - 1).tolist() for c in cum]
+    assert searched_states(th, w) == want
+
+
+ON_EDGES = [0, 1, 2**_SHIFT - 1, 2**_SHIFT, 2**_SHIFT + 1, 3 * 2**_SHIFT, 2**52, 2**53 - 1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 7).flatmap(lambda k: st.lists(
+    st.lists(st.sampled_from(ON_EDGES) | st.integers(0, 2**53), min_size=k - 1, max_size=k - 1),
+    min_size=1, max_size=4)), st.lists(st.integers(0, 2**53 - 1), max_size=20))
+def test_guide_search_counts_repeated_thresholds(rows, words):
+    """Rows of sorted thresholds drawn from a few edge values, so that
+    they repeat, each closed by the 2**53 sentinel: the next state is
+    #{th <= w}, at random words and at each threshold -1, 0 and +1."""
+    th = np.array([sorted(r) + [2**53] for r in rows], dtype=np.int64)
+    w = np.unique(np.concatenate((edge_words(th), np.array(words, dtype=np.int64))))
+    want = [(t[:, None] <= w).sum(axis=0).tolist() for t in th]
+    assert searched_states(th, w) == want
