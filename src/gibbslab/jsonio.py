@@ -61,10 +61,19 @@ def _list(items, indent):
 
 def _finite_array(a, indent):
     """dumps of a non-empty float64 array with no NaN or inf: the same
-    17-digit strings as format_float, one join per row."""
-    if a.ndim == 1:
-        return _list([format(v, ".17g") for v in a.tolist()], indent)
-    return _list([_finite_array(row, indent + 1) for row in a], indent)
+    17-digit strings as format_float, one join per row.  Every cell
+    starts as +0.0's "0" and only the other entries are formatted, so a
+    sparse matrix costs its nonzeros."""
+    cells = np.full(a.shape, "0", dtype=object)
+    at = np.flatnonzero((a != 0) | np.signbit(a))
+    cells.flat[at] = [format(v, ".17g") for v in a.flat[at].tolist()]
+    return _joined(cells, indent)
+
+
+def _joined(cells, indent):
+    if cells.ndim == 1:
+        return _list(cells.tolist(), indent)
+    return _list([_joined(row, indent + 1) for row in cells], indent)
 
 
 def dump_json(obj):

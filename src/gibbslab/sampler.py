@@ -44,6 +44,10 @@ class SampleConfig:
     trials: int = 1
 
     def __post_init__(self):
+        for name in ("seed", "n", "trials"):
+            value = getattr(self, name)
+            if not isinstance(value, Integral):
+                raise ValidationError(f"{name} must be an integer, got {value!r}")
         if not 0 <= self.seed < 2**64:
             raise ValidationError("seed must be a 64-bit unsigned integer")
         if self.n < 1 or self.trials < 1:

@@ -24,6 +24,7 @@ from .shift_space import block_moves, check_cap, enumerate_words
 
 DEFAULT_TOL = 1e-12
 MAX_ITER = 2 * 10**5
+BLOCK = 64  # most power iterations computed before their residuals are tested
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,16 +118,27 @@ def dominant_eigendata(T, tol=DEFAULT_TOL, start=None):
     fails there, naming the period (Brent's cycle detection).
     lambda is at least the smallest row sum of M, so a matrix whose
     smallest row sum overflows fails before the first iteration.
+
+    The iterates are computed a block at a time and the block's
+    residuals tested together; the rule above is applied to them in
+    iteration order, so the solve stops at the same iteration with the
+    same bits, and the iterates computed past it are discarded.  The
+    first block is one iteration; each later one is as long as the
+    previous block's residual decrease says is still needed, at most
+    BLOCK, and ends at the next power of two, so the saved pair is
+    always a block's last row.
     """
     if tol <= 0:
         raise ValidationError("tolerance must be positive")
     M, MT = T.matrix, T.matrix.T
     k = T.state_count
-    # rows: the state (nu, h), its products (M nu, M.T h), a residual scratch
-    buf = np.empty((3, 2, k))
-    P, prod, R = buf
-    nu, h = P
-    Mnu, Mh = prod
+    # row i: the state (nu, h) of a block's (i+1)-th iteration and its
+    # products (M nu, M.T h), with the lambda estimate in lams[i]; the
+    # start and its products go in row 0
+    buf = np.empty((BLOCK, 2, 2, k))
+    lams = np.empty((BLOCK, 1, 1))
+    R = np.empty((BLOCK, 2, k))
+    nu, h = P = buf[0, 0]
     if start is None:
         nu[:], h[:] = 1.0 / k, 1.0
     else:
@@ -134,50 +146,71 @@ def dominant_eigendata(T, tol=DEFAULT_TOL, start=None):
         if shapes != [(k,), (k,)]:
             raise ValidationError(f"start vectors have shapes {shapes}, expected ({k},)")
         h[:], nu[:] = start
-        if not (np.isfinite(P).all() and (P > 0).all()):
+        if not (0 < P.min() and P.max() < math.inf):
             raise ValidationError("start vector entries must be finite and positive")
     if not np.isfinite(M).all():
         raise NoConvergence("eigendata: the transfer matrix has non-finite entries")
-    # overflow in a product shows up as a non-finite estimate, checked below
-    with np.errstate(over="ignore", invalid="ignore"):
+    # row i as (lambda, nu, h, M nu, M.T h) views, made when a block first reaches it
+    rows = [(lams[0, 0, 0, ...], nu, h, *buf[0, 1])]
+    Mnu, Mh = rows[0][3:]
+    # overflow in a product shows up as a non-finite estimate, checked
+    # below; a block's iterations past a non-finite one are discarded
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         floor = M.sum(axis=1).min()
         if not math.isfinite(floor):
             raise NoConvergence(
                 "eigendata: lambda is at least the smallest row sum of the transfer "
                 f"matrix, which is {floor}, so lambda is not representable")
-        # each iteration's residual products are the next iteration's products
         np.dot(M, nu, out=Mnu)
         np.dot(MT, h, out=Mh)
-        for iters in range(1, MAX_ITER + 1):
-            lam = float(Mnu.sum())  # nu is a probability vector, so this estimates lambda
-            np.divide(Mnu, lam, out=nu)
-            np.divide(Mh, nu.dot(Mh), out=h)
-            np.dot(M, nu, out=Mnu)
-            np.dot(MT, h, out=Mh)
-            np.multiply(P, lam, out=R)
-            np.subtract(prod, R, out=R)
-            np.absolute(R, out=R)
-            res_h = R[1].max()
-            res_nu = R[0].sum()
-            if res_h <= tol * lam and res_nu <= tol * lam:
-                break
-            # a non-finite lambda makes res_nu NaN, and NaN never turns finite
-            if not math.isfinite(res_h + res_nu):
+        last, want, excess, done = 0, 1, None, False
+        while not done:
+            if last == MAX_ITER:
                 raise NoConvergence(
-                    f"eigendata: lambda estimate {lam}, residuals {res_h} (h) and "
-                    f"{res_nu} (nu) at iteration {iters}")
-            if iters & (iters - 1) == 0:  # a power of two
-                saved = iters, res_h, res_nu, prod.copy()
-            elif (res_h == saved[1] and res_nu == saved[2]
-                  and np.array_equal(prod, saved[3])):
-                raise NoConvergence(
-                    f"eigendata: residuals {res_h:.2g} (h) and {res_nu:.2g} (nu) above "
-                    f"{tol:g}*lambda repeat from iteration {saved[0]} "
-                    f"(period {iters - saved[0]})")
-        else:
-            raise NoConvergence(
-                f"eigendata residuals above {tol:g}*lambda after {MAX_ITER} iterations"
-            )
+                    f"eigendata residuals above {tol:g}*lambda after {MAX_ITER} iterations")
+            first, last = last + 1, min(last + want, 1 << last.bit_length(), MAX_ITER)
+            n = last - first + 1
+            while len(rows) < n:
+                i = len(rows)
+                rows.append((lams[i, 0, 0, ...], *buf[i, 0], *buf[i, 1]))
+            # an iteration reads the products of the one before, which for
+            # a block's first is the last block's last row, or the start
+            for lam, nu, h, Mnu_next, Mh_next in rows[:n]:
+                # nu is a probability vector, so this estimates lambda
+                # (np.add.reduce is ndarray.sum without its Python wrapper)
+                np.add.reduce(Mnu, out=lam)
+                np.divide(Mnu, lam, out=nu)
+                np.divide(Mh, nu.dot(Mh), out=h)
+                Mnu, Mh = Mnu_next, Mh_next
+                np.dot(M, nu, out=Mnu)
+                np.dot(MT, h, out=Mh)
+            block, res = buf[:n], R[:n]
+            np.multiply(block[:, 0], lams[:n], out=res)
+            np.subtract(block[:, 1], res, out=res)
+            np.absolute(res, out=res)
+            for iters, lam, res_h, res_nu in zip(
+                    range(first, last + 1), lams[:n, 0, 0].tolist(),
+                    np.maximum.reduce(res[:, 1], axis=1).tolist(),
+                    np.add.reduce(res[:, 0], axis=1).tolist()):
+                if res_h <= tol * lam and res_nu <= tol * lam:
+                    done = True
+                    break
+                # a non-finite lambda makes res_nu NaN, and NaN never turns finite
+                if not math.isfinite(res_h + res_nu):
+                    raise NoConvergence(
+                        f"eigendata: lambda estimate {lam}, residuals {res_h} (h) and "
+                        f"{res_nu} (nu) at iteration {iters}")
+                if iters & (iters - 1) == 0:  # a power of two ends its block
+                    saved = iters, res_h, res_nu, block[-1, 1].copy()
+                elif (res_h == saved[1] and res_nu == saved[2]
+                      and np.array_equal(block[iters - first, 1], saved[3])):
+                    raise NoConvergence(
+                        f"eigendata: residuals {res_h:.2g} (h) and {res_nu:.2g} (nu) "
+                        f"above {tol:g}*lambda repeat from iteration {saved[0]} "
+                        f"(period {iters - saved[0]})")
+            if not done:
+                want, excess = _block_length(n, excess, max(res_h, res_nu), tol * lam)
+    nu, h = block[iters - first, 0]
     nu = nu.copy()
     h = h / (nu @ h)
     alpha = T.potential.alpha
@@ -193,6 +226,21 @@ def dominant_eigendata(T, tol=DEFAULT_TOL, start=None):
         iterations=iters,
         matrix=M,
     )
+
+
+def _block_length(n, before, residual, threshold):
+    """(iterations, excess) for the next block of the power loop.
+
+    excess is log(residual / threshold), how far the last iteration's
+    larger residual is above its tolerance (inf if the threshold
+    underflowed).  The iterations, in [1, BLOCK], bring it to 0 if it
+    keeps falling at its mean rate over the last n iterations, from
+    `before` (None after the first block); BLOCK when it did not fall.
+    """
+    excess = math.log(residual) - math.log(threshold) if threshold > 0 else math.inf
+    if before is None or not before > excess:
+        return BLOCK, excess
+    return min(BLOCK, max(1, math.ceil(n * excess / (before - excess)))), excess
 
 
 def spectral_gap(T, eigendata):

@@ -11,15 +11,16 @@ eigendecomposition of the tilted matrix.
 The others are earlier forms of code that now computes the same bits
 another way: the admissible words and the block graph's moves from
 word tuples and a position dict, the power loop with a fresh array per
-product, the sampler step and the single path comparing float uniforms
-with the cumulative rows, var_n grouping the words again on every
-call, the Jacobian identity formed per move from cylinder measures,
-the exact law of S_n stepped by the dense transition matrix, cylinder
-measures walked over tuple blocks, affine combinations formed word by
-word, the coboundary check's edges found by scanning rows of Q, the
-asymptotic variance as its Green-Kubo series, one vector-matrix
-product per lag, and the tilted variance as the asymptotic variance of
-the tilt's Gibbs chain.
+product and its residuals tested every iteration, the sampler step and
+the single path comparing float uniforms with the cumulative rows,
+var_n grouping the words again on every call, the Jacobian identity
+formed per move from cylinder measures, the exact law of S_n stepped
+by the dense transition matrix, cylinder measures walked over tuple
+blocks, affine combinations formed word by word, the coboundary
+check's edges found by scanning rows of Q, the asymptotic variance as
+its Green-Kubo series, one vector-matrix product per lag, the tilted
+variance as the asymptotic variance of the tilt's Gibbs chain, and a
+float array's JSON text with every entry formatted.
 """
 
 import math
@@ -31,6 +32,7 @@ from numpy.random import Philox
 from gibbslab import transfer
 from gibbslab.errors import NoConvergence, SizeGuard, SolveFailure, Undefined, ValidationError
 from gibbslab.gibbs import block_chain, gibbs_measure
+from gibbslab.jsonio import _list
 from gibbslab.potential import total_variation
 from gibbslab.sampler import _BATCH, _WORDS_PER_COUNTER, SampleConfig
 from gibbslab.shift_space import block_moves, enumerate_words
@@ -437,3 +439,11 @@ def chain_variance(T, eigendata, psi):
     """PressureFamily.variance at a solved tilt through its Gibbs chain:
     the asymptotic variance of psi under gibbs_measure(T, eigendata)."""
     return asymptotic_variance(gibbs_measure(T, eigendata), psi)
+
+
+def every_entry_array(a, indent=0):
+    """jsonio's dumps of a finite float64 array with every entry
+    formatted, one join per row."""
+    if a.ndim == 1:
+        return _list([format(v, ".17g") for v in a.tolist()], indent)
+    return _list([every_entry_array(row, indent + 1) for row in a], indent)

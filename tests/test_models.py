@@ -8,6 +8,8 @@ from gibbslab import models
 from gibbslab.errors import ValidationError
 from gibbslab.jsonio import _cell, dump_csv, dump_json, dumps
 
+from oracles import every_entry_array
+
 
 def test_builtin_registry():
     assert set(models.BUILTINS) == {"bernoulli", "ising", "golden-mean"}
@@ -129,20 +131,32 @@ def test_dump_json_strings_round_trip():
 
 def test_float_arrays_dump_as_their_lists():
     """An array is written with the same bytes as its nested lists,
-    which take the per-element path: finite matrices with 0.0, -0.0 and
-    a subnormal, empty arrays, and a matrix with NaN and infinities."""
+    which take the per-element path, and as `every_entry_array`, which
+    formats every entry: finite matrices with 0.0, -0.0 and subnormals,
+    a sparse 256 x 256 Q with 4 nonzeros per row, a 2 x 2, 1-D and 3-D
+    arrays, empty arrays, and a matrix with NaN and infinities."""
     rng = np.random.default_rng(3)
     A = rng.standard_normal((256, 256))
-    A[0, :3] = 0.0, -0.0, 5e-324
+    A[0, :4] = 0.0, -0.0, 5e-324, -2.5e-310
+    Q = np.zeros((256, 256))
+    for i in range(256):
+        Q[i, rng.choice(256, 4, replace=False)] = rng.dirichlet(np.ones(4))
+    Q[1, :3] = -0.0, 5e-324, -5e-324
     odd = np.array([[1.5, np.nan], [np.inf, -np.inf]])
-    cases = [A, A[0], rng.standard_normal((2, 3, 4)), np.zeros(0), np.zeros((0, 3)),
-             np.zeros((3, 0)), odd, np.arange(4)]
-    for a in cases:
+    finite = [A, A[0], A[:, 0], Q, Q.T, Q[1], np.array([[0.0, -0.0], [5e-324, 0.1]]),
+              rng.standard_normal((2, 3, 4)), np.zeros(5), np.array([-0.0])]
+    for a in finite + [np.zeros(0), np.zeros((0, 3)), np.zeros((3, 0)), odd, np.arange(4)]:
         for indent in (0, 2):
             assert dumps(a, indent) == dumps(a.tolist(), indent)
+    for a in finite:
+        for indent in (0, 2):
+            assert dumps(a, indent) == every_entry_array(a, indent)
     assert dump_json({"m": odd}) == (
         '{\n  "m": [\n    [\n      1.5,\n      NaN\n    ],\n'
         '    [\n      Infinity,\n      -Infinity\n    ]\n  ]\n}\n')
+    assert dumps(np.array([[0.0, -0.0], [5e-324, 0.1]])) == (
+        "[\n  [\n    0,\n    -0\n  ],\n  [\n    4.9406564584124654e-324,\n"
+        "    0.10000000000000001\n  ]\n]")
 
 
 def test_csv_cells_keep_the_per_cell_bytes():

@@ -225,26 +225,38 @@ def random_full_shift(seed, memory):
     )
 
 
+# iteration caps inside, at and just past the loop's blocks (1, 2, 3-4,
+# 5-8, ..., 33-64, 65-...), and one inside a 64-iteration block
+CAPS = (1, 3, 5, 63, 64, 65, 2000)
+
+
 @pytest.mark.parametrize("name", ["bernoulli", "ising", "golden-mean"])
-def test_power_loop_matches_its_oracle_on_tilts(name):
+def test_power_loop_matches_its_oracle_on_tilts(name, monkeypatch):
     """Each built-in and 13 tilts of its family, M(s) = M * exp(s Psi),
-    cold and warm-started from the tilt below, at tol 1e-12 and 1e-13."""
+    cold, warm-started from the tilt below and restarted from its own
+    eigendata (certified at iteration 1), at tol 1e-12 and 1e-13, under
+    the default iteration cap and each of CAPS."""
     m = models.builtin(name)
     T = transfer.build(m.space, affine_combine(m.potential, m.observable, 0.0))
     I, J, words = tuple_moves(m.space, T.states)
     Psi = np.zeros_like(T.matrix)
     Psi[I, J] = [m.observable(w) for w in words]
-    for tol in (1e-12, 1e-13):
-        Tb = transfer.build(m.space, m.potential)
-        assert outcome(transfer.dominant_eigendata, Tb, tol) == outcome(power_loop, Tb, tol)
-        start = None
-        for s in np.linspace(-3.0, 3.0, 13):
-            Ts = dataclasses.replace(T, matrix=T.matrix * np.exp(s * Psi))
-            for st in (None, start):
-                got = outcome(transfer.dominant_eigendata, Ts, tol, st)
-                assert got == outcome(power_loop, Ts, tol, st), (s, tol, st is None)
-            E = transfer.dominant_eigendata(Ts, tol=tol)
-            start = E.h, E.nu
+    tilts = [dataclasses.replace(T, matrix=T.matrix * np.exp(s * Psi))
+             for s in np.linspace(-3.0, 3.0, 13)]
+    solved = {tol: [transfer.dominant_eigendata(Ts, tol=tol) for Ts in tilts]
+              for tol in (1e-12, 1e-13)}
+    Tb = transfer.build(m.space, m.potential)
+    for cap in (transfer.MAX_ITER, *CAPS):
+        monkeypatch.setattr(transfer, "MAX_ITER", cap)
+        for tol, eigen in solved.items():
+            assert outcome(transfer.dominant_eigendata, Tb, tol) == outcome(power_loop, Tb, tol)
+            start = None
+            for Ts, E in zip(tilts, eigen):
+                for st in (None, start, (E.h, E.nu)):
+                    got = outcome(transfer.dominant_eigendata, Ts, tol, st)
+                    assert got == outcome(power_loop, Ts, tol, st), (cap, tol, st is None)
+                assert got[-1] == 1
+                start = E.h, E.nu
 
 
 @pytest.mark.parametrize("memory", [3, 4, 5, 6])
@@ -256,9 +268,13 @@ def test_power_loop_matches_its_oracle_at_size(memory):
     assert outcome(transfer.dominant_eigendata, T, 1e-12) == outcome(power_loop, T, 1e-12)
 
 
-def test_power_loop_matches_its_oracle_on_a_stall():
+def test_power_loop_matches_its_oracle_on_a_stall(monkeypatch):
     """golden-mean a = -8 certifies at 1e-12 after 56,491 iterations and
-    fails at its first repeated state at 1e-13, with the same message."""
+    fails at its first repeated state at 1e-13, with the same message,
+    and fails at each of CAPS.  The failures around it match too: states
+    that repeat with period 1 on a block's first iteration and with
+    period 6 from the end of one block into the next, and iterates that
+    overflow in the middle of a block."""
     m = models.golden_mean(-8.0)
     T = transfer.build(m.space, m.potential)
     got = outcome(transfer.dominant_eigendata, T, 1e-12)
@@ -269,6 +285,27 @@ def test_power_loop_matches_its_oracle_on_a_stall():
     assert got == ("NoConvergence",
                    "eigendata: residuals 1.7e-13 (h) and 2.4e-13 (nu) above "
                    "1e-13*lambda repeat from iteration 65536 (period 2)")
+    for a, repeat in [(-0.25, "from iteration 64 (period 1)"),
+                      (-1.75, "from iteration 256 (period 6)")]:
+        g = models.golden_mean(a)
+        Tg = transfer.build(g.space, g.potential)
+        got = outcome(transfer.dominant_eigendata, Tg, 1e-300)
+        assert got == outcome(power_loop, Tg, 1e-300)
+        assert got[1].endswith(repeat)
+    # lambda ~ 0.9 * 10**308 with a start far from nu: h's entry on the
+    # slow state grows until M.T h overflows at iteration 6, or 60
+    for delta, at in [(0.1, 6), (0.01, 60)]:
+        Tf = dataclasses.replace(T, matrix=1e308 * np.array([[1.0, 1e-4], [1e-4, 1 - delta]]))
+        start = np.ones(2), np.array([1e-8, 1 - 1e-8])
+        got = outcome(transfer.dominant_eigendata, Tf, 1e-12, start)
+        assert got == outcome(power_loop, Tf, 1e-12, start)
+        assert got[1].endswith(f"(nu) at iteration {at}")
+    for cap in CAPS:
+        monkeypatch.setattr(transfer, "MAX_ITER", cap)
+        got = outcome(transfer.dominant_eigendata, T, 1e-12)
+        assert got == outcome(power_loop, T, 1e-12)
+        assert got == ("NoConvergence",
+                       f"eigendata residuals above 1e-12*lambda after {cap} iterations")
 
 
 def test_integer_thresholds_keep_the_tie_rule():

@@ -133,6 +133,25 @@ def test_sample_path_rejects_a_stream_that_is_no_counter(golden):
     assert sample_path(golden.mu, 10, 1, stream=np.int64(1)) == sample_path(golden.mu, 10, 1, 1)
 
 
+def test_sampler_settings_must_be_integers(bernoulli):
+    """A float seed sampled seed 1's path (Philox truncated the key 1.9),
+    and a float n or trials died in numpy with a bare TypeError; numpy
+    integers are integers."""
+    mu, psi = bernoulli.mu, bernoulli.psi
+    with pytest.raises(ValidationError, match="seed must be an integer"):
+        sample_path(mu, 40, 1.9)
+    with pytest.raises(ValidationError, match="n must be an integer"):
+        sample_path(mu, 40.0, 1)
+    with pytest.raises(ValidationError, match="n must be an integer"):
+        empirical_birkhoff(mu, psi, 2.5, 3, 1)
+    with pytest.raises(ValidationError, match="trials must be an integer"):
+        empirical_birkhoff(mu, psi, 3, 2.5, 1)
+    assert sample_path(mu, np.int64(40), np.uint64(1)) == sample_path(mu, 40, 1)
+    got, _ = empirical_birkhoff(mu, psi, np.int32(5), np.int64(3), np.uint64(1))
+    want, _ = empirical_birkhoff(mu, psi, 5, 3, 1)
+    assert got.tobytes() == want.tobytes()
+
+
 def searched_states(th, w):
     """_search's next state of each word w from each row of the int64
     thresholds th, through their guide table."""
