@@ -130,7 +130,7 @@ def cmd_verify(args):
     if args.inject == "fair-chain":
         inject_chain = uniform_chain(model)
     elif args.inject == "perturbed-nu":
-        inject_nu = perturbed_nu(model)
+        inject_nu = perturbed_nu(model, args.tol)
     report = verify_model(model, n_max=args.nmax, inject_chain=inject_chain,
                           inject_nu=inject_nu, eigen_tol=args.tol)
     if args.format == "csv":

@@ -20,6 +20,8 @@ from .potential import fnorm, or_inf, total_variation
 from .shift_space import block_moves, check_cap, enumerate_words, word_codes
 from .transfer import _by_prefix, _linear_solve, _tropical_step, normalized_operator
 
+BAND_TOL = 1e-12  # slack of the scan's band test, at each end
+
 
 @dataclass(frozen=True, eq=False)
 class GibbsMeasure:
@@ -35,7 +37,6 @@ class GibbsMeasure:
     stationary: np.ndarray
     transition: np.ndarray
     pressure: float = None
-    potential: object = None
 
     def __post_init__(self):
         blocks, I, J, _ = block_moves(self.space, self.block_length)
@@ -131,14 +132,7 @@ def gibbs_measure(T, eigendata):
     """Equilibrium chain of a solved transfer system: pi = h nu, Q the
     normalized operator."""
     Q, pi = normalized_operator(T, eigendata)
-    return GibbsMeasure(
-        space=T.space,
-        block_length=T.block_length,
-        stationary=pi,
-        transition=Q,
-        pressure=eigendata.pressure,
-        potential=T.potential,
-    )
+    return GibbsMeasure(T.space, T.block_length, pi, Q, eigendata.pressure)
 
 
 def markov_measure(space, block_length, transition, stationary=None):
@@ -208,14 +202,17 @@ def block_chain(mu, L):
     """The same measure as (pi_L, Q_L) on L-blocks (L >= block_length):
     pi_L from `_levels`, and Q_L[u, v] = Q[last(u), last(v)] on each
     move, rows renormalised, so a block of zero mass keeps its final
-    block's row and the lift has the native chain's recurrent classes."""
+    block's row and the lift has the native chain's recurrent classes.
+    The k x k lift is capped like a transfer matrix before it is built."""
     if L < mu.block_length:
         raise ValidationError("cannot coarsen below the native block length")
     if L == mu.block_length:
         return np.array(mu.stationary), np.array(mu.transition)
     _, pi, last = next(_levels(mu, L))
+    k = len(pi)
+    check_cap(k * k, f"{k}x{k} lifted chain ({k} states of {L}-blocks)")
     _, I, J, _ = block_moves(mu.space, L)
-    Q = np.zeros((len(pi), len(pi)))
+    Q = np.zeros((k, k))
     Q[I, J] = mu.transition[last[I], last[J]]
     Q /= Q.sum(axis=1, keepdims=True)
     return pi, Q
@@ -250,7 +247,7 @@ class GibbsScanReport:
     passed: bool
 
 
-def gibbs_ratio_scan(mu, phi, n_max, tol=1e-12):
+def gibbs_ratio_scan(mu, phi, n_max):
     """Scan every admissible word up to n_max against the Gibbs band.
 
     x in [w] enters S_n phi only through m - 1 trailing symbols, so on
@@ -300,7 +297,7 @@ def gibbs_ratio_scan(mu, phi, n_max, tol=1e-12):
     band_spread = max(
         max(abs(lo - stable[-1][1]), abs(hi - stable[-1][2])) for _, lo, hi in stable
     )
-    pass_band = lo_all >= c1 - tol and hi_all <= c2 + tol
+    pass_band = lo_all >= c1 - BAND_TOL and hi_all <= c2 + BAND_TOL
     band_constant = band_spread <= 1e-10 * max(1.0, hi_all)
     passed = pass_band or band_constant
     return GibbsScanReport(

@@ -28,7 +28,7 @@ from numpy.random import Philox
 
 from .errors import ValidationError
 from .gibbs import block_chain
-from .shift_space import check_cap, word_codes, word_count
+from .shift_space import word_codes
 
 _WORDS_PER_COUNTER = 4
 _BATCH = 1024  # trials; at n = 256 a batch's words are 2 MiB, so they stay in cache
@@ -94,17 +94,16 @@ def empirical_birkhoff(mu, psi, n, trials, seed, exact=None):
     w >= ceil(c * 2**53), w = word >> 11.  The next state from state s
     is the count of row s's thresholds <= w (its last one is 2**53,
     which no w reaches: the clamp to the last state), found by
-    `_search`.  Its k x k tables are capped like a transfer matrix,
-    before the chain is lifted.
+    `_search`.  Its k x k tables are as large as the lifted chain,
+    whose cap `block_chain` checks.
     Returns (samples, summary); the summary carries the empirical mean,
     variance/n, and, when the exact lattice law is supplied, the
     Kolmogorov distance to it.
     """
     cfg = SampleConfig(seed=seed, n=n, trials=trials)
     L = max(mu.block_length, psi.memory)
-    k = word_count(mu.space, L)
-    check_cap(k * k, f"{k}x{k} sampler table ({k} states of {L}-blocks)")
     pi, Q = block_chain(mu, L)
+    k = len(pi)
     pv = psi.on(word_codes(mu.space, L), L)
     first = _thresholds(np.cumsum(pi)).astype(np.int64)
     table = _guide_table(_thresholds(np.cumsum(Q, axis=1)).astype(np.int64))

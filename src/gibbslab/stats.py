@@ -29,6 +29,10 @@ from .potential import affine_combine
 from .shift_space import block_moves, enumerate_words, word_codes
 
 DP_CELL_CAP = 10**8
+VARIANCE_TOL = 1e-9  # bound on the resolvent refinement's effect on xi^2
+S_MAX = 50.0  # the rate function's tilts stay within [-S_MAX, S_MAX]
+FD_STEP = 1e-4  # pressure_derivative_check's finite-difference step
+LATTICE_TOL = 1e-9  # lattice_parameters' rounding tolerance, relative to the values
 
 
 def _block_data(mu, *fns):
@@ -54,12 +58,12 @@ def correlation(mu, f, g, n):
     return float(w.dot(gv) - ef * eg)
 
 
-def asymptotic_variance(mu, psi, tol=1e-9):
+def asymptotic_variance(mu, psi):
     """Variance rate of S_n psi by one resolvent solve: with psi
     centered to c, A Z = Q c for A = I - Q + 1 pi, and xi^2 = E[c^2] +
     2 E[c Z].  One step of iterative refinement, A dZ = Q c - A Z,
-    certifies it: 2 sum |pi c dZ| must be at most tol.  dZ is not
-    added to Z."""
+    certifies it: 2 sum |pi c dZ| must be at most VARIANCE_TOL.  dZ is
+    not added to Z."""
     _, pi, Q, (pv,) = _block_data(mu, psi)
     c = pv - pi @ pv
     var0 = float(pi @ c**2)
@@ -70,12 +74,12 @@ def asymptotic_variance(mu, psi, tol=1e-9):
     Z = transfer._linear_solve(A, b, "resolvent")
     dZ = np.linalg.solve(A, b - A @ Z)
     bound = 2.0 * float(np.abs(pi * c * dZ).sum())
-    if not bound <= tol:
-        raise SolveFailure(f"resolvent refinement bound {bound!r} exceeds tol {tol!r}")
+    if not bound <= VARIANCE_TOL:
+        raise SolveFailure(f"resolvent refinement bound {bound!r} exceeds tol {VARIANCE_TOL!r}")
     return var0 + 2.0 * float(pi @ (c * Z))
 
 
-def cohomology_check(mu, psi, tol=1e-10):
+def cohomology_check(mu, psi):
     """Structural test for xi^2 = 0: the centered observable must be a
     block coboundary, i.e. U(v) = U(u) - psi_hat(u) consistently over
     every edge of the recoded graph.  A spanning-tree assignment fixes
@@ -100,7 +104,7 @@ def cohomology_check(mu, psi, tol=1e-10):
                 U[j] = U[i] + delta
                 stack.append(j)
     defect = max(abs(U[j] - (U[i] - c[i])) for i, j in edges)
-    degenerate = bool(defect <= tol)
+    degenerate = bool(defect <= 1e-10)
     witness = dict(zip(enumerate_words(mu.space, L), U.tolist())) if degenerate else None
     return {"degenerate": degenerate, "witness": witness, "max_cycle_defect": float(defect)}
 
@@ -205,21 +209,21 @@ class RateFunctionPoint:
     cumulant_at_s_star: float
 
 
-def rate_function(space, phi, psi, t, s_max=50.0, tol=1e-12, family=None):
+def rate_function(space, phi, psi, t, family=None):
     """Legendre point I(t) = s* t - Lambda(s*) where Lambda'(s*) = t.
 
     Lambda' is increasing (strictly unless psi is cohomologous to a
     constant), so an outward-expanding bracket followed by bisection
     converges globally.  The bracket grows lazily from [-1, 1] up to
-    [-s_max, s_max]: extreme tilts can be spectrally degenerate (the
+    [-S_MAX, S_MAX]: extreme tilts can be spectrally degenerate (the
     tilted chain approaches a periodic orbit and the gap closes), so
     they are only solved when t really lies that far out in the range
     of the mean.
     """
     fam = family or PressureFamily(space, phi, psi)
-    level = min(1.0, s_max)
-    lo, hi = -level, level
+    level = 1.0
     while True:
+        lo, hi = -level, level
         try:
             mlo, mhi = fam.mean(lo), fam.mean(hi)
         except NoConvergence as exc:
@@ -229,19 +233,18 @@ def rate_function(space, phi, psi, t, s_max=50.0, tol=1e-12, family=None):
             )
         if mlo <= t <= mhi:
             break
-        if level >= s_max:
+        if level >= S_MAX:
             raise OutOfRange(
                 f"t={t:g} outside attainable mean range [{mlo:g}, {mhi:g}]"
             )
-        level = min(2.0 * level, s_max)
-        lo, hi = -level, level
+        level = min(2.0 * level, S_MAX)
     scale = max(abs(mlo), abs(mhi), 1.0)
     s = 0.0
     # bisection to a tight bracket
     for _ in range(200):
         s = 0.5 * (lo + hi)
         ms = fam.mean(s)
-        if abs(ms - t) <= tol * scale:
+        if abs(ms - t) <= 1e-12 * scale:
             break
         if ms < t:
             lo = s
@@ -257,19 +260,17 @@ def rate_function(space, phi, psi, t, s_max=50.0, tol=1e-12, family=None):
                              cumulant_at_s_star=float(lam_s))
 
 
-def pressure_derivative_check(space, phi, psi, step=1e-4, family=None):
-    """Central finite differences of the tilted pressure at 0 against
-    the analytic mean and variance."""
-    if step <= 0:
-        raise ValidationError("step must be positive")
+def pressure_derivative_check(space, phi, psi, family=None):
+    """Central finite differences of the tilted pressure at 0, with step
+    FD_STEP, against the analytic mean and variance."""
     fam = family or PressureFamily(space, phi, psi)
-    p_plus, p_minus, p0 = fam.pressure(step), fam.pressure(-step), fam.pressure(0.0)
-    fd1 = (p_plus - p_minus) / (2.0 * step)
-    fd2 = (p_plus - 2.0 * p0 + p_minus) / step**2
+    p_plus, p_minus, p0 = fam.pressure(FD_STEP), fam.pressure(-FD_STEP), fam.pressure(0.0)
+    fd1 = (p_plus - p_minus) / (2.0 * FD_STEP)
+    fd2 = (p_plus - 2.0 * p0 + p_minus) / FD_STEP**2
     mean = fam.mean(0.0)
     var = fam.variance(0.0)
     return {
-        "step": step,
+        "step": FD_STEP,
         "fd_first": fd1,
         "analytic_first": mean,
         "first_error": abs(fd1 - mean),
@@ -305,7 +306,7 @@ class LatticeDistribution:
         return float(self.probs @ (v - m) ** 2)
 
 
-def lattice_parameters(values, tol=1e-9):
+def lattice_parameters(values):
     """Offset and span of the smallest lattice containing `values`.
 
     The span is the real gcd of the differences (Euclid with rounding
@@ -320,14 +321,14 @@ def lattice_parameters(values, tol=1e-9):
     g = diffs[0]
     scale = max(abs(v) for v in vals) + max(diffs)
     for d in diffs[1:]:
-        g = _real_gcd(g, d, tol * max(1.0, scale))
+        g = _real_gcd(g, d, LATTICE_TOL * max(1.0, scale))
     # a true span sits far above the rounding floor; an incommensurable
     # Euclid residue lands at the tolerance scale
-    if g < 1e3 * tol * max(1.0, scale):
+    if g < 1e3 * LATTICE_TOL * max(1.0, scale):
         raise NotLattice("observable values are not commensurable within tolerance")
     for v in vals:
         k = round((v - a) / g)
-        if abs(v - (a + k * g)) > tol * max(1.0, scale):
+        if abs(v - (a + k * g)) > LATTICE_TOL * max(1.0, scale):
             raise NotLattice(f"value {v} is off-lattice for span {g}")
     return a, g
 

@@ -25,6 +25,7 @@ import numpy as np
 from . import transfer
 from .errors import SolveFailure, ValidationError
 from .gibbs import (
+    BAND_TOL,
     expectation,
     gibbs_measure,
     gibbs_ratio_scan,
@@ -38,7 +39,7 @@ from .stats import PressureFamily, rate_function
 EIGEN_TOL = 1e-13  # verify's eigensolver tolerance, also the CLI's --tol default
 TOLS = {
     "jacobian_identity": 1e-10,
-    "gibbs_band": 1e-12,
+    "gibbs_band": BAND_TOL,
     "eigen_residuals": 1e-10,
     "variational_defect": 1e-10,
     "rate_function_minimum": 1e-9,
@@ -124,7 +125,7 @@ def verify_model(model, n_max=8, inject_chain=None, inject_nu=None, eigen_tol=EI
     psi = default_observable(model)
 
     err_jac = jacobian_max_error(mu, phi, E)
-    scan = gibbs_ratio_scan(mu, phi, n_max, tol=TOLS["gibbs_band"])
+    scan = gibbs_ratio_scan(mu, phi, n_max)
     band = {"min_ratio": scan.min_ratio, "max_ratio": scan.max_ratio,
             "c1": scan.c1, "c2": scan.c2, "band_spread": scan.band_spread}
 
@@ -170,9 +171,10 @@ def uniform_chain(model):
     return markov_measure(model.space, L, Q)
 
 
-def perturbed_nu(model, epsilon=0.01):
+def perturbed_nu(model, tol=EIGEN_TOL):
+    """nu solved to tol, 0.01 added to its first entry, renormalised."""
     T = transfer.build(model.space, model.potential)
-    E = transfer.dominant_eigendata(T)
+    E = transfer.dominant_eigendata(T, tol=tol)
     nu = np.array(E.nu)
-    nu[0] += epsilon
+    nu[0] += 0.01
     return nu / nu.sum()

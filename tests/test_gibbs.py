@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gibbslab import models, stats, transfer
+from gibbslab import models, sampler, stats, transfer
 from gibbslab.errors import SizeGuard, SolveFailure, Undefined, ValidationError
 from gibbslab.gibbs import (
     GibbsMeasure,
@@ -427,17 +427,52 @@ def test_levels_are_the_cylinder_measures():
 
 
 def test_levels_respect_the_enumeration_cap(monkeypatch):
-    """The level sums and the lift hold every word of a length at once,
-    so GIBBSLAB_ENUM_CAP bounds alphabet**length for them."""
+    """The level sums hold every word of a length at once, so
+    GIBBSLAB_ENUM_CAP bounds alphabet**length for them; the lift is a
+    dense k x k matrix on k blocks, so it bounds k**2 for the lift."""
     _, mu1 = solved_bernoulli(0.7)
     _, mu2 = solved_bernoulli(0.8)
     monkeypatch.setenv("GIBBSLAB_ENUM_CAP", "16")
-    assert len(block_chain(mu1, 4)[0]) == 16
+    assert len(block_chain(mu1, 2)[0]) == 4
     wasserstein_distance(mu1, mu2, 0.5, 4)
     with pytest.raises(SizeGuard):
         wasserstein_distance(mu1, mu2, 0.5, 5)
-    with pytest.raises(SizeGuard):
-        block_chain(mu1, 5)
+    with pytest.raises(SizeGuard, match="8 states of 3-blocks"):
+        block_chain(mu1, 3)
+
+
+def _lifting_calls():
+    """Each caller of block_chain, on the 1-block Bernoulli chain with
+    observables of memory 3 (and a memory-4 potential for the scan):
+    every one lifts the chain to 8 states of 3-blocks."""
+    m, mu = solved_bernoulli(0.7)
+    psi = FiniteMemoryFunction(
+        m.space, 3, {w: float(i % 3) for i, w in enumerate(enumerate_words(m.space, 3))})
+    phi = FiniteMemoryFunction(
+        m.space, 4, {w: 0.1 * i for i, w in enumerate(enumerate_words(m.space, 4))})
+    return {
+        "asymptotic_variance": lambda: stats.asymptotic_variance(mu, psi),
+        "correlation": lambda: stats.correlation(mu, psi, psi, 2),
+        "cohomology_check": lambda: stats.cohomology_check(mu, psi),
+        "exact_birkhoff_distribution": lambda: stats.exact_birkhoff_distribution(mu, psi, 4),
+        "gibbs_ratio_scan": lambda: gibbs_ratio_scan(mu, phi, 4),
+        "empirical_birkhoff": lambda: sampler.empirical_birkhoff(mu, psi, 4, 10, 1),
+    }
+
+
+@pytest.mark.parametrize("name", ["asymptotic_variance", "correlation", "cohomology_check",
+                                  "exact_birkhoff_distribution", "gibbs_ratio_scan",
+                                  "empirical_birkhoff"])
+def test_every_lift_is_capped_before_it_is_built(name, monkeypatch):
+    """block_chain guards the k x k lift for all its callers: under a
+    cap of 63 (which admits the 8 or 16 words of the value tables) the
+    8 x 8 lift is a SizeGuard naming its states; under 64 it is built."""
+    call = _lifting_calls()[name]
+    monkeypatch.setenv("GIBBSLAB_ENUM_CAP", "63")
+    with pytest.raises(SizeGuard, match=r"8x8 lifted chain \(8 states of 3-blocks\)"):
+        call()
+    monkeypatch.setenv("GIBBSLAB_ENUM_CAP", "64")
+    call()
 
 
 def test_wasserstein_report_shape():
@@ -490,7 +525,7 @@ def test_scan_rejects_non_gibbs_chain(bernoulli):
     fair = GibbsMeasure(
         space=bernoulli.space, block_length=1,
         stationary=np.array([0.5, 0.5]), transition=np.full((2, 2), 0.5),
-        pressure=bernoulli.E.pressure, potential=bernoulli.phi,
+        pressure=bernoulli.E.pressure,
     )
     scan = gibbs_ratio_scan(fair, bernoulli.phi, 10)
     assert not scan.pass_band

@@ -106,7 +106,7 @@ def case(name):
         fair = GibbsMeasure(
             space=m.space, block_length=1,
             stationary=np.array([0.5, 0.5]), transition=np.full((2, 2), 0.5),
-            pressure=P, potential=m.potential,
+            pressure=P,
         )
         return fair, m.potential, 8
     if name == "three-symbol-uniform-chain":
@@ -593,7 +593,7 @@ def test_jacobian_error_matches_its_per_move_oracle(name):
         rng = np.random.default_rng(2)
         phi = FiniteMemoryFunction(
             space, 2, {w: float(rng.uniform(-1.0, 1.0)) for w in enumerate_words(space, 2)})
-        mu = dataclasses.replace(case(name)[0], potential=phi)
+        mu = case(name)[0]
     else:
         mu, phi, _ = case(name)
     E = transfer.dominant_eigendata(transfer.build(mu.space, phi), tol=1e-12)

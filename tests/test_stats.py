@@ -85,18 +85,21 @@ def test_variance_green_kubo_oracle(builtin_triple):
         assert xi2 == pytest.approx(gk, abs=1e-9)
 
 
-def test_refinement_bound_below_tol_raises(ising):
-    """The certificate compares tol with the refinement bound itself: a
-    tol below it raises SolveFailure naming it, a tol equal to it
-    returns the resolvent answer unchanged."""
+def test_refinement_bound_below_tol_raises(ising, monkeypatch):
+    """The certificate compares VARIANCE_TOL with the refinement bound
+    itself: a tol below it raises SolveFailure naming it, a tol equal
+    to it returns the resolvent answer unchanged."""
+    want = stats.asymptotic_variance(ising.mu, ising.psi)
+    monkeypatch.setattr(stats, "VARIANCE_TOL", 1e-300)
     with pytest.raises(SolveFailure, match="refinement bound") as exc:
-        stats.asymptotic_variance(ising.mu, ising.psi, tol=1e-300)
+        stats.asymptotic_variance(ising.mu, ising.psi)
     bound = float(re.search(r"bound (\S+) exceeds", str(exc.value)).group(1))
     assert 0.0 < bound <= 1e-14
+    monkeypatch.setattr(stats, "VARIANCE_TOL", bound / 2)
     with pytest.raises(SolveFailure, match=re.escape(repr(bound))):
-        stats.asymptotic_variance(ising.mu, ising.psi, tol=bound / 2)
-    assert stats.asymptotic_variance(ising.mu, ising.psi, tol=bound) == (
-        stats.asymptotic_variance(ising.mu, ising.psi))
+        stats.asymptotic_variance(ising.mu, ising.psi)
+    monkeypatch.setattr(stats, "VARIANCE_TOL", bound)
+    assert stats.asymptotic_variance(ising.mu, ising.psi) == want
 
 
 def test_family_variance_builds_no_chain(builtin_triple, monkeypatch):
@@ -243,14 +246,14 @@ def test_cumulant_derivative_consistency(builtin_triple):
 
 def test_pressure_derivative_check(builtin_triple):
     for s in builtin_triple.values():
-        rep = stats.pressure_derivative_check(s.space, s.phi, s.psi, step=1e-4)
+        rep = stats.pressure_derivative_check(s.space, s.phi, s.psi)
         assert rep["first_error"] <= 1e-6
         assert rep["second_error"] <= 1e-4
 
 
 def test_pressure_derivative_constant_direction(bernoulli):
     const = FiniteMemoryFunction.constant(bernoulli.space, 2.0)
-    rep = stats.pressure_derivative_check(bernoulli.space, bernoulli.phi, const, step=1e-4)
+    rep = stats.pressure_derivative_check(bernoulli.space, bernoulli.phi, const)
     assert rep["fd_first"] == pytest.approx(2.0, abs=1e-9)
     assert rep["analytic_first"] == pytest.approx(2.0, abs=1e-12)
     assert rep["fd_second"] == pytest.approx(0.0, abs=1e-6)

@@ -140,8 +140,7 @@ def test_dp_atoms_vs_cylinder_sums(model, solved, golden):
 
 
 def test_variance_fd_and_rate_consistency(model):
-    rep = stats.pressure_derivative_check(model.space, model.potential,
-                                          model.observable, step=1e-4)
+    rep = stats.pressure_derivative_check(model.space, model.potential, model.observable)
     assert rep["first_error"] <= 1e-6
     assert rep["second_error"] <= 1e-4
     fam = stats.PressureFamily(model.space, model.potential, model.observable,
