@@ -30,7 +30,6 @@ from .gibbs import (
     variational_defect,
     wasserstein_distance,
     wasserstein_lp,
-    wasserstein_report,
 )
 from .potential import (
     FiniteMemoryFunction,
@@ -70,7 +69,6 @@ from .transfer import (
     dominant_eigendata,
     normalized_operator,
     pressure_via_partition,
-    spectral_gap,
 )
 
 __version__ = "0.1.0"

@@ -342,12 +342,6 @@ def wasserstein_distance(mu1, mu2, alpha, n_max):
     return float(value), float(alpha**n_max)
 
 
-def wasserstein_report(mu1, mu2, alpha, n_max):
-    """Serializable summary {value, tail_bound, n_max}."""
-    value, tail = wasserstein_distance(mu1, mu2, alpha, n_max)
-    return {"value": value, "tail_bound": tail, "n_max": n_max}
-
-
 def wasserstein_lp(mu1, mu2, alpha, n):
     """Exact transport value between the n-cylinder marginals for the
     cost alpha**(first index of disagreement), a tree metric on the

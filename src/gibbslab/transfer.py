@@ -119,17 +119,31 @@ def dominant_eigendata(T, tol=DEFAULT_TOL, start=None):
     lambda is at least the smallest row sum of M, so a matrix whose
     smallest row sum overflows fails before the first iteration.
 
-    The iterates are computed a block at a time and the block's
-    residuals tested together; the rule above is applied to them in
-    iteration order, so the solve stops at the same iteration with the
-    same bits, and the iterates computed past it are discarded.  The
-    first block is one iteration; each later one is as long as the
-    previous block's residual decrease says is still needed, at most
-    BLOCK, and ends at the next power of two, so the saved pair is
-    always a block's last row.
+    A two-state matrix is solved on Python floats, each product entry
+    and dot product the two-rounding sum a*x0 + b*x1 (_two_state_loop);
+    every larger one by numpy, a block of iterations at a time
+    (_block_loop).  Both apply the rule above with the same checks and
+    messages.
     """
     if tol <= 0:
         raise ValidationError("tolerance must be positive")
+    if T.state_count == 2:
+        return _two_state_loop(T, tol, start)
+    return _block_loop(T, tol, start)
+
+
+def _block_loop(T, tol, start):
+    """dominant_eigendata's loop on numpy arrays.
+
+    The iterates are computed a block at a time and the block's
+    residuals tested together; the rule is applied to them in
+    iteration order, so the solve stops at the same iteration with the
+    same bits as a test after every iteration, and the iterates
+    computed past it are discarded.  The first block is one iteration;
+    each later one is as long as the previous block's residual
+    decrease says is still needed, at most BLOCK, and ends at the next
+    power of two, so the saved pair is always a block's last row.
+    """
     M, MT = T.matrix, T.matrix.T
     k = T.state_count
     # row i: the state (nu, h) of a block's (i+1)-th iteration and its
@@ -142,32 +156,22 @@ def dominant_eigendata(T, tol=DEFAULT_TOL, start=None):
     if start is None:
         nu[:], h[:] = 1.0 / k, 1.0
     else:
-        shapes = [np.shape(v) for v in start]
-        if shapes != [(k,), (k,)]:
-            raise ValidationError(f"start vectors have shapes {shapes}, expected ({k},)")
-        h[:], nu[:] = start
+        h[:], nu[:] = _checked_shapes(start, k)
         if not (0 < P.min() and P.max() < math.inf):
-            raise ValidationError("start vector entries must be finite and positive")
-    if not np.isfinite(M).all():
-        raise NoConvergence("eigendata: the transfer matrix has non-finite entries")
+            raise ValidationError(_BAD_START)
     # row i as (lambda, nu, h, M nu, M.T h) views, made when a block first reaches it
     rows = [(lams[0, 0, 0, ...], nu, h, *buf[0, 1])]
     Mnu, Mh = rows[0][3:]
     # overflow in a product shows up as a non-finite estimate, checked
     # below; a block's iterations past a non-finite one are discarded
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        floor = M.sum(axis=1).min()
-        if not math.isfinite(floor):
-            raise NoConvergence(
-                "eigendata: lambda is at least the smallest row sum of the transfer "
-                f"matrix, which is {floor}, so lambda is not representable")
+        _check_matrix(np.isfinite(M).all(), M.sum(axis=1).min())
         np.dot(M, nu, out=Mnu)
         np.dot(MT, h, out=Mh)
         last, want, excess, done = 0, 1, None, False
         while not done:
             if last == MAX_ITER:
-                raise NoConvergence(
-                    f"eigendata residuals above {tol:g}*lambda after {MAX_ITER} iterations")
+                raise _no_convergence(tol, MAX_ITER)
             first, last = last + 1, min(last + want, 1 << last.bit_length(), MAX_ITER)
             n = last - first + 1
             while len(rows) < n:
@@ -197,34 +201,130 @@ def dominant_eigendata(T, tol=DEFAULT_TOL, start=None):
                     break
                 # a non-finite lambda makes res_nu NaN, and NaN never turns finite
                 if not math.isfinite(res_h + res_nu):
-                    raise NoConvergence(
-                        f"eigendata: lambda estimate {lam}, residuals {res_h} (h) and "
-                        f"{res_nu} (nu) at iteration {iters}")
+                    raise _no_convergence(tol, iters, lam, res_h, res_nu)
                 if iters & (iters - 1) == 0:  # a power of two ends its block
                     saved = iters, res_h, res_nu, block[-1, 1].copy()
                 elif (res_h == saved[1] and res_nu == saved[2]
                       and np.array_equal(block[iters - first, 1], saved[3])):
-                    raise NoConvergence(
-                        f"eigendata: residuals {res_h:.2g} (h) and {res_nu:.2g} (nu) "
-                        f"above {tol:g}*lambda repeat from iteration {saved[0]} "
-                        f"(period {iters - saved[0]})")
+                    raise _no_convergence(tol, iters, lam, res_h, res_nu, since=saved[0])
             if not done:
                 want, excess = _block_length(n, excess, max(res_h, res_nu), tol * lam)
     nu, h = block[iters - first, 0]
     nu = nu.copy()
     h = h / (nu @ h)
-    alpha = T.potential.alpha
+    return _eigendata(T, lam, h, nu, float(h.min()), float(np.abs(MT @ h - lam * h).max()),
+                      float(np.abs(M @ nu - lam * nu).sum()), iters)
+
+
+def _two_state_loop(T, tol, start):
+    """dominant_eigendata's loop for a 2 x 2 matrix [[a, b], [c, d]] on
+    Python floats, testing the residuals after every iteration.
+
+    Python raises on a zero divisor where numpy gives inf or NaN, so
+    such quotients are taken by numpy and the residual test fails on
+    them.
+    """
+    if start is None:
+        h0 = h1 = 1.0
+        n0 = n1 = 0.5
+    else:
+        (h0, h1), (n0, n1) = (np.asarray(v, dtype=float).tolist()
+                              for v in _checked_shapes(start, 2))
+        # each comparison on its own: a NaN fails it whatever its place
+        if not (0 < h0 < math.inf and 0 < h1 < math.inf
+                and 0 < n0 < math.inf and 0 < n1 < math.inf):
+            raise ValidationError(_BAD_START)
+    (a, b), (c, d) = T.matrix.tolist()
+    finite = math.isfinite(a) and math.isfinite(b) and math.isfinite(c) and math.isfinite(d)
+    _check_matrix(finite, min(a + b, c + d))
+    m0, m1 = a * n0 + b * n1, c * n0 + d * n1  # M nu
+    g0, g1 = a * h0 + c * h1, b * h0 + d * h1  # M.T h
+    for iters in range(1, MAX_ITER + 1):
+        lam = m0 + m1
+        try:
+            n0, n1 = m0 / lam, m1 / lam
+            dot = n0 * g0 + n1 * g1
+            h0, h1 = g0 / dot, g1 / dot
+        except ZeroDivisionError:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                n0, n1 = (np.array([m0, m1]) / lam).tolist()
+                dot = n0 * g0 + n1 * g1
+                h0, h1 = (np.array([g0, g1]) / dot).tolist()
+        m0, m1 = a * n0 + b * n1, c * n0 + d * n1
+        g0, g1 = a * h0 + c * h1, b * h0 + d * h1
+        e0, e1 = abs(g0 - lam * h0), abs(g1 - lam * h1)
+        res_h = e0 if e0 >= e1 else e1 if e1 > e0 else e0 + e1  # NaN if either is
+        res_nu = abs(m0 - lam * n0) + abs(m1 - lam * n1)
+        if res_h <= tol * lam and res_nu <= tol * lam:
+            break
+        if not math.isfinite(res_h + res_nu):
+            raise _no_convergence(tol, iters, lam, res_h, res_nu)
+        if iters & (iters - 1) == 0:
+            saved = iters, res_h, res_nu, (m0, m1, g0, g1)
+        elif res_h == saved[1] and res_nu == saved[2] and (m0, m1, g0, g1) == saved[3]:
+            raise _no_convergence(tol, iters, lam, res_h, res_nu, since=saved[0])
+    else:
+        raise _no_convergence(tol, MAX_ITER)
+    dot = n0 * h0 + n1 * h1
+    h0, h1 = h0 / dot, h1 / dot
+    res_h = max(abs(a * h0 + c * h1 - lam * h0), abs(b * h0 + d * h1 - lam * h1))
+    res_nu = abs(a * n0 + b * n1 - lam * n0) + abs(c * n0 + d * n1 - lam * n1)
+    return _eigendata(T, lam, np.array([h0, h1]), np.array([n0, n1]), min(h0, h1),
+                      res_h, res_nu, iters)
+
+
+_BAD_START = "start vector entries must be finite and positive"
+
+
+def _checked_shapes(start, k):
+    """start, once both its vectors are known to have shape (k,)."""
+    shapes = [np.shape(v) for v in start]
+    if shapes != [(k,), (k,)]:
+        raise ValidationError(f"start vectors have shapes {shapes}, expected ({k},)")
+    return start
+
+
+def _check_matrix(finite, floor):
+    """Fail a matrix whose entries are not all finite, or whose smallest
+    row sum (floor, a lower bound on lambda) is no finite float."""
+    if not finite:
+        raise NoConvergence("eigendata: the transfer matrix has non-finite entries")
+    if not math.isfinite(floor):
+        raise NoConvergence(
+            "eigendata: lambda is at least the smallest row sum of the transfer "
+            f"matrix, which is {floor}, so lambda is not representable")
+
+
+def _no_convergence(tol, iters, lam=0.0, res_h=0.0, res_nu=0.0, since=None):
+    """The NoConvergence of a power loop stopping at iteration iters
+    without a certificate: with `since`, because its state repeats the
+    one saved at that iteration; with a non-finite lambda estimate or
+    residual, because of it; otherwise at the MAX_ITER cap."""
+    if since is not None:
+        return NoConvergence(
+            f"eigendata: residuals {res_h:.2g} (h) and {res_nu:.2g} (nu) "
+            f"above {tol:g}*lambda repeat from iteration {since} "
+            f"(period {iters - since})")
+    if not math.isfinite(res_h + res_nu):
+        return NoConvergence(
+            f"eigendata: lambda estimate {lam}, residuals {res_h} (h) and "
+            f"{res_nu} (nu) at iteration {iters}")
+    return NoConvergence(f"eigendata residuals above {tol:g}*lambda after {iters} iterations")
+
+
+def _eigendata(T, lam, h, nu, min_h, residual_h, residual_nu, iterations):
+    """EigenData of T's solve: lambda and the normalized h and nu."""
     return EigenData(
         lambda_=lam,
         pressure=float(np.log(lam)),
         h=h,
         nu=nu,
-        min_h=float(h.min()),
-        ess_radius_bound=float(alpha * lam),
-        residual_h=float(np.abs(MT @ h - lam * h).max()),
-        residual_nu=float(np.abs(M @ nu - lam * nu).sum()),
-        iterations=iters,
-        matrix=M,
+        min_h=min_h,
+        ess_radius_bound=float(T.potential.alpha * lam),
+        residual_h=residual_h,
+        residual_nu=residual_nu,
+        iterations=iterations,
+        matrix=T.matrix,
     )
 
 
@@ -241,13 +341,6 @@ def _block_length(n, before, residual, threshold):
     if before is None or not before > excess:
         return BLOCK, excess
     return min(BLOCK, max(1, math.ceil(n * excess / (before - excess)))), excess
-
-
-def spectral_gap(T, eigendata):
-    """Ratio of the second eigenvalue modulus to lambda, as T's
-    eigendata carry it: solved on the first read of
-    eigendata.gap_ratio and kept."""
-    return eigendata.gap_ratio
 
 
 def normalized_operator(T, eigendata):

@@ -11,16 +11,18 @@ eigendecomposition of the tilted matrix.
 The others are earlier forms of code that now computes the same bits
 another way: the admissible words and the block graph's moves from
 word tuples and a position dict, the power loop with a fresh array per
-product and its residuals tested every iteration, the sampler step and
-the single path comparing float uniforms with the cumulative rows,
-var_n grouping the words again on every call, the Jacobian identity
-formed per move from cylinder measures, the exact law of S_n stepped
-by the dense transition matrix, cylinder measures walked over tuple
-blocks, affine combinations formed word by word, the coboundary
-check's edges found by scanning rows of Q, the asymptotic variance as
-its Green-Kubo series, one vector-matrix product per lag, the tilted
-variance as the asymptotic variance of the tilt's Gibbs chain, and a
-float array's JSON text with every entry formatted.
+product and its residuals tested every iteration (at k = 2 with the
+two-state loop's two-rounding products, or numpy's for the block
+loop), the sampler step and the single path comparing float uniforms
+with the cumulative rows, var_n grouping the words again on every
+call, the Jacobian identity formed per move from cylinder measures,
+the exact law of S_n stepped by the dense transition matrix, cylinder
+measures walked over tuple blocks, affine combinations formed word by
+word, the coboundary check's edges found by scanning rows of Q, the
+asymptotic variance as its Green-Kubo series, one vector-matrix
+product per lag, the tilted variance as the asymptotic variance of the
+tilt's Gibbs chain, and a float array's JSON text with every entry
+formatted.
 """
 
 import math
@@ -164,30 +166,35 @@ def tuple_moves(space, states):
     return np.array(I), np.array(J), words
 
 
-def power_loop(T, tol=transfer.DEFAULT_TOL, start=None):
-    """dominant_eigendata as one fresh array per product."""
+def power_loop(T, tol=transfer.DEFAULT_TOL, start=None, dot=None):
+    """dominant_eigendata as one fresh array per product.  dot(A, x)
+    forms each product: by default the two-rounding sums a*x0 + b*x1
+    at k = 2, as the two-state loop does, and numpy's matmul above;
+    dot=np.matmul gives the block loop's products at k = 2 too."""
     if tol <= 0:
         raise ValidationError("tolerance must be positive")
     M = T.matrix
     k = T.state_count
+    if dot is None:
+        dot = two_term_dot if k == 2 else np.matmul
     if start is None:
         h, nu = np.ones(k), np.full(k, 1.0 / k)
     else:
         h, nu = (_start_vector(v, k) for v in start)
     if not np.isfinite(M).all():
         raise NoConvergence("eigendata: the transfer matrix has non-finite entries")
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         floor = M.sum(axis=1).min()
         if not math.isfinite(floor):
             raise NoConvergence(
                 "eigendata: lambda is at least the smallest row sum of the transfer "
                 f"matrix, which is {floor}, so lambda is not representable")
-        Mnu, Mh = M @ nu, M.T @ h
+        Mnu, Mh = dot(M, nu), dot(M.T, h)
         for iters in range(1, transfer.MAX_ITER + 1):
             lam = Mnu.sum()
             nu = Mnu / lam
-            h = Mh / (nu @ Mh)
-            Mnu, Mh = M @ nu, M.T @ h
+            h = Mh / dot(nu, Mh)
+            Mnu, Mh = dot(M, nu), dot(M.T, h)
             res_h = np.abs(Mh - lam * h).max()
             res_nu = np.abs(Mnu - lam * nu).sum()
             if res_h <= tol * lam and res_nu <= tol * lam:
@@ -209,7 +216,7 @@ def power_loop(T, tol=transfer.DEFAULT_TOL, start=None):
                 f"eigendata residuals above {tol:g}*lambda after {transfer.MAX_ITER} "
                 "iterations"
             )
-    h = h / (nu @ h)
+    h = h / dot(nu, h)
     alpha = T.potential.alpha
     return transfer.EigenData(
         lambda_=float(lam),
@@ -218,11 +225,19 @@ def power_loop(T, tol=transfer.DEFAULT_TOL, start=None):
         nu=nu,
         min_h=float(h.min()),
         ess_radius_bound=float(alpha * lam),
-        residual_h=float(np.abs(M.T @ h - lam * h).max()),
-        residual_nu=float(np.abs(M @ nu - lam * nu).sum()),
+        residual_h=float(np.abs(dot(M.T, h) - lam * h).max()),
+        residual_nu=float(np.abs(dot(M, nu) - lam * nu).sum()),
         iterations=iters,
         matrix=M,
     )
+
+
+def two_term_dot(A, x):
+    """A x for a 2 x 2 matrix or a 2-vector A, each entry rounded once
+    per product and once for the sum, as Python floats are."""
+    if A.ndim == 1:
+        return A[0] * x[0] + A[1] * x[1]
+    return np.array([A[0, 0] * x[0] + A[0, 1] * x[1], A[1, 0] * x[0] + A[1, 1] * x[1]])
 
 
 def _start_vector(v, k):

@@ -49,14 +49,12 @@ SURFACE = {
     "pressure_via_partition": ("space", "phi", "n"),
     "rate_function": ("space", "phi", "psi", "t", "family=None"),
     "recode": ("space", "block_length"),
-    "spectral_gap": ("T", "eigendata"),
     "total_variation": ("f",),
     "validate": ("alphabet_size", "transitions", "symbols=None"),
     "var_n": ("f", "n"),
     "variational_defect": ("mu", "phi", "pressure"),
     "wasserstein_distance": ("mu1", "mu2", "alpha", "n_max"),
     "wasserstein_lp": ("mu1", "mu2", "alpha", "n"),
-    "wasserstein_report": ("mu1", "mu2", "alpha", "n_max"),
     "verify.verify_model": ("model", "n_max=8", "inject_chain=None", "inject_nu=None",
                             "eigen_tol=1e-13"),
     "verify.perturbed_nu": ("model", "tol=1e-13"),

@@ -228,6 +228,21 @@ def test_perturbed_nu_solves_at_the_given_tol(monkeypatch, capsys):
     assert seen == [1e-9, 1e-13]
 
 
+def test_verify_judges_residuals_at_the_solve_tol(tmp_path, capsys):
+    """golden-mean a = -8 certifies at --tol 1e-9 with residuals above
+    TOLS' 1e-10: the eigen-residual check allows the tolerance the solve
+    was asked for, and reports it."""
+    out = tmp_path / "v"
+    argv = ["verify", "--builtin", "golden-mean", "--a", "-8", "--tol", "1e-9"]
+    assert run([*argv, "--out", str(out)]) == 0
+    capsys.readouterr()
+    doc = json.loads((out / "verify.json").read_text())
+    check = {c["name"]: c for c in doc["checks"]}["eigen_residuals"]
+    assert check["tolerance"] == 1e-9
+    assert 1e-10 < check["metric"] <= 1e-9
+    assert doc["pass"] is True
+
+
 def test_clt_lift_past_the_cap_exits_one(tmp_path, capsys):
     """An observable of memory 11 on the full 2-shift lifts the 1-block
     chain to 2048 states; the 2048 x 2048 lift exceeds the default cap

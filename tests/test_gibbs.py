@@ -20,7 +20,6 @@ from gibbslab.gibbs import (
     variational_defect,
     wasserstein_distance,
     wasserstein_lp,
-    wasserstein_report,
 )
 from gibbslab.potential import FiniteMemoryFunction
 from gibbslab.shift_space import enumerate_words, validate
@@ -473,15 +472,6 @@ def test_every_lift_is_capped_before_it_is_built(name, monkeypatch):
         call()
     monkeypatch.setenv("GIBBSLAB_ENUM_CAP", "64")
     call()
-
-
-def test_wasserstein_report_shape():
-    _, mu1 = solved_bernoulli(0.7)
-    _, mu2 = solved_bernoulli(0.8)
-    rep = wasserstein_report(mu1, mu2, 0.5, 4)
-    assert set(rep) == {"value", "tail_bound", "n_max"}
-    assert rep["n_max"] == 4
-    assert rep["tail_bound"] == 0.5**4
 
 
 @given(st.lists(st.floats(-1.5, 1.5), min_size=4, max_size=4))
