@@ -110,7 +110,7 @@ def cmd_analyze(args):
     }
     _write(args, "analyze.json", dump_json(report))
     if args.out:
-        k = len(T.states)
+        k = T.state_count
         f = [1.0 + (i % 3) for i in range(k)]
         g = [1.0 + ((i + 1) % 3) for i in range(k)]
         trace = cone.contraction_trace(T, E, f, g, k=10)

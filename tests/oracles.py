@@ -12,7 +12,7 @@ The others are earlier forms of code that now computes the same bits
 another way: the admissible words and the block graph's moves from
 word tuples and a position dict, the power loop with a fresh array per
 product and its residuals tested every iteration (at k = 2 with the
-two-state loop's two-rounding products, or numpy's for the block
+two-state loop's two-rounding products, or numpy's for the array
 loop), the sampler step and the single path comparing float uniforms
 with the cumulative rows, var_n grouping the words again on every
 call, the Jacobian identity formed per move from cylinder measures,
@@ -170,7 +170,7 @@ def power_loop(T, tol=transfer.DEFAULT_TOL, start=None, dot=None):
     """dominant_eigendata as one fresh array per product.  dot(A, x)
     forms each product: by default the two-rounding sums a*x0 + b*x1
     at k = 2, as the two-state loop does, and numpy's matmul above;
-    dot=np.matmul gives the block loop's products at k = 2 too."""
+    dot=np.matmul gives the array loop's products at k = 2 too."""
     if tol <= 0:
         raise ValidationError("tolerance must be positive")
     M = T.matrix

@@ -21,8 +21,8 @@ SURFACE = {
     "LatticeDistribution": ("n", "offset", "span", "indices", "probs"),
     "PressureFamily": ("space", "phi", "psi", "tol=1e-13"),
     "RateFunctionPoint": ("t", "s_star", "rate", "cumulant_at_s_star"),
-    "ShiftSpace": ("symbols", "transitions", "mixing_time", "_index=None"),
-    "TransferSystem": ("space", "potential", "block_length", "states", "matrix"),
+    "ShiftSpace": ("symbols", "transitions", "mixing_time"),
+    "TransferSystem": ("space", "potential", "block_length", "matrix"),
     "affine_combine": ("f", "g", "s"),
     "asymptotic_variance": ("mu", "psi"),
     "birkhoff_sum": ("f", "word", "n"),
@@ -59,7 +59,7 @@ SURFACE = {
                             "eigen_tol=1e-13"),
     "verify.perturbed_nu": ("model", "tol=1e-13"),
 }
-SETTINGS = 16  # entries of SURFACE with a default
+SETTINGS = 15  # entries of SURFACE with a default
 
 
 def _entries(obj):

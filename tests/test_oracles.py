@@ -225,16 +225,16 @@ def random_full_shift(seed, memory):
     )
 
 
-# iteration caps inside, at and just past the block loop's blocks (1, 2,
-# 3-4, 5-8, ..., 33-64, 65-...), and one inside a 64-iteration block
+# iteration caps at, just before and just past the power-of-two saves
+# of the repeat stop, and one far from them
 CAPS = (1, 3, 5, 63, 64, 65, 2000)
 
 # each 2 x 2 loop and its oracle: dominant_eigendata runs the two-state
-# loop, and the block loop, which runs every larger matrix, is called
+# loop, and the array loop, which runs every larger matrix, is called
 # directly, its products those of numpy's BLAS
 LOOPS = {
     "two-state": (transfer.dominant_eigendata, power_loop),
-    "block": (transfer._block_loop, functools.partial(power_loop, dot=np.matmul)),
+    "array": (transfer._array_loop, functools.partial(power_loop, dot=np.matmul)),
 }
 
 
@@ -248,9 +248,9 @@ def test_power_loop_matches_its_oracle_on_tilts(name, monkeypatch):
 
 
 @pytest.mark.parametrize("name", ["bernoulli", "ising", "golden-mean"])
-def test_block_loop_matches_its_oracle_on_tilts(name, monkeypatch):
-    """The same cases through the block loop."""
-    matches_on_tilts(name, "block", monkeypatch)
+def test_array_loop_matches_its_oracle_on_tilts(name, monkeypatch):
+    """The same cases through the array loop."""
+    matches_on_tilts(name, "array", monkeypatch)
 
 
 def matches_on_tilts(name, loop, monkeypatch):
@@ -288,12 +288,14 @@ def test_power_loop_matches_its_oracle_at_size(memory):
 
 
 # golden-mean a = -0.25 and a = -1.75 at tol 1e-300: the state each loop
-# repeats, and the period; the block loop's period-1 repeat falls on a
-# block's first iteration and its period-6 one runs from the end of one
-# block into the next
+# repeats, and the period; numpy's 2 x 2 products round once where the
+# two-state loop rounds twice, so the array loop's second orbit differs,
+# and so do both orbits of the memory-3 lift (k = 3), which
+# dominant_eigendata sends to the array loop
 REPEATS = {
     "two-state": ("from iteration 64 (period 1)", "from iteration 256 (period 2)"),
-    "block": ("from iteration 64 (period 1)", "from iteration 256 (period 6)"),
+    "array": ("from iteration 64 (period 1)", "from iteration 256 (period 6)"),
+    "memory-3 lift": ("from iteration 64 (period 6)", "from iteration 256 (period 2)"),
 }
 
 
@@ -305,10 +307,19 @@ def test_power_loop_matches_its_oracle_on_a_stall(monkeypatch):
     matches_on_a_stall("two-state", monkeypatch)
 
 
-def test_block_loop_matches_its_oracle_on_a_stall(monkeypatch):
-    """The same cases through the block loop, whose iterates overflow
-    in the middle of a block."""
-    matches_on_a_stall("block", monkeypatch)
+def test_array_loop_matches_its_oracle_on_a_stall(monkeypatch):
+    """The same cases through the array loop; and golden-mean a = -0.25
+    and a = -1.75 lifted to memory 3, k = 3 states, at tol 1e-300, whose
+    repeats dominant_eigendata finds where the oracle does."""
+    for a, repeat in zip((-0.25, -1.75), REPEATS["memory-3 lift"]):
+        g = models.golden_mean(a)
+        phi = affine_combine(g.potential, FiniteMemoryFunction.indicator(g.space, (0, 0, 0)), 0.0)
+        T = transfer.build(g.space, phi)
+        assert T.state_count == 3
+        got = outcome(transfer.dominant_eigendata, T, 1e-300)
+        assert got == outcome(power_loop, T, 1e-300)
+        assert got[1].endswith(repeat)
+    matches_on_a_stall("array", monkeypatch)
 
 
 def matches_on_a_stall(loop, monkeypatch):

@@ -56,18 +56,45 @@ def test_bad_entries_rejected():
 
 
 def test_random_primitive_matrices_match_brute_force():
+    """Each draw without an empty row or column is NotPrimitive exactly
+    when no power up to the Wielandt bound is positive, and has the
+    least positive power as its mixing time otherwise."""
     rng = np.random.default_rng(7)
-    seen = 0
-    while seen < 25:
+    seen = {True: 0, False: 0}
+    while seen[True] < 25:
         n = int(rng.integers(2, 5))
         A = (rng.random((n, n)) < 0.55).astype(int)
+        wielandt = (n - 1) ** 2 + 1
         try:
-            space = validate(n, A)
-        except (RowColumnEmpty, NotPrimitive):
+            mixing_time = validate(n, A).mixing_time
+        except RowColumnEmpty:
             continue
-        seen += 1
-        assert space.mixing_time == brute_force_mixing_time(A)
-        assert space.mixing_time <= (n - 1) ** 2 + 1
+        except NotPrimitive:
+            mixing_time = None
+        seen[mixing_time is not None] += 1
+        assert mixing_time == brute_force_mixing_time(A, wielandt)
+    assert seen[False] >= 5
+
+
+def test_uint8_path_counts_do_not_wrap():
+    """Row 0 of the square of this 257-symbol matrix counts 256 paths
+    to each column, which a uint8 product wraps to 0: the mixing time
+    is still 2, and the 2-word from 1 back to 1 is still found."""
+    A = np.ones((257, 257), dtype=int)
+    A[0, 0] = 0
+    space = validate(257, A)
+    assert space.mixing_time == brute_force_mixing_time(A, 3) == 2
+    assert connecting_word(space, 1, 1, 2) == (1, 2)
+
+
+def test_periodic_powers_fail_at_their_first_repeat():
+    """A 300-symbol shift of period 2 is not primitive, and validation
+    says so at power 6, where the powers repeat the one saved at power
+    4, not after the Wielandt bound's 89,402."""
+    A = np.zeros((300, 300), dtype=int)
+    A[:150, 150:] = A[150:, :150] = 1
+    with pytest.raises(NotPrimitive, match="power 6 repeats that of power 4$"):
+        validate(300, A)
 
 
 def test_enumerate_full_shift():
@@ -141,6 +168,14 @@ def test_recode_golden_two_blocks():
     assert r.symbols == ((0, 0), (0, 1), (1, 0))
     assert int(r.transitions.sum()) == len(enumerate_words(GOLDEN, 3)) == 5
     assert r.mixing_time == brute_force_mixing_time(r.transitions)
+
+
+def test_recode_caps_its_dense_matrix():
+    """2**11 blocks pass the word cap but not the k**2 one; 2**10 pass both."""
+    with pytest.raises(SizeGuard, match="2048x2048 recoded transition matrix"):
+        recode(FULL2, 11)
+    r = recode(FULL2, 10)
+    assert len(r.symbols) == 1024 and r.mixing_time == 10
 
 
 def test_recode_full_shift_two_blocks():

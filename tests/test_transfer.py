@@ -151,10 +151,10 @@ def test_repeat_stop_does_not_lean_on_the_cap(monkeypatch):
 
 
 def _both_loops(T, tol=1e-12, start=None):
-    """The two-state loop's outcome on T, then the block loop's: the
+    """The two-state loop's outcome on T, then the array loop's: the
     EigenData, or the failure's class and message."""
     outcomes = []
-    for solve in (transfer.dominant_eigendata, transfer._block_loop):
+    for solve in (transfer.dominant_eigendata, transfer._array_loop):
         try:
             outcomes.append(solve(T, tol=tol, start=start))
         except GibbsLabError as exc:
@@ -162,7 +162,7 @@ def _both_loops(T, tol=1e-12, start=None):
     return outcomes
 
 
-def test_two_state_and_block_loops_agree():
+def test_two_state_and_array_loops_agree():
     """On the built-ins, 13 tilts of each and the stiff cases Ising
     beta = 4, h = 0.01 and golden-mean a = -8, the two loops certify
     lambda within 4 ulps and within one iteration of each other; on
@@ -176,20 +176,20 @@ def test_two_state_and_block_loops_agree():
     systems += [transfer.build(m.space, m.potential) for m in stiff]
     for T in systems:
         assert T.state_count == 2
-        two, block = _both_loops(T)
-        assert abs(two.lambda_ - block.lambda_) <= 4 * math.ulp(block.lambda_)
-        assert abs(two.iterations - block.iterations) <= 1
+        two, array = _both_loops(T)
+        assert abs(two.lambda_ - array.lambda_) <= 4 * math.ulp(array.lambda_)
+        assert abs(two.iterations - array.iterations) <= 1
     for tol in (1e-12, 1e-13):
-        two, block = _both_loops(systems[-1], tol)
+        two, array = _both_loops(systems[-1], tol)
         if tol == 1e-13:
-            assert two == block and two[0] is NoConvergence
+            assert two == array and two[0] is NoConvergence
             continue
         for field in dataclasses.fields(two):
-            a, b = getattr(two, field.name), getattr(block, field.name)
+            a, b = getattr(two, field.name), getattr(array, field.name)
             assert np.array_equal(a, b), field.name
 
 
-def test_two_state_and_block_loops_fail_alike(bernoulli):
+def test_two_state_and_array_loops_fail_alike(bernoulli):
     """Bad starts, non-finite matrices, an overflowing row-sum floor, a
     lambda estimate of 0, an h residual that is NaN on one state only
     and products that overflow fail both loops
@@ -211,9 +211,9 @@ def test_two_state_and_block_loops_fail_alike(bernoulli):
         M = 1e308 * np.array([[1.0, 1e-4], [1e-4, 1 - delta]])
         cases.append((dataclasses.replace(T, matrix=M), (good, np.array([1e-8, 1 - 1e-8]))))
     for T, start in cases:
-        two, block = _both_loops(T, start=start)
-        assert two[0] is block[0] and issubclass(two[0], GibbsLabError)
-        assert _digits(two[1]) == _digits(block[1])
+        two, array = _both_loops(T, start=start)
+        assert two[0] is array[0] and issubclass(two[0], GibbsLabError)
+        assert _digits(two[1]) == _digits(array[1])
 
 
 def _digits(text):
