@@ -217,10 +217,12 @@ def block_moves(space, L):
 
 
 def word_count(space, n):
-    """Number of admissible n-words, via powers of the transition matrix."""
+    """Number of admissible n-words, via powers of the transition matrix,
+    exact in Python integers (the count passes 2^63 at n = 64 on the
+    full 2-shift)."""
     if n < 1:
         raise ValidationError("word length must be at least 1")
-    P = np.linalg.matrix_power(space.transitions.astype(np.int64), n - 1)
+    P = np.linalg.matrix_power(space.transitions.astype(object), n - 1)
     return int(P.sum())
 
 

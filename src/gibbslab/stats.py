@@ -31,6 +31,14 @@ from .shift_space import block_moves, enumerate_words, word_codes
 DP_CELL_CAP = 10**8
 VARIANCE_TOL = 1e-9  # bound on the resolvent refinement's effect on xi^2
 S_MAX = 50.0  # the rate function's tilts stay within [-S_MAX, S_MAX]
+# rate_function bisects while its bracket is wider than BISECT_WIDTH
+# relative to its ends: a point settled there keeps the bisection's s*
+# (at the edge of the mean range, where s* runs off to S_MAX, that is
+# wherever the midpoints first meet t), and false position only polishes
+# a root already located, where Lambda' is close to linear; 1e-3, 1e-2
+# and 0.1 take 728, 576 and 473 tilts over the built-ins' and the
+# three-symbol model's default rate curves (bisection alone: 2,318)
+BISECT_WIDTH = 1e-2
 FD_STEP = 1e-4  # pressure_derivative_check's finite-difference step
 LATTICE_TOL = 1e-9  # lattice_parameters' rounding tolerance, relative to the values
 
@@ -219,6 +227,15 @@ def rate_function(space, phi, psi, t, family=None):
     tilted chain approaches a periodic orbit and the gap closes), so
     they are only solved when t really lies that far out in the range
     of the mean.
+
+    The root is found in two phases, one tilted solve per step.  While
+    the bracket is wider than BISECT_WIDTH relative to its ends, each
+    step takes its midpoint.  Inside a narrower bracket each step takes
+    the false-position point of (lo, Lambda'(lo) - t) and (hi,
+    Lambda'(hi) - t), halving the residual of an end kept twice in a
+    row (the Illinois rule of Dowell and Jarratt, BIT 11, 1971), and
+    falls back to the midpoint when that point is not strictly inside
+    the bracket or the residuals do not strictly straddle 0.
     """
     fam = family or PressureFamily(space, phi, psi)
     level = 1.0
@@ -239,17 +256,26 @@ def rate_function(space, phi, psi, t, family=None):
             )
         level = min(2.0 * level, S_MAX)
     scale = max(abs(mlo), abs(mhi), 1.0)
+    flo, fhi = mlo - t, mhi - t
+    kept = None  # the end that the last false-position step kept
     s = 0.0
-    # bisection to a tight bracket
     for _ in range(200):
-        s = 0.5 * (lo + hi)
+        s, falsi = 0.5 * (lo + hi), False
+        if hi - lo <= BISECT_WIDTH * max(1.0, abs(lo), abs(hi)) and flo < 0.0 < fhi:
+            fp = lo - flo * (hi - lo) / (fhi - flo)
+            if lo < fp < hi:
+                s, falsi = fp, True
         ms = fam.mean(s)
         if abs(ms - t) <= 1e-12 * scale:
             break
         if ms < t:
-            lo = s
+            if falsi and kept == "hi":
+                fhi *= 0.5  # kept twice in a row: the Illinois rule
+            lo, flo, kept = s, ms - t, "hi" if falsi else None
         else:
-            hi = s
+            if falsi and kept == "lo":
+                flo *= 0.5
+            hi, fhi, kept = s, ms - t, "lo" if falsi else None
         if hi - lo <= 1e-13 * max(1.0, abs(s)):
             break
     lam_s = fam.cumulant(s)

@@ -5,8 +5,9 @@ closed form: every admissible word and continuation for the cylinder
 Gibbs scan and the partition pressure, and the dense transportation LP
 (scipy's HiGHS) for the ultrametric transport value.  They are
 exponential in the word length and only meant for small n.  The
-tilted variance has a dense reference too: Lambda'' from a full
-eigendecomposition of the tilted matrix.
+tilted pressure and its first two derivatives have dense references
+too: log lambda, Lambda' and Lambda'' from a full eigendecomposition of
+the tilted matrix.
 
 The others are earlier forms of code that now computes the same bits
 another way: the admissible words and the block graph's moves from
@@ -117,6 +118,15 @@ def transport_lp(mu1, mu2, alpha, n):
     )
     assert res.success, res.message
     return float(res.fun)
+
+
+def dense_tilt(M, Psi):
+    """log lambda and Lambda' = l1 (M * Psi) r1 / lambda of the tilted
+    matrix M, over a full eigendecomposition M = V diag(w) V^-1."""
+    w, V = np.linalg.eig(M)
+    i = int(np.argmax(np.abs(w)))
+    l1 = np.linalg.inv(V)[i]
+    return float(np.log(w[i].real)), float((l1 @ (M * Psi) @ V[:, i] / w[i]).real)
 
 
 def dense_curvature(M, Psi):

@@ -330,8 +330,13 @@ def test_outputs_byte_identical(tmp_path, capsys):
         assert run(["clt", "--builtin", "golden-mean", "--n", "64", "256",
                     "--out", str(out)]) == 0
         capsys.readouterr()
+        assert run(["rate-curve", "--builtin", "bernoulli", "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert run(["pressure-curve", "--builtin", "ising", "--out", str(out)]) == 0
+        capsys.readouterr()
     for name in ("samples.txt", "sample_summary.json", "analyze.json", "cone_trace.csv",
-                 "clt.json", "distribution_n64.csv", "distribution_n256.csv"):
+                 "clt.json", "distribution_n64.csv", "distribution_n256.csv",
+                 "rate_curve.csv", "pressure_curve.csv"):
         assert (a / name).read_bytes() == (b / name).read_bytes()
 
 

@@ -123,6 +123,15 @@ def test_word_count_identity():
             assert len(enumerate_words(space, n)) == word_count(space, n)
 
 
+def test_word_count_is_exact_past_int64():
+    for n in range(62, 66):
+        assert word_count(FULL2, n) == 2**n
+    a, b = 2, 3  # golden-mean counts of 1- and 2-words
+    for _ in range(99):
+        a, b = b, a + b
+    assert word_count(GOLDEN, 100) == a
+
+
 def test_enumeration_cap(monkeypatch):
     monkeypatch.setenv("GIBBSLAB_ENUM_CAP", "10")
     with pytest.raises(SizeGuard):

@@ -17,6 +17,8 @@ from gibbslab.gibbs import expectation, gibbs_measure, markov_measure
 from gibbslab.potential import FiniteMemoryFunction, affine_combine
 from gibbslab.shift_space import enumerate_words, validate
 
+from oracles import dense_tilt
+
 
 def test_correlation_ising_tanh(ising):
     for n in (0, 1, 3, 7):
@@ -225,6 +227,60 @@ def test_rate_function_out_of_range(bernoulli):
         stats.rate_function(bernoulli.space, bernoulli.phi, bernoulli.psi, 0.5)
 
 
+def _three_symbol():
+    """The three-symbol model: a constrained 3-shift, a memory-3 phi."""
+    space = validate(3, [[1, 1, 1], [1, 0, 1], [0, 1, 1]], symbols=(1, 2, 3))
+    rng = np.random.default_rng(11)
+    phi = FiniteMemoryFunction(space, 3, {
+        w: round(float(rng.uniform(-0.8, 0.8)), 6) for w in enumerate_words(space, 3)})
+    psi = FiniteMemoryFunction(space, 1, {(1,): 1.0, (2,): 0.0, (3,): -1.0})
+    return space, phi, psi
+
+
+@pytest.fixture(scope="module")
+def rate_curves(builtin_triple):
+    """Every in-range point of the rate-curve default grid, solved as
+    `gibbslab rate-curve` solves it, on the built-ins and the
+    three-symbol model: (name, family, point, tilts the point added)."""
+    triples = {name: (s.space, s.phi, s.psi) for name, s in builtin_triple.items()}
+    triples["three-symbol"] = _three_symbol()
+    points = []
+    for name, args in triples.items():
+        fam = stats.PressureFamily(*args, tol=transfer.DEFAULT_TOL)
+        for j in range(21):
+            before = len(fam._cache)
+            try:
+                pt = stats.rate_function(*args, -0.5 + 0.05 * j, family=fam)
+            except OutOfRange:
+                continue
+            points.append((name, fam, pt, len(fam._cache) - before))
+    return points
+
+
+def test_rate_points_take_few_tilted_solves(rate_curves):
+    """Bisection alone took 30-44 solves a point; its false-position
+    endgame takes at most 20."""
+    assert len(rate_curves) == 69
+    assert max(added for *_, added in rate_curves) <= 20
+
+
+def test_rate_points_match_dense_eigendecompositions(rate_curves):
+    """Lambda'(s*) from a dense eigendecomposition of M(s*) meets t, and
+    the rate agrees with the dense pressures, at every point.  At the
+    edge of bernoulli's mean range, t = 0.3, the true s* is +infinity, so
+    only Lambda'(s*) is checked there, to 1e-12, and s* is not pinned."""
+    edge = 0
+    for name, fam, pt, _ in rate_curves:
+        p0, _ = dense_tilt(fam._T.matrix, fam._Psi)
+        p, slope = dense_tilt(fam._cache[pt.s_star][0].matrix, fam._Psi)
+        assert abs(slope - pt.t) <= 1e-10
+        assert abs(pt.rate - (pt.s_star * pt.t - (p - p0))) <= 1e-10 * max(1.0, abs(pt.s_star))
+        if name == "bernoulli" and abs(pt.t - 0.3) < 1e-9:
+            edge += 1
+            assert abs(slope - pt.t) <= 1e-12
+    assert edge == 1
+
+
 def test_rate_function_convexity(builtin_triple):
     for s in builtin_triple.values():
         fam = stats.PressureFamily(s.space, s.phi, s.psi, tol=1e-13)
@@ -328,14 +384,9 @@ def test_warm_started_family_matches_cold_solves(ising, golden):
     """A fresh family over the pressure-curve default grid, in either
     order, agrees at every tilt with a cold solve of the same matrix, on
     Ising, golden-mean and the three-symbol model."""
-    space = validate(3, [[1, 1, 1], [1, 0, 1], [0, 1, 1]], symbols=(1, 2, 3))
-    rng = np.random.default_rng(11)
-    phi = FiniteMemoryFunction(space, 3, {
-        w: round(float(rng.uniform(-0.8, 0.8)), 6) for w in enumerate_words(space, 3)})
-    psi = FiniteMemoryFunction(space, 1, {(1,): 1.0, (2,): 0.0, (3,): -1.0})
     grid = [-3.0 + 0.25 * j for j in range(25)]
     for args in ((ising.space, ising.phi, ising.psi),
-                 (golden.space, golden.phi, golden.psi), (space, phi, psi)):
+                 (golden.space, golden.phi, golden.psi), _three_symbol()):
         for order in (grid, grid[::-1]):
             fam = stats.PressureFamily(*args)
             for s in order:
