@@ -84,22 +84,21 @@ def contraction_trace(T, eigendata, f, g, k, delta=None):
     g = _positive(g)
     op = T.matrix.T / eigendata.lambda_
     step_op = np.linalg.matrix_power(op, cc.n0)
+    theta0 = theta = hilbert_metric(f, g)
     rows = []
-    theta = hilbert_metric(f, g)
-    rows.append({"step": 0, "theta": theta, "factor": None,
-                 "in_cone": in_cone(f, delta) and in_cone(g, delta)})
-    image_diam = None
     for j in range(1, k + 1):
         was_in_cone = in_cone(f, delta) and in_cone(g, delta)
         f = step_op @ f
         g = step_op @ g
-        if image_diam is None:
-            image_diam = hilbert_metric(f, g)
         new_theta = hilbert_metric(f, g)
         factor = new_theta / theta if theta > 0 else None
         rows.append({"step": j, "theta": new_theta, "factor": factor,
                      "in_cone": was_in_cone})
         theta = new_theta
+    # step 0 flags the iterates that the first block starts from
+    rows.insert(0, {"step": 0, "theta": theta0, "factor": None,
+                    "in_cone": rows[0]["in_cone"]})
+    image_diam = rows[1]["theta"]
     return {
         "delta": delta,
         "delta_prime": cc.delta_prime,

@@ -203,11 +203,12 @@ def block_chain(mu, L):
     pi_L from `_levels`, and Q_L[u, v] = Q[last(u), last(v)] on each
     move, rows renormalised, so a block of zero mass keeps its final
     block's row and the lift has the native chain's recurrent classes.
-    The k x k lift is capped like a transfer matrix before it is built."""
+    The k x k lift is capped like a transfer matrix before it is built;
+    at L = block_length the chain's own read-only arrays are returned."""
     if L < mu.block_length:
         raise ValidationError("cannot coarsen below the native block length")
     if L == mu.block_length:
-        return np.array(mu.stationary), np.array(mu.transition)
+        return mu.stationary, mu.transition
     _, pi, last = next(_levels(mu, L))
     k = len(pi)
     check_cap(k * k, f"{k}x{k} lifted chain ({k} states of {L}-blocks)")

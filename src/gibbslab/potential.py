@@ -112,12 +112,11 @@ def total_variation(f):
     return sum(f.variations)
 
 
-def holder_seminorm(f, alpha=None):
+def holder_seminorm(f, alpha):
     """max over n < memory of alpha**(-n) * var_n(f)."""
-    a = f.alpha if alpha is None else alpha
-    if not 0.0 < a < 1.0:
+    if not 0.0 < alpha < 1.0:
         raise ValidationError("alpha must lie in (0, 1)")
-    return max(v / a**n for n, v in enumerate(f.variations))
+    return max(v / alpha**n for n, v in enumerate(f.variations))
 
 
 def or_inf(f, *args):

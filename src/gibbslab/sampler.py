@@ -4,11 +4,11 @@ Reproducibility contract: all randomness comes from the Philox4x64-10
 counter-based generator keyed by the 64-bit seed.  Uniform variates are
 raw 64-bit words mapped to [0, 1) by u = (word >> 11) * 2**-53, and
 categorical draws invert the row CDF over states in lexicographic
-order (tie rule: number of cumulative weights <= u, at most k - 1).
-Both samplers apply it in integers: u >= c exactly when
-word >> 11 >= ceil(c * 2**53).  Trial t consumes the counter block
-starting at t * blocks_per_trial, so outputs are bit-identical across
-platforms, runs, and batch sizes.
+order (tie rule: number of cumulative weights <= u, at most the row's
+last state of positive weight).  Both samplers apply it in integers:
+u >= c exactly when word >> 11 >= ceil(c * 2**53).  Trial t consumes
+the counter block starting at t * blocks_per_trial, so outputs are
+bit-identical across platforms, runs, and batch sizes.
 
 The sampler of S_n finds each next state by indexed search (a guide
 table; Chen and Asau 1974, Devroye 1986 section III.2.4): each row's
@@ -92,10 +92,10 @@ def empirical_birkhoff(mu, psi, n, trials, seed, exact=None):
     the sample set does not depend on the batch size.  Each step applies
     the inversion rule in integers: u = w * 2**-53 >= c exactly when
     w >= ceil(c * 2**53), w = word >> 11.  The next state from state s
-    is the count of row s's thresholds <= w (its last one is 2**53,
-    which no w reaches: the clamp to the last state), found by
-    `_search`.  Its k x k tables are as large as the lifted chain,
-    whose cap `block_chain` checks.
+    is the count of row s's thresholds <= w (2**53, which no w reaches,
+    from the row's last state of positive weight on: the clamp to that
+    state), found by `_search`.  Its k x k tables are as large as the
+    lifted chain, whose cap `block_chain` checks.
     Returns (samples, summary); the summary carries the empirical mean,
     variance/n, and, when the exact lattice law is supplied, the
     Kolmogorov distance to it.
@@ -181,10 +181,11 @@ def _search(table, base, w):
 
 def _thresholds(cum):
     """The least words w >> 11 that reach each cumulative weight, as
-    uint64, with 2**53 (never reached) in the last column and for
-    weights of 1 or more or NaN."""
+    uint64, with 2**53 (never reached) for weights of 1 or more or NaN
+    and from the row's last state of positive weight on, where the
+    cumulative weights reach the row's total."""
     t = np.fmax(np.fmin(np.ceil(cum * _SCALE), _SCALE), 0.0)
-    t[..., -1] = _SCALE
+    t[cum >= cum[..., -1:]] = _SCALE
     return t.astype(np.uint64)
 
 

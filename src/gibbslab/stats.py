@@ -118,15 +118,14 @@ def cohomology_check(mu, psi):
 
 
 class PressureFamily:
-    """Tilted family s -> P(phi + s psi) with cached eigendata.
+    """Tilted family s -> P(phi + s psi) with cached numbers per tilt.
 
     phi, lifted to the common memory of phi and psi, is built once into
     a system with matrix M, and psi is stored once on its moves as Psi;
-    tilt s solves M(s) = M exp(s Psi) entrywise on the same states.  The
-    tilted systems never leave the family: their `potential` field is
-    the lifted phi, of which only `alpha` is read.  Provides the
-    cumulant Lambda, and its derivatives, the tilted mean and variance,
-    off each tilt's (lambda, h, nu) with no Gibbs chain built.
+    tilt s solves M(s) = M exp(s Psi) entrywise on the same states.  Of
+    each solved tilt only (P, Lambda', lambda, h, nu) is kept, Lambda'
+    taken from M(s) right after the solve; the variance Lambda'' alone
+    forms M(s) again.  No tilted system or Gibbs chain is kept.
 
     Each new tilt is warm-started from the tilts already solved (the
     predictor step of a continuation method): between two of them, from
@@ -143,24 +142,29 @@ class PressureFamily:
         self.phi = phi
         self.psi = psi
         self.tol = tol
-        self._cache = {}
+        self._cache = {}  # s -> (P, Lambda', lambda, h, nu), or its NoConvergence
         self._solved = []  # sorted tilts whose (h, nu) can start a solve
         self._T = transfer.build(space, affine_combine(phi, psi, 0.0))
         _, I, J, words = block_moves(space, self._T.block_length)
         self._Psi = np.zeros_like(self._T.matrix)
         self._Psi[I, J] = psi.on(words, self._T.block_length + 1)
-        self._p0 = self._solve(0.0)[1].pressure
+        self._p0 = self._solve(0.0)[0]
+
+    def _tilt(self, s):
+        """M(s) = M exp(s Psi), entrywise."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            return self._T.matrix * np.exp(s * self._Psi)
 
     def _solve(self, s):
         if s not in self._cache:
-            with np.errstate(over="ignore", invalid="ignore"):
-                T = replace(self._T, matrix=self._T.matrix * np.exp(s * self._Psi))
+            T = replace(self._T, matrix=self._tilt(s))
             try:
                 E = transfer.dominant_eigendata(T, tol=self.tol, start=self._start(s))
             except NoConvergence as exc:
                 self._cache[s] = exc
                 raise
-            self._cache[s] = (T, E)
+            slope = float(E.h @ (T.matrix * self._Psi) @ E.nu / E.lambda_)
+            self._cache[s] = (E.pressure, slope, E.lambda_, E.h, E.nu)
             # a tilt whose matrix underflowed to zero rows is no start
             if (E.h > 0).all() and (E.nu > 0).all():
                 bisect.insort(self._solved, s)
@@ -175,38 +179,35 @@ class PressureFamily:
             return None
         i = bisect.bisect(solved, s)
         if i in (0, len(solved)):
-            E = self._cache[solved[max(i - 1, 0)]][1]
-            return E.h, E.nu
+            return self._cache[solved[max(i - 1, 0)]][3:]
         a, b = solved[i - 1], solved[i]
-        Ea, Eb = self._cache[a][1], self._cache[b][1]
+        (*_, ha, na), (*_, hb, nb) = self._cache[a], self._cache[b]
         w = (s - a) / (b - a)
-        return (1.0 - w) * Ea.h + w * Eb.h, (1.0 - w) * Ea.nu + w * Eb.nu
+        return (1.0 - w) * ha + w * hb, (1.0 - w) * na + w * nb
 
     def pressure(self, s):
-        return self._solve(s)[1].pressure
+        return self._solve(s)[0]
 
     def cumulant(self, s):
-        if s == 0.0:
-            return 0.0
         return self.pressure(s) - self._p0
 
     def mean(self, s):
-        """Lambda'(s) = h^T (M(s) * Psi) nu / lambda: the tilted Gibbs
-        measure gives the move u -> w mass h(u) M(s)[u, w] nu(w) / lambda."""
-        T, E = self._solve(s)
-        return float(E.h @ (T.matrix * self._Psi) @ E.nu / E.lambda_)
+        """Lambda'(s) = h^T (M(s) * Psi) nu / lambda, taken at the solve:
+        the tilted Gibbs measure gives the move u -> w mass h(u) M(s)[u, w] nu(w) / lambda."""
+        return self._solve(s)[1]
 
     def variance(self, s):
         """Lambda''(s), the tilted asymptotic variance, by second-order
         perturbation of lambda along Psi_c = Psi - Lambda'(s): with
         MP = M(s) * Psi_c and (lambda I - M(s) + nu h^T) x = MP nu,
         Lambda'' = (h^T (MP * Psi_c) nu + 2 h^T MP x) / lambda."""
-        T, E = self._solve(s)
+        _, _, lam, h, nu = self._solve(s)
+        M = self._tilt(s)
         Psi_c = self._Psi - self.mean(s)
-        MP = T.matrix * Psi_c  # zero off the moves, as M(s) is
-        A = E.lambda_ * np.eye(len(E.h)) - T.matrix + np.outer(E.nu, E.h)
-        x = transfer._linear_solve(A, MP @ E.nu, f"tilted variance (s = {s:g})")
-        return float((E.h @ (MP * Psi_c) @ E.nu + 2.0 * E.h @ MP @ x) / E.lambda_)
+        MP = M * Psi_c  # zero off the moves, as M(s) is
+        A = lam * np.eye(len(h)) - M + np.outer(nu, h)
+        x = transfer._linear_solve(A, MP @ nu, f"tilted variance (s = {s:g})")
+        return float((h @ (MP * Psi_c) @ nu + 2.0 * h @ MP @ x) / lam)
 
 
 @dataclass(frozen=True)
@@ -258,7 +259,6 @@ def rate_function(space, phi, psi, t, family=None):
     scale = max(abs(mlo), abs(mhi), 1.0)
     flo, fhi = mlo - t, mhi - t
     kept = None  # the end that the last false-position step kept
-    s = 0.0
     for _ in range(200):
         s, falsi = 0.5 * (lo + hi), False
         if hi - lo <= BISECT_WIDTH * max(1.0, abs(lo), abs(hi)) and flo < 0.0 < fhi:

@@ -14,6 +14,22 @@ class Solved:
         self.mu = gibbs.gibbs_measure(self.T, self.E)
 
 
+@pytest.fixture
+def solves(monkeypatch):
+    """Every (T, E) that transfer.dominant_eigendata certifies during
+    the test, in order."""
+    record = []
+    solve = transfer.dominant_eigendata
+
+    def recorded(T, **kwargs):
+        E = solve(T, **kwargs)
+        record.append((T, E))
+        return E
+
+    monkeypatch.setattr(transfer, "dominant_eigendata", recorded)
+    return record
+
+
 @pytest.fixture(scope="session")
 def bernoulli():
     return Solved(models.bernoulli(0.7))

@@ -259,16 +259,26 @@ def _start_vector(v, k):
     return a
 
 
+def last_positive(cum):
+    """Each row's last state of positive weight: the first column at
+    which its cumulative weights reach their total (the last column
+    when that total is NaN)."""
+    cum = np.atleast_2d(cum)
+    reached = cum >= cum[:, -1:]
+    return np.where(reached.any(axis=1), reached.argmax(axis=1), cum.shape[1] - 1)
+
+
 def float_sampler(mu, psi, n, trials, seed):
     """The samples of empirical_birkhoff, each step counting the
-    cumulative weights of the row that the float uniform reaches."""
+    cumulative weights of the row that the float uniform reaches,
+    clamped to the row's last state of positive weight."""
     cfg = SampleConfig(seed=seed, n=n, trials=trials)
     L = max(mu.block_length, psi.memory)
     pi, Q = block_chain(mu, L)
     pv = np.array([psi(u) for u in enumerate_words(mu.space, L)])
-    k = len(pi)
     cum_pi = np.cumsum(pi)
     cum_q = np.cumsum(Q, axis=1)
+    top_pi, top_q = last_positive(cum_pi)[0], last_positive(cum_q)
     blocks_per_trial = -(-n // _WORDS_PER_COUNTER)
     words_per_trial = blocks_per_trial * _WORDS_PER_COUNTER
     samples = np.empty(trials)
@@ -276,10 +286,10 @@ def float_sampler(mu, psi, n, trials, seed):
         batch = min(_BATCH, trials - start)
         u = _uniforms(cfg.seed, start * blocks_per_trial, batch * words_per_trial)
         u = u.reshape(batch, words_per_trial)
-        state = np.minimum((u[:, 0, None] >= cum_pi).sum(axis=1), k - 1)
+        state = np.minimum((u[:, 0, None] >= cum_pi).sum(axis=1), top_pi)
         total = pv[state].copy()
         for t in range(1, n):
-            state = np.minimum((u[:, t, None] >= cum_q[state]).sum(axis=1), k - 1)
+            state = np.minimum((u[:, t, None] >= cum_q[state]).sum(axis=1), top_q[state])
             total += pv[state]
         samples[start : start + batch] = total
     return samples
@@ -287,21 +297,23 @@ def float_sampler(mu, psi, n, trials, seed):
 
 def float_path(mu, n, seed, stream=0):
     """sample_path, each draw counting the cumulative weights of the
-    row that the float uniform reaches, clamped to the last state."""
+    row that the float uniform reaches, clamped to the row's last state
+    of positive weight."""
     cfg = SampleConfig(seed=seed, n=n)
     ell = mu.block_length
     steps = max(n - ell, 0)
     draws = 1 + steps
     blocks = -(-draws // _WORDS_PER_COUNTER)
     u = _uniforms(cfg.seed, stream * blocks, draws).tolist()
-    cum_pi = np.cumsum(mu.stationary).tolist()
-    cum_rows = [row.tolist() for row in np.cumsum(mu.transition, axis=1)]
+    cum_pi = np.cumsum(mu.stationary)
+    cum_q = np.cumsum(mu.transition, axis=1)
+    top_pi, top_q = int(last_positive(cum_pi)[0]), last_positive(cum_q).tolist()
+    cum_pi, cum_rows = cum_pi.tolist(), cum_q.tolist()
     last = [s[-1] for s in mu.states]
-    km1 = len(mu.states) - 1
-    state = min(bisect_right(cum_pi, u[0]), km1)
+    state = min(bisect_right(cum_pi, u[0]), top_pi)
     out = list(mu.states[state][:n])
     for t in range(steps):
-        state = min(bisect_right(cum_rows[state], u[1 + t]), km1)
+        state = min(bisect_right(cum_rows[state], u[1 + t]), top_q[state])
         out.append(last[state])
     return tuple(out)
 
@@ -458,6 +470,14 @@ def green_kubo_variance(mu, psi):
         if abs(term) < 1e-15 * var0:
             return gk
     raise SolveFailure("Green-Kubo series did not decay (gap ratio near 1)")
+
+
+def family_solve(fam, solves, s):
+    """The (T, E) of a PressureFamily's own solve of tilt s, found among
+    the `solves` fixture's record by its matrix M(s)."""
+    fam.pressure(s)
+    M = fam._tilt(s)
+    return next((T, E) for T, E in solves if np.array_equal(T.matrix, M))
 
 
 def chain_variance(T, eigendata, psi):

@@ -40,7 +40,7 @@ SURFACE = {
     "expectation": ("mu", "psi"),
     "gibbs_measure": ("T", "eigendata"),
     "gibbs_ratio_scan": ("mu", "phi", "n_max"),
-    "holder_seminorm": ("f", "alpha=None"),
+    "holder_seminorm": ("f", "alpha"),
     "ldp_empirical": ("dists", "interval", "rate_oracle", "gibbs_mean"),
     "local_limit_check": ("dist", "mean", "xi2"),
     "markov_measure": ("space", "block_length", "transition", "stationary=None"),
@@ -59,7 +59,7 @@ SURFACE = {
                             "eigen_tol=1e-13"),
     "verify.perturbed_nu": ("model", "tol=1e-13"),
 }
-SETTINGS = 15  # entries of SURFACE with a default
+SETTINGS = 14  # entries of SURFACE with a default
 
 
 def _entries(obj):

@@ -334,9 +334,11 @@ def test_outputs_byte_identical(tmp_path, capsys):
         capsys.readouterr()
         assert run(["pressure-curve", "--builtin", "ising", "--out", str(out)]) == 0
         capsys.readouterr()
+        assert run(["verify", "--builtin", "golden-mean", "--out", str(out)]) == 0
+        capsys.readouterr()
     for name in ("samples.txt", "sample_summary.json", "analyze.json", "cone_trace.csv",
                  "clt.json", "distribution_n64.csv", "distribution_n256.csv",
-                 "rate_curve.csv", "pressure_curve.csv"):
+                 "rate_curve.csv", "pressure_curve.csv", "verify.json"):
         assert (a / name).read_bytes() == (b / name).read_bytes()
 
 

@@ -39,6 +39,7 @@ from oracles import (
     encode,
     enumerated_partition,
     enumerated_scan,
+    family_solve,
     float_path,
     float_sampler,
     green_kubo_variance,
@@ -363,8 +364,9 @@ def test_integer_thresholds_keep_the_tie_rule():
     ulp = 2.0**-53
     cum = np.array([0.0, ulp, 3 * ulp, 2.0**-54, 1e-300, 0.25, 0.5 + ulp,
                     1.0 - ulp, 1.0 - 2 * ulp, 1.0, 1.0 + 2 * ulp, np.nan])
-    # the last column is the sentinel, so give the weights one more
-    t = sampler._thresholds(np.append(cum, 0.0))[:-1]
+    # the last column and every column reaching its weight are 2**53,
+    # so close the weights with one above them all
+    t = sampler._thresholds(np.append(cum, np.inf))[:-1]
     for c, ti in zip(cum, t.tolist()):
         for w in (ti - 2, ti - 1, ti, ti + 1):
             if 0 <= w < 2**53:
@@ -809,7 +811,7 @@ def tilted_case(name):
 
 @pytest.mark.parametrize("name", ["bernoulli", "ising", "golden-mean", "three-symbol",
                                   "golden-mean-a-8", "m3", "m4", "m5"])
-def test_tilted_variance_matches_the_chain_route(name):
+def test_tilted_variance_matches_the_chain_route(name, solves):
     """PressureFamily.variance against the asymptotic variance of each
     tilt's Gibbs chain.  Both read the same (lambda, h, nu), certified
     to residuals tol * lambda, so each is off by about tol / (1 - gap
@@ -817,12 +819,12 @@ def test_tilted_variance_matches_the_chain_route(name):
     space, phi, psi = tilted_case(name)
     fam = stats.PressureFamily(space, phi, psi, tol=1e-12)
     for s in (-0.5, 0.0, 0.5):
-        T, E = fam._solve(s)
+        T, E = family_solve(fam, solves, s)
         assert fam.variance(s) == pytest.approx(
             chain_variance(T, E, psi), rel=10 * fam.tol / (1.0 - E.gap_ratio), abs=0.0)
 
 
-def test_stiff_tilted_variance_matches_a_dense_reference():
+def test_stiff_tilted_variance_matches_a_dense_reference(solves):
     """Ising beta = 4, h = 0.01 at s = -1: the tilt's Q has rows off by
     2.3e-9 although its eigendata are certified to 1e-12, so the chain
     route raised 'transition rows must sum to 1'.  The curvature is
@@ -830,7 +832,7 @@ def test_stiff_tilted_variance_matches_a_dense_reference():
     (7.3e-10 measured)."""
     m = models.ising(4.0, 0.01)
     fam = stats.PressureFamily(m.space, m.potential, m.observable, tol=1e-12)
-    T, E = fam._solve(-1.0)
+    T, E = family_solve(fam, solves, -1.0)
     with pytest.raises(ValidationError, match="rows must sum to 1"):
         chain_variance(T, E, m.observable)
     Ts = transfer.build(m.space, affine_combine(m.potential, m.observable, -1.0))

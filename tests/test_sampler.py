@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gibbslab.sampler as sampler_mod
-from gibbslab import stats
+from gibbslab import gibbs, models, stats, transfer
 from gibbslab.errors import ValidationError
 from gibbslab.potential import FiniteMemoryFunction
 from gibbslab.sampler import (
@@ -19,6 +19,8 @@ from gibbslab.sampler import (
     empirical_birkhoff,
     sample_path,
 )
+
+from oracles import last_positive
 
 # chi-squared upper quantiles at the 1e-4 level, frozen:
 # df=3 -> 21.108, df=2 -> 18.421 (one df per admissible 2-word minus one)
@@ -124,6 +126,24 @@ def test_trial_zero_matches_path_sum(ising):
     assert samples[0] == pytest.approx(float(total), abs=1e-12)
 
 
+def test_top_words_stay_on_the_moves(monkeypatch):
+    """Golden-mean a = 2 solved at tol 1e-12 has a row (1,) summing below
+    1, with all its mass on (1,) -> (0,): the top word 2**53 - 1 must
+    step to (0,), not onto the forbidden word 11, in both samplers."""
+    m = models.golden_mean(2.0)
+    T = transfer.build(m.space, m.potential)
+    mu = gibbs.gibbs_measure(T, transfer.dominant_eigendata(T, tol=1e-12))
+    assert mu.transition[1].sum() < 1.0 and mu.transition[1, 1] == 0.0
+
+    def top_words(seed, counter_start, count):
+        return np.full(count, 2**53 - 1, dtype=np.uint64)
+
+    monkeypatch.setattr(sampler_mod, "_words", top_words)
+    assert sample_path(mu, 6, 0) == (1, 0, 1, 0, 1, 0)
+    ones = FiniteMemoryFunction.indicator(m.space, (1,))
+    assert empirical_birkhoff(mu, ones, 6, 3, 0)[0].tolist() == [3.0, 3.0, 3.0]
+
+
 def test_sample_path_rejects_a_stream_that_is_no_counter(golden):
     """A negative stream died in numpy's counter check and a fractional
     one sampled from a fractional counter."""
@@ -180,16 +200,17 @@ def edge_words(th):
     "golden-mean",  # its move 1 -> 1 carries no mass
 ], ids=["crafted", "golden-mean"])
 def test_guide_search_inverts_the_rows_at_their_edges(rows, golden):
-    """The next state is min(#{c <= w * 2**-53}, k - 1) for the
-    cumulative weights c of the row, at every edge word of the table."""
+    """The next state is #{c <= w * 2**-53} for the cumulative weights c
+    of the row, clamped to the row's last state of positive weight, at
+    every edge word of the table."""
     if rows == "golden-mean":
         rows = golden.mu.transition
     cum = np.cumsum(np.array(rows, dtype=float), axis=1)
-    k = cum.shape[1]
     th = _thresholds(cum).astype(np.int64)
     w = edge_words(th)
     u = w * 2.0**-53
-    want = [np.minimum((c[:, None] <= u).sum(axis=0), k - 1).tolist() for c in cum]
+    want = [np.minimum((c[:, None] <= u).sum(axis=0), top).tolist()
+            for c, top in zip(cum, last_positive(cum))]
     assert searched_states(th, w) == want
 
 

@@ -1,5 +1,6 @@
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -272,7 +273,7 @@ def test_rate_points_match_dense_eigendecompositions(rate_curves):
     edge = 0
     for name, fam, pt, _ in rate_curves:
         p0, _ = dense_tilt(fam._T.matrix, fam._Psi)
-        p, slope = dense_tilt(fam._cache[pt.s_star][0].matrix, fam._Psi)
+        p, slope = dense_tilt(fam._tilt(pt.s_star), fam._Psi)
         assert abs(slope - pt.t) <= 1e-10
         assert abs(pt.rate - (pt.s_star * pt.t - (p - p0))) <= 1e-10 * max(1.0, abs(pt.s_star))
         if name == "bernoulli" and abs(pt.t - 0.3) < 1e-9:
@@ -375,7 +376,7 @@ def test_gap_is_solved_only_when_read(ising, monkeypatch):
 
 def _cold(fam, s):
     """A cold solve of the family's M(s), with its tilted mean."""
-    T = fam._cache[s][0]
+    T = replace(fam._T, matrix=fam._tilt(s))
     E = transfer.dominant_eigendata(T, tol=fam.tol)
     return E, float(E.h @ (T.matrix * fam._Psi) @ E.nu / E.lambda_)
 
@@ -396,7 +397,7 @@ def test_warm_started_family_matches_cold_solves(ising, golden):
                 assert abs(mean - cold_mean) <= 1e-10
 
 
-def test_warm_starts_halve_rate_curve_iterations(ising):
+def test_warm_starts_halve_rate_curve_iterations(ising, solves):
     fam = stats.PressureFamily(ising.space, ising.phi, ising.psi, tol=1e-12)
     for j in range(21):  # the rate-curve default grid
         try:
@@ -404,7 +405,7 @@ def test_warm_starts_halve_rate_curve_iterations(ising):
                                 family=fam)
         except OutOfRange:
             pass
-    warm = sum(E.iterations for _, E in fam._cache.values())
+    warm = sum(E.iterations for _, E in solves)  # the family's, one per tilt
     cold = sum(_cold(fam, s)[0].iterations for s in fam._cache)
     assert len(fam._cache) > 100 and warm <= cold / 2
 
@@ -416,8 +417,38 @@ def test_underflowed_tilt_is_no_start():
     phi = FiniteMemoryFunction(space, 1, {(1,): 0.0, (2,): 0.0})
     psi = FiniteMemoryFunction(space, 1, {(1,): 30.0, (2,): 0.0})
     fam = stats.PressureFamily(space, phi, psi)
-    assert fam.pressure(-40.0) == 0.0 and fam._cache[-40.0][1].nu.min() == 0.0
+    assert fam.pressure(-40.0) == 0.0
+    *_, nu = fam._cache[-40.0]
+    assert nu.min() == 0.0
     assert fam.pressure(-50.0) == 0.0
+
+
+def _arrays(x):
+    """The numpy arrays in x, through tuples and object attributes."""
+    if isinstance(x, np.ndarray):
+        yield x
+    elif isinstance(x, tuple):
+        for y in x:
+            yield from _arrays(y)
+    elif hasattr(x, "__dict__"):
+        for y in vars(x).values():
+            yield from _arrays(y)
+
+
+def test_family_keeps_no_tilted_matrix():
+    """After a pressure curve on a k = 64 model, each tilt's cache entry
+    holds (P, Lambda', lambda, h, nu): no array of more than k entries,
+    so no tilted k x k matrix is kept."""
+    space = validate(4, np.ones((4, 4), dtype=int), symbols=(1, 2, 3, 4))
+    rng = np.random.default_rng([100, 4])
+    phi = FiniteMemoryFunction(space, 4, {
+        w: float(rng.uniform(-1.0, 1.0)) for w in enumerate_words(space, 4)})
+    fam = stats.PressureFamily(space, phi, FiniteMemoryFunction.indicator(space, (1,)))
+    k = len(fam._T.matrix)
+    for s in [-3.0 + 0.25 * j for j in range(25)]:  # the pressure-curve default grid
+        fam.pressure(s), fam.cumulant(s), fam.mean(s)
+    assert k == 64 and len(fam._cache) == 25
+    assert max(a.size for v in fam._cache.values() for a in _arrays(v)) == k
 
 
 def test_failed_tilt_is_solved_once(golden, monkeypatch):
