@@ -10,6 +10,7 @@ Exit codes: 0 success, 1 validation error, 2 numerical failure.
 """
 
 import argparse
+import math
 import os
 import sys
 
@@ -18,6 +19,7 @@ from .errors import NumericalError, OutOfRange, ValidationError
 from .gibbs import entropy, expectation, gibbs_measure, gibbs_ratio_scan
 from .jsonio import dump_csv, dump_json
 from .sampler import empirical_birkhoff, sample_path
+from .shift_space import check_cap
 from .stats import (
     PressureFamily,
     clt_diagnostics,
@@ -46,8 +48,14 @@ def _load_model(args):
     if bool(args.model) == bool(args.builtin):
         raise ValidationError("give exactly one of --model or --builtin")
     if args.model:
-        with open(args.model) as fh:
-            return models.from_json(fh.read(), name=os.path.basename(args.model))
+        try:
+            with open(args.model) as fh:
+                text = fh.read()
+        except OSError as exc:
+            raise ValidationError(f"cannot read model file {args.model!r}: {exc.strerror}")
+        except UnicodeDecodeError as exc:
+            raise ValidationError(f"model file {args.model!r} is not text: {exc.reason}")
+        return models.from_json(text, name=os.path.basename(args.model))
     name = args.builtin
     params = {
         flag: getattr(args, flag) for flag in models.BUILTIN_PARAMS.get(name, ())
@@ -255,13 +263,22 @@ def cmd_examples(args):
 
 
 def _grid(text):
-    """start:stop:step grid, inclusive of both ends within a half step."""
+    """start:stop:step grid, inclusive of both ends within a half step.
+    The three parts must be finite numbers, and the nominal point count
+    (stop - start) / step + 1 is held to the enumeration cap."""
     parts = text.split(":")
     if len(parts) != 3:
         raise ValidationError("grid must be start:stop:step")
-    start, stop, step = (float(x) for x in parts)
+    try:
+        start, stop, step = (float(x) for x in parts)
+    except ValueError:
+        raise ValidationError(f"grid {text!r} must be three numbers start:stop:step")
+    if not all(map(math.isfinite, (start, stop, step))):
+        raise ValidationError(f"grid {text!r} must be three finite numbers")
     if step <= 0:
         raise ValidationError("grid step must be positive")
+    count = (stop - start) / step + 1
+    check_cap(count, f"grid {text!r} of {count:.6g} points")
     out = []
     k = 0
     while True:

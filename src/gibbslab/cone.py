@@ -66,14 +66,14 @@ def cone_constants(space, phi):
 def contraction_trace(T, eigendata, f, g, k, delta=None):
     """Hilbert-metric trace of k blocks of n0 operator applications.
 
-    Returns a list of rows {step, theta, factor, in_cone} where factor
-    is the per-block ratio theta_j / theta_{j-1} (None on the first row
-    or when the previous theta vanished) and in_cone flags membership
-    of both iterates in the width-delta cone before the block is
-    applied.  Matrix powers are normalized by lambda per application;
-    Theta is scale invariant so this only guards against overflow.
-    Also reports the measured image diameter after one block together
-    with its tanh(diam/4) contraction bound.
+    Returns {delta, delta_prime, n0, kappa, rows, image_diameter}.
+    rows are {step, theta, factor, in_cone}, where factor is the
+    per-block ratio theta_j / theta_{j-1} (None on the first row or when
+    the previous theta vanished) and in_cone flags membership of both
+    iterates in the width-delta cone before the block is applied.
+    image_diameter is the measured theta after one block, row 1's.
+    Matrix powers are normalized by lambda per application; theta is
+    scale invariant so this only guards against overflow.
     """
     if k < 1:
         raise ValidationError("need at least one block")
@@ -98,13 +98,11 @@ def contraction_trace(T, eigendata, f, g, k, delta=None):
     # step 0 flags the iterates that the first block starts from
     rows.insert(0, {"step": 0, "theta": theta0, "factor": None,
                     "in_cone": rows[0]["in_cone"]})
-    image_diam = rows[1]["theta"]
     return {
         "delta": delta,
         "delta_prime": cc.delta_prime,
         "n0": cc.n0,
         "kappa": cc.kappa(delta),
         "rows": rows,
-        "image_diameter": image_diam,
-        "birkhoff_diameter_bound": math.tanh(image_diam / 4.0) if image_diam else 0.0,
+        "image_diameter": rows[1]["theta"],
     }

@@ -16,7 +16,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import Undefined, ValidationError
-from .potential import fnorm, or_inf, total_variation
+from .potential import or_inf, total_variation
 from .shift_space import block_moves, check_cap, enumerate_words, word_codes
 from .transfer import _by_prefix, _linear_solve, _tropical_step, normalized_operator
 
@@ -203,18 +203,16 @@ def block_chain(mu, L):
     pi_L from `_levels`, and Q_L[u, v] = Q[last(u), last(v)] on each
     move, rows renormalised, so a block of zero mass keeps its final
     block's row and the lift has the native chain's recurrent classes.
-    The k x k lift is capped like a transfer matrix before it is built;
-    at L = block_length the chain's own read-only arrays are returned."""
+    The k x k lift is made by BlockMoves.dense, under its cap; at
+    L = block_length the chain's own read-only arrays are returned."""
     if L < mu.block_length:
         raise ValidationError("cannot coarsen below the native block length")
     if L == mu.block_length:
         return mu.stationary, mu.transition
     _, pi, last = next(_levels(mu, L))
-    k = len(pi)
-    check_cap(k * k, f"{k}x{k} lifted chain ({k} states of {L}-blocks)")
-    _, I, J, _ = block_moves(mu.space, L)
-    Q = np.zeros((k, k))
-    Q[I, J] = mu.transition[last[I], last[J]]
+    moves = block_moves(mu.space, L)
+    Q = moves.dense(mu.transition[last[moves.I], last[moves.J]],
+                    f"lifted chain ({len(pi)} states of {L}-blocks)")
     Q /= Q.sum(axis=1, keepdims=True)
     return pi, Q
 
@@ -239,8 +237,6 @@ class GibbsScanReport:
     max_ratio: float
     c1: float
     c2: float
-    c1_fnorm: float
-    c2_fnorm: float
     per_length: tuple
     band_spread: float
     pass_band: bool
@@ -258,6 +254,8 @@ def gibbs_ratio_scan(mu, phi, n_max):
     length is one (min,+) and one (max,+) step; a word shorter than a
     block has pi summed over the blocks it starts.
     """
+    if n_max < 1:
+        raise ValidationError("n_max must be at least 1")
     if mu.pressure is None:
         raise ValidationError("scan needs a chain with a pressure attached")
     L = max(mu.block_length, phi.memory - 1)
@@ -290,7 +288,6 @@ def gibbs_ratio_scan(mu, phi, n_max):
     hi_all = max(hi for _, _, hi in per_length)
     V = total_variation(phi)
     c1, c2 = math.exp(-2.0 * V), or_inf(math.exp, 2.0 * V)
-    F = fnorm(phi)
     # bands stabilize once every reachable (first block, last block) pair
     # occurs, at length 2*l + mixing time
     n_stab = min(2 * mu.block_length + mu.space.mixing_time, n_max)
@@ -307,8 +304,6 @@ def gibbs_ratio_scan(mu, phi, n_max):
         max_ratio=hi_all,
         c1=c1,
         c2=c2,
-        c1_fnorm=math.exp(-2.0 * F),
-        c2_fnorm=or_inf(math.exp, 2.0 * F),
         per_length=tuple(per_length),
         band_spread=band_spread,
         pass_band=pass_band,

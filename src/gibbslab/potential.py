@@ -128,11 +128,6 @@ def or_inf(f, *args):
         return math.inf
 
 
-def fnorm(f):
-    """Summable-variation norm: sup norm plus total variation."""
-    return f.sup_norm + total_variation(f)
-
-
 def birkhoff_sum(f, word, n):
     """Sum of f over the first n shifts; needs n + memory - 1 symbols."""
     if len(word) < n + f.memory - 1:

@@ -9,6 +9,7 @@ so repeated runs are bit-stable.
 import itertools
 import os
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -19,8 +20,9 @@ ENUM_CAP_ENV = "GIBBSLAB_ENUM_CAP"
 
 
 def check_cap(count, what):
-    """SizeGuard when count (words enumerated, or matrix entries)
-    exceeds the cap; the environment variable overrides the default."""
+    """SizeGuard when count (words enumerated, matrix entries or grid
+    points) exceeds the cap; the environment variable overrides the
+    default."""
     raw = os.environ.get(ENUM_CAP_ENV)
     try:
         cap = DEFAULT_ENUM_CAP if raw is None else int(raw)
@@ -206,14 +208,34 @@ def enumerate_words(space, n):
     return [tuple(map(symbols.__getitem__, row)) for row in digits.tolist()]
 
 
-def block_moves(space, L):
+class BlockMoves(NamedTuple):
     """The admissible L-blocks and every move u -> u[1:] + (s,) between
-    them, in order of u and then of s: (blocks, I, J, words), blocks and
-    words being the codes of the L-blocks and of the (L + 1)-words
-    u + (s,), and I -> J the moves as indices into blocks."""
+    them, in order of u and then of s: blocks and words are the codes
+    of the L-blocks and of the (L + 1)-words u + (s,), and I -> J the
+    moves as indices into blocks."""
+
+    blocks: np.ndarray
+    I: np.ndarray
+    J: np.ndarray
+    words: np.ndarray
+
+    def dense(self, values, what):
+        """The k x k float array, k = len(blocks), with values on the moves
+        I -> J and zeros elsewhere: every dense array on the block graph
+        is made here, its k*k entries capped as "{k}x{k} {what}"."""
+        k = len(self.blocks)
+        check_cap(k * k, f"{k}x{k} {what}")
+        out = np.zeros((k, k))
+        out[self.I, self.J] = values
+        return out
+
+
+def block_moves(space, L):
+    """The BlockMoves of space's L-blocks: arrays over the blocks and
+    their moves, nothing k x k until `dense` is asked for it."""
     blocks = word_codes(space, L)
     I, words = _extend(space, blocks, L)
-    return blocks, I, np.searchsorted(blocks, words % space.alphabet_size**L), words
+    return BlockMoves(blocks, I, np.searchsorted(blocks, words % space.alphabet_size**L), words)
 
 
 def word_count(space, n):
@@ -274,9 +296,5 @@ def recode(space, block_length):
         raise ValidationError("block length must be at least 1")
     if block_length == 1:
         return space
-    blocks, I, J, _ = block_moves(space, block_length)
-    k = len(blocks)
-    check_cap(k * k, f"{k}x{k} recoded transition matrix")
-    B = np.zeros((k, k), dtype=np.uint8)
-    B[I, J] = 1
-    return validate(k, B, symbols=tuple(enumerate_words(space, block_length)))
+    B = block_moves(space, block_length).dense(1.0, "recoded transition matrix")
+    return validate(len(B), B, symbols=tuple(enumerate_words(space, block_length)))

@@ -145,9 +145,9 @@ class PressureFamily:
         self._cache = {}  # s -> (P, Lambda', lambda, h, nu), or its NoConvergence
         self._solved = []  # sorted tilts whose (h, nu) can start a solve
         self._T = transfer.build(space, affine_combine(phi, psi, 0.0))
-        _, I, J, words = block_moves(space, self._T.block_length)
-        self._Psi = np.zeros_like(self._T.matrix)
-        self._Psi[I, J] = psi.on(words, self._T.block_length + 1)
+        moves = block_moves(space, self._T.block_length)
+        self._Psi = moves.dense(psi.on(moves.words, self._T.block_length + 1),
+                                "transfer matrix")
         self._p0 = self._solve(0.0)[0]
 
     def _tilt(self, s):

@@ -20,7 +20,7 @@ import numpy as np
 from . import cone
 from .errors import NoConvergence, SolveFailure, ValidationError
 from .potential import holder_seminorm, or_inf, total_variation
-from .shift_space import block_moves, check_cap, enumerate_words
+from .shift_space import block_moves, enumerate_words
 
 DEFAULT_TOL = 1e-12
 MAX_ITER = 2 * 10**5
@@ -76,11 +76,10 @@ class EigenData:
 
 
 def block_graph(space, phi):
-    """(l, *block_moves(space, l)) at phi's l = max(m-1, 1), capped for a dense k x k matrix."""
+    """(l, block_moves(space, l)) at phi's l = max(m-1, 1): the states
+    and moves of phi's transfer matrix, uncapped until made dense."""
     ell = max(phi.memory - 1, 1)
-    blocks, I, J, words = block_moves(space, ell)
-    check_cap(len(blocks) ** 2, f"{len(blocks)}x{len(blocks)} transfer matrix")
-    return ell, blocks, I, J, words
+    return ell, block_moves(space, ell)
 
 
 def build(space, phi):
@@ -92,16 +91,14 @@ def build(space, phi):
     """
     if not phi.space.same_as(space):
         raise ValidationError("potential is not defined on this shift space")
-    ell, blocks, I, J, words = block_graph(space, phi)
-    k = len(blocks)
-    M = np.zeros((k, k))
+    ell, moves = block_graph(space, phi)
     try:
-        M[I, J] = [math.exp(v) for v in phi.on(words, ell + 1).tolist()]
+        weights = [math.exp(v) for v in phi.on(moves.words, ell + 1).tolist()]
     except OverflowError:
         # every memory-word starts a move, and moves run in word order
         w = max(sorted(phi.values), key=phi)
         raise ValidationError(f"exp(phi) overflows at word {w!r} (phi = {phi(w):g})")
-    return TransferSystem(space, phi, ell, M)
+    return TransferSystem(space, phi, ell, moves.dense(weights, "transfer matrix"))
 
 
 def dominant_eigendata(T, tol=DEFAULT_TOL, start=None):
@@ -129,8 +126,8 @@ def dominant_eigendata(T, tol=DEFAULT_TOL, start=None):
     every larger one on numpy arrays (_array_loop).  Both test the
     residuals after every iteration, with the same checks and messages.
     """
-    if tol <= 0:
-        raise ValidationError("tolerance must be positive")
+    if not 0 < tol < math.inf:
+        raise ValidationError(f"tolerance must be positive and finite, got {tol!r}")
     if T.state_count == 2:
         return _two_state_loop(T, tol, start)
     return _array_loop(T, tol, start)
@@ -338,8 +335,7 @@ def pressure_via_partition(space, phi, n):
     """
     if n < 1:
         raise ValidationError("n must be at least 1")
-    L = max(phi.memory - 1, 1)
-    blocks, I, J, words = block_moves(space, L)
+    L, (blocks, I, J, words) = block_graph(space, phi)
     k = len(blocks)
     phis = phi.on(words, L + 1)
     tail = np.zeros(k)

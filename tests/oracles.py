@@ -24,6 +24,9 @@ asymptotic variance as its Green-Kubo series, one vector-matrix
 product per lag, the tilted variance as the asymptotic variance of the
 tilt's Gibbs chain, and a float array's JSON text with every entry
 formatted.
+
+random_full_shift is the seeded random potential that several tests
+solve.
 """
 
 import math
@@ -36,9 +39,9 @@ from gibbslab import transfer
 from gibbslab.errors import NoConvergence, SizeGuard, SolveFailure, Undefined, ValidationError
 from gibbslab.gibbs import block_chain, gibbs_measure
 from gibbslab.jsonio import _list
-from gibbslab.potential import total_variation
+from gibbslab.potential import FiniteMemoryFunction, total_variation
 from gibbslab.sampler import _BATCH, _WORDS_PER_COUNTER, SampleConfig
-from gibbslab.shift_space import block_moves, enumerate_words
+from gibbslab.shift_space import block_moves, enumerate_words, validate
 from gibbslab.stats import (
     DP_CELL_CAP,
     LatticeDistribution,
@@ -46,6 +49,16 @@ from gibbslab.stats import (
     asymptotic_variance,
     lattice_parameters,
 )
+
+
+def random_full_shift(seed, memory):
+    """Uniform(-1, 1) potential, rounded to 6 decimals, on the full 4-shift."""
+    space = validate(4, np.ones((4, 4), dtype=int), symbols=(1, 2, 3, 4))
+    rng = np.random.default_rng(seed)
+    words = enumerate_words(space, memory)
+    return FiniteMemoryFunction(
+        space, memory, {w: round(float(rng.uniform(-1.0, 1.0)), 6) for w in words}
+    )
 
 
 def continuation_sums(space, phi, w):

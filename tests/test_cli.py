@@ -11,11 +11,13 @@ import time
 
 import pytest
 
-from gibbslab import cli, models
+from gibbslab import cli, models, transfer
 from gibbslab.cli import main
 from gibbslab.errors import SizeGuard
 from gibbslab.jsonio import dump_json
 from gibbslab.verify import uniform_chain
+
+from oracles import random_full_shift
 
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
@@ -135,6 +137,41 @@ def test_malformed_field_exits_one_without_traceback(tmp_path, field):
     assert proc.returncode == 1
     assert proc.stderr.startswith("error:")
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--builtin", "ising", "--nmax", "0"],
+    ["analyze", "--builtin", "ising", "--nmax", "-3"],
+    ["verify", "--builtin", "ising", "--nmax", "0"],
+    ["analyze", "--builtin", "ising", "--tol", "nan"],
+    ["verify", "--builtin", "ising", "--tol", "inf", "--inject", "perturbed-nu",
+     "--format", "csv"],
+    ["analyze", "--model", "MISSING"],
+    ["analyze", "--model", "BINARY"],
+    ["pressure-curve", "--builtin", "ising", "--grid", "a:1:0.5"],
+    ["pressure-curve", "--builtin", "ising", "--grid", "0:inf:1"],
+    ["pressure-curve", "--builtin", "ising", "--grid", "nan:1:1"],
+    ["pressure-curve", "--builtin", "ising", "--grid", "0:1:inf"],
+    ["rate-curve", "--builtin", "ising", "--grid", "0:1:nan"],
+    ["rate-curve", "--builtin", "ising", "--grid", "0:1e9:1e-3"],
+], ids=["nmax-0", "nmax-negative", "verify-nmax-0", "tol-nan", "tol-inf", "missing-model",
+        "binary-model", "grid-text", "grid-inf-stop", "grid-nan-start", "grid-inf-step",
+        "grid-nan-step", "grid-huge"])
+def test_bad_cli_input_exits_one_without_traceback(tmp_path, argv):
+    """An empty scan length, a tolerance that is no positive finite
+    number, a model file that cannot be read or is not text, and a grid
+    that is not three finite numbers or has more points than the
+    enumeration cap: each is an input error, reported on one line before
+    any output.  A non-finite or huge grid is refused before its first
+    point, since its points are built one by one."""
+    files = {"MISSING": tmp_path / "missing.json", "BINARY": tmp_path / "binary.json"}
+    files["BINARY"].write_bytes(b"\xff\xfe{")
+    argv = [str(files[a]) if a in files else a for a in argv]
+    proc = python("-m", "gibbslab.cli", *argv, "--out", str(tmp_path / "r"))
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith("error:")
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "r").exists()
 
 
 def test_overflowing_tilt_is_out_of_range_fast(tmp_path):
@@ -317,8 +354,21 @@ def test_model_round_trip(tmp_path, capsys):
 
 
 def test_outputs_byte_identical(tmp_path, capsys):
+    """Two runs of each command give the same bytes, also on a memory-5
+    random full 4-shift, whose 256 x 256 transfer matrix, chain and
+    sampler tables are the largest built here."""
     a, b = tmp_path / "a", tmp_path / "b"
+    phi = random_full_shift(100, 5)
+    m5 = tmp_path / "m5.json"
+    m5.write_text(dump_json(models.to_document(
+        models.ModelFile("m5.json", phi.space, phi, phi.alpha))))
     for out in (a, b):
+        assert run(["analyze", "--model", str(m5), "--out", str(out / "m5")]) == 0
+        capsys.readouterr()
+        assert run(["sample", "--model", str(m5), "--n", "200", "--trials", "2",
+                    "--seed", "42", "--summary-n", "32", "--summary-trials", "500",
+                    "--out", str(out / "m5")]) == 0
+        capsys.readouterr()
         assert run([
             "sample", "--builtin", "golden-mean", "--n", "200", "--trials", "2",
             "--seed", "42", "--summary-n", "32", "--summary-trials", "500",
@@ -338,7 +388,9 @@ def test_outputs_byte_identical(tmp_path, capsys):
         capsys.readouterr()
     for name in ("samples.txt", "sample_summary.json", "analyze.json", "cone_trace.csv",
                  "clt.json", "distribution_n64.csv", "distribution_n256.csv",
-                 "rate_curve.csv", "pressure_curve.csv", "verify.json"):
+                 "rate_curve.csv", "pressure_curve.csv", "verify.json",
+                 "m5/analyze.json", "m5/cone_trace.csv", "m5/samples.txt",
+                 "m5/sample_summary.json"):
         assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
@@ -376,17 +428,21 @@ def test_verify_injections_fail_intended_check(tmp_path, capsys):
 
 def test_fair_chain_past_the_matrix_cap_is_a_size_guard(tmp_path, monkeypatch, capsys):
     """The fair chain is a dense matrix on the potential's blocks, so it
-    falls under the transfer matrix's cap before anything is allocated:
-    a memory-3 potential on the full 2-shift has 4 blocks, and a cap of
-    15 admits its 8 words but not the 4x4 matrix."""
+    falls under the transfer matrix's cap before anything is allocated,
+    as the transfer matrix itself does: a memory-3 potential on the full
+    2-shift has 4 blocks, and a cap of 15 admits its 8 words but not the
+    4x4 matrix."""
     words = [",".join(map(str, w)) for w in itertools.product((1, 2), repeat=3)]
     doc = {"alphabet": 2, "transitions": [[1, 1], [1, 1]],
            "potential": {"memory": 3, "values": {w: 0.1 * i for i, w in enumerate(words)}}}
     path = tmp_path / "m3.json"
     path.write_text(json.dumps(doc))
     monkeypatch.setenv("GIBBSLAB_ENUM_CAP", "15")
+    model = models.from_json(path.read_text())
     with pytest.raises(SizeGuard, match="4x4 transfer matrix exceeds"):
-        uniform_chain(models.from_json(path.read_text()))
+        uniform_chain(model)
+    with pytest.raises(SizeGuard, match="4x4 transfer matrix exceeds"):
+        transfer.build(model.space, model.potential)
     assert run(["verify", "--model", str(path), "--inject", "fair-chain",
                 "--out", str(tmp_path / "out")]) == 1
     assert "4x4 transfer matrix exceeds" in capsys.readouterr().err

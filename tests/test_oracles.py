@@ -47,6 +47,7 @@ from oracles import (
     per_move_jacobian_error,
     per_word_affine,
     power_loop,
+    random_full_shift,
     scanned_cohomology,
     transport_lp,
     tuple_cylinder,
@@ -215,15 +216,6 @@ def outcome(solver, T, tol, start=None):
         return type(exc).__name__, str(exc)
     return (E.lambda_, E.pressure, E.h.tobytes(), E.nu.tobytes(), E.min_h,
             E.ess_radius_bound, E.residual_h, E.residual_nu, E.iterations)
-
-
-def random_full_shift(seed, memory):
-    space = validate(4, np.ones((4, 4), dtype=int), symbols=(1, 2, 3, 4))
-    rng = np.random.default_rng(seed)
-    words = enumerate_words(space, memory)
-    return FiniteMemoryFunction(
-        space, memory, {w: round(float(rng.uniform(-1.0, 1.0)), 6) for w in words}
-    )
 
 
 # iteration caps at, just before and just past the power-of-two saves

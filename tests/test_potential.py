@@ -9,7 +9,6 @@ from gibbslab.potential import (
     FiniteMemoryFunction,
     affine_combine,
     birkhoff_sum,
-    fnorm,
     holder_seminorm,
     total_variation,
     var_n,
@@ -64,10 +63,6 @@ def test_holder_seminorm():
     assert holder_seminorm(FiniteMemoryFunction.constant(FULL2, 1.0), 0.5) == 0.0
     with pytest.raises(ValidationError):
         holder_seminorm(BERN, 1.5)
-
-
-def test_fnorm():
-    assert fnorm(BERN) == pytest.approx(abs(math.log(0.3)) + math.log(7.0 / 3.0), abs=1e-15)
 
 
 def test_birkhoff_bernoulli_word():

@@ -1,5 +1,4 @@
 import dataclasses
-import itertools
 import math
 import re
 import warnings
@@ -12,6 +11,8 @@ from gibbslab.errors import GibbsLabError, NoConvergence, ValidationError
 from gibbslab.gibbs import gibbs_measure, gibbs_ratio_scan
 from gibbslab.potential import FiniteMemoryFunction, affine_combine, total_variation
 from gibbslab.shift_space import validate
+
+from oracles import random_full_shift
 
 
 def test_bernoulli_matrix(bernoulli):
@@ -88,20 +89,10 @@ def test_residuals_within_tolerance(builtin_triple):
         assert (s.E.h > 0).all()
 
 
-def _random_full_shift(seed, memory):
-    """Uniform(-1, 1) potential, rounded to 6 decimals, on the full 4-shift."""
-    space = validate(4, np.ones((4, 4), dtype=int), symbols=(1, 2, 3, 4))
-    rng = np.random.default_rng(seed)
-    words = itertools.product((1, 2, 3, 4), repeat=memory)
-    return FiniteMemoryFunction(
-        space, memory, {w: round(float(rng.uniform(-1.0, 1.0)), 6) for w in words}
-    )
-
-
 def test_spectral_gap_agrees_with_full_solve(builtin_triple):
     systems = [(s.T, s.E) for s in builtin_triple.values()]
     # 256 states whose subdominant eigenvalue is a complex pair
-    phi = _random_full_shift(0, 5)
+    phi = random_full_shift(0, 5)
     T = transfer.build(phi.space, phi)
     ev = sorted(np.linalg.eigvals(T.matrix), key=abs)
     assert T.state_count == 256 and abs(ev[-2].imag) > 1e-3
@@ -109,6 +100,15 @@ def test_spectral_gap_agrees_with_full_solve(builtin_triple):
     for T, E in systems:
         full = sorted(np.abs(np.linalg.eigvals(T.matrix)))[-2] / E.lambda_
         assert E.gap_ratio == pytest.approx(full, abs=1e-8)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-12, math.nan, math.inf])
+def test_tolerance_must_be_positive_and_finite(golden, tol):
+    """A NaN tolerance fails every comparison and an infinite one
+    certifies any first iterate, so both are rejected, as are zero and
+    the negatives, the message naming the value."""
+    with pytest.raises(ValidationError, match=f"positive and finite, got {tol!r}$"):
+        transfer.dominant_eigendata(golden.T, tol=tol)
 
 
 def test_no_convergence_signalled(golden, monkeypatch):
