@@ -18,7 +18,7 @@ from . import cone, models, stats, transfer
 from .errors import NumericalError, OutOfRange, ValidationError
 from .gibbs import entropy, expectation, gibbs_measure, gibbs_ratio_scan
 from .jsonio import dump_csv, dump_json
-from .sampler import empirical_birkhoff, sample_path
+from .sampler import SampleConfig, empirical_birkhoff, sample_path
 from .shift_space import check_cap
 from .stats import (
     PressureFamily,
@@ -182,6 +182,8 @@ def cmd_rate_curve(args):
 
 
 def cmd_clt(args):
+    if min(args.n) < 1:
+        raise ValidationError("n must be at least 1")
     model = _load_model(args)
     psi = _observable(model)
     _, _, mu = _solved(model, args.tol)
@@ -235,6 +237,9 @@ def cmd_ldp(args):
 
 
 def cmd_sample(args):
+    SampleConfig(seed=args.seed, n=args.n, trials=args.trials)
+    if args.summary_n:
+        SampleConfig(seed=args.seed, n=args.summary_n, trials=args.summary_trials)
     model = _load_model(args)
     psi = _observable(model)
     _, _, mu = _solved(model, args.tol)

@@ -1,8 +1,8 @@
 """Gibbs measures as stationary Markov chains on block states.
 
 The measure is stored only through (pi, Q) on the l-blocks in code
-order; a cylinder value is a product over the word's block codes, each
-looked up in a dict of the chain's codes, never a table.  The class carries
+order, Q read by symbol from its successor table: a cylinder value is a
+product along the word's symbols, a lift a gather of rows.  The class carries
 any stationary chain on the block graph's moves, checked once when
 built, so that non-equilibrium candidates go through the same checks.
 """
@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import Undefined, ValidationError
 from .potential import or_inf, total_variation
-from .shift_space import block_moves, check_cap, enumerate_words, word_codes
+from .shift_space import _extend, block_moves, check_cap, enumerate_words, word_codes
 from .transfer import _by_prefix, _linear_solve, _tropical_step, normalized_operator
 
 BAND_TOL = 1e-12  # slack of the scan's band test, at each end
@@ -28,8 +28,11 @@ class GibbsMeasure:
     """Stationary Markov measure whose states are the admissible
     l-blocks in `enumerate_words` order: stationary is their
     distribution pi, transition the row-stochastic forward kernel Q,
-    positive only on the block graph's moves u -> u[1:] + (s,).  For
-    the equilibrium chain pi = h * nu and pressure = log lambda.
+    positive only on the block graph's moves u -> u[1:] + (s,), which
+    its readers index in the read-only k x N tables (N symbols)
+    successors[u, s] = Q(u -> u[1:] + (s,)), zero where s may not
+    follow u, and next_state[u, s], that block's index.  For the
+    equilibrium chain pi = h * nu and pressure = log lambda.
     """
 
     space: object
@@ -39,8 +42,8 @@ class GibbsMeasure:
     pressure: float = None
 
     def __post_init__(self):
-        blocks, I, J, _ = block_moves(self.space, self.block_length)
-        k, pi, Q = len(blocks), self.stationary, self.transition
+        moves = block_moves(self.space, self.block_length)
+        k, pi, Q = len(moves.blocks), self.stationary, self.transition
         for name, a, shape in (("stationary", pi, (k,)), ("transition", Q, (k, k))):
             if not (isinstance(a, np.ndarray) and a.shape == shape):
                 raise _shape_error(name, shape, getattr(a, "shape", type(a).__name__))
@@ -48,7 +51,8 @@ class GibbsMeasure:
         # entry makes its sum infinite
         if not (pi.min() >= 0.0 and Q.min() >= 0.0):
             raise ValidationError("stationary and transition entries must be finite and nonnegative")
-        if np.count_nonzero(Q) != np.count_nonzero(Q[I, J]):
+        on_moves = Q[moves.I, moves.J]
+        if np.count_nonzero(Q) != np.count_nonzero(on_moves):
             raise ValidationError("transition has mass off the block graph's moves")
         if not abs(pi.sum() - 1.0) <= 1e-9:
             raise ValidationError("stationary vector must sum to 1")
@@ -56,7 +60,11 @@ class GibbsMeasure:
             raise ValidationError("transition rows must sum to 1")
         pi.setflags(write=False)
         Q.setflags(write=False)
-        object.__setattr__(self, "_codes", blocks.tolist())  # the states' codes, for cylinder_measure
+        for name, values in (("successors", on_moves), ("next_state", moves.J)):
+            table = moves.table(values, self.space.alphabet_size)
+            table.setflags(write=False)
+            object.__setattr__(self, name, table)
+        object.__setattr__(self, "_codes", moves.blocks.tolist())  # the states' codes, for cylinder_measure
 
     @cached_property
     def states(self):
@@ -65,12 +73,11 @@ class GibbsMeasure:
     def cylinder_measure(self, word):
         """mu([word]); zero when the word is not admissible.
 
-        The word is coded once, as the base-N codes of its windows of
-        ell symbols.  A word shorter than the block length sums pi over
-        the blocks it starts, one contiguous range of codes; a longer
-        word is pi of its first block times Q along the blocks of its
-        windows, and zero when a window is no block (Q is zero off the
-        block graph's moves, which covers the pairs when ell = 1).
+        A word shorter than the block length sums pi over the blocks it
+        starts, one contiguous range of codes; a longer word is pi of
+        its first block, found by bisection in the block codes, times
+        successors along its remaining symbols, each stepping to the
+        next block; a symbol that may not follow makes the product zero.
         """
         word = tuple(word)
         n, ell, N = len(word), self.block_length, self.space.alphabet_size
@@ -80,29 +87,21 @@ class GibbsMeasure:
         if digits is None:
             return 0.0
         code = 0
-        for d in digits[: ell - 1]:
+        for d in digits[:ell]:
             code = code * N + d
         if n < ell:
             lo, hi = (bisect_left(self._codes, c * N ** (ell - n)) for c in (code, code + 1))
             return float(sum(self.stationary[lo:hi]))
-        position, size, path = self._positions, N**ell, []
-        for d in digits[ell - 1 :]:
-            code = (code * N + d) % size
-            path.append(position.get(code))
-        if None in path:
+        u = bisect_left(self._codes, code)
+        if u == len(self._codes) or self._codes[u] != code:
             return 0.0
-        Q = self.transition
-        p = self.stationary.item(path[0])
-        for u, v in zip(path, path[1:]):
-            p *= Q.item(u, v)
+        p = self.stationary.item(u)
+        for d in digits[ell:]:
+            p *= self.successors.item(u, d)
             if p == 0.0:
                 break
+            u = self.next_state.item(u, d)
         return p
-
-    @cached_property
-    def _positions(self):
-        """Each block code's state index."""
-        return {c: i for i, c in enumerate(self._codes)}
 
     def jacobian(self, word):
         """Shift expansion factor mu(sigma[word]) / mu([word]).
@@ -166,21 +165,22 @@ def entropy(mu):
 def _levels(mu, start=1):
     """Yield (word_codes, masses, last) for word lengths start, start + 1,
     ...  Words shorter than a block sum pi over the blocks they start.
-    From the block length on, each level is the moves u -> v of the one
-    below (in order, the words u + (s,)) with mass pi[u] Q[last(u),
-    last(v)], last indexing each word's final block: the product that
-    cylinder_measure forms, so the masses are the same floats."""
+    From the block length on, each level extends each word u of the one
+    below by every symbol s that may follow, with mass pi[u] times
+    successors[last(u), s], last indexing each word's final block: the
+    product that cylinder_measure forms, so the masses are the same floats."""
     N, ell = mu.space.alphabet_size, mu.block_length
-    blocks, pi, last = word_codes(mu.space, ell), mu.stationary, np.arange(len(mu.stationary))
+    words, pi, last = word_codes(mu.space, ell), mu.stationary, np.arange(len(mu.stationary))
     for n in range(start, ell):
-        prefix = blocks // N ** (ell - n)
+        prefix = words // N ** (ell - n)
         yield np.unique(prefix), _by_prefix(pi, prefix, np.add), None
     for n in itertools.count(ell + 1):
-        if n > start:  # blocks are the (n - 1)-words
-            yield blocks, pi, last
+        if n > start:  # words are the (n - 1)-words
+            yield words, pi, last
         check_cap(N**n, f"{N}**{n}")
-        _, I, J, blocks = block_moves(mu.space, n - 1)
-        pi, last = pi[I] * mu.transition[last[I], last[J]], last[J]
+        I, words = _extend(mu.space, words, n - 1)
+        s = words % N
+        pi, last = pi[I] * mu.successors[last[I], s], mu.next_state[last[I], s]
 
 
 def expectation(mu, psi):
@@ -199,20 +199,18 @@ def variational_defect(mu, phi, pressure):
 
 
 def block_chain(mu, L):
-    """The same measure as (pi_L, Q_L) on L-blocks (L >= block_length):
-    pi_L from `_levels`, and Q_L[u, v] = Q[last(u), last(v)] on each
-    move, rows renormalised, so a block of zero mass keeps its final
-    block's row and the lift has the native chain's recurrent classes.
-    The k x k lift is made by BlockMoves.dense, under its cap; at
-    L = block_length the chain's own read-only arrays are returned."""
+    """The same measure as (pi_L, Q_L) on L-blocks (L >= block_length),
+    Q_L a successor table: pi_L from `_levels`, and row u of Q_L the row
+    of u's final block (both append the same symbols), renormalised, so
+    a block of zero mass keeps its final block's row and the lift has the
+    native chain's recurrent classes.  At L = block_length the chain's
+    own read-only arrays are returned."""
     if L < mu.block_length:
         raise ValidationError("cannot coarsen below the native block length")
     if L == mu.block_length:
-        return mu.stationary, mu.transition
+        return mu.stationary, mu.successors
     _, pi, last = next(_levels(mu, L))
-    moves = block_moves(mu.space, L)
-    Q = moves.dense(mu.transition[last[moves.I], last[moves.J]],
-                    f"lifted chain ({len(pi)} states of {L}-blocks)")
+    Q = mu.successors[last]
     Q /= Q.sum(axis=1, keepdims=True)
     return pi, Q
 
@@ -263,8 +261,9 @@ def gibbs_ratio_scan(mu, phi, n_max):
     k = len(pi)
     blocks, I, J, words = block_moves(mu.space, L)
     phis = phi.on(words, L + 1)
-    keep = Q[I, J] > 0.0
-    inside = I[keep], J[keep], np.log(Q[I, J][keep]) - phis[keep]
+    q = Q[I, words % mu.space.alphabet_size]
+    keep = q > 0.0
+    inside = I[keep], J[keep], np.log(q[keep]) - phis[keep]
     heads, tails = [np.log(np.where(pi > 0.0, pi, np.nan))] * 2, [np.zeros(k)] * 2
     per_length = []
     for n in range(1, n_max + 1):

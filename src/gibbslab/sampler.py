@@ -3,18 +3,19 @@
 Reproducibility contract: all randomness comes from the Philox4x64-10
 counter-based generator keyed by the 64-bit seed.  Uniform variates are
 raw 64-bit words mapped to [0, 1) by u = (word >> 11) * 2**-53, and
-categorical draws invert the row CDF over states in lexicographic
-order (tie rule: number of cumulative weights <= u, at most the row's
-last state of positive weight).  Both samplers apply it in integers:
+categorical draws invert the CDF of pi over the blocks, then of each
+block's successors in symbol (so lexicographic) order (tie rule: number
+of cumulative weights <= u, at most the row's last entry of positive
+weight); the tables are k x N.  Both samplers apply it in integers:
 u >= c exactly when word >> 11 >= ceil(c * 2**53).  Trial t consumes
 the counter block starting at t * blocks_per_trial, so outputs are
 bit-identical across platforms, runs, and batch sizes.
 
-The sampler of S_n finds each next state by indexed search (a guide
+The sampler of S_n finds each next symbol by indexed search (a guide
 table; Chen and Asau 1974, Devroye 1986 section III.2.4): each row's
 53-bit words split into 2**8 buckets, the table holds the count of the
 row's thresholds at each bucket's first word, and a fixed number of
-integer comparisons finishes the count, so every draw is the state a
+integer comparisons finishes the count, so every draw is the symbol a
 binary search would give.  Trials run in batches whose words are copied
 step major, so that each step reads one contiguous row of them.
 """
@@ -28,7 +29,7 @@ from numpy.random import Philox
 
 from .errors import ValidationError
 from .gibbs import block_chain
-from .shift_space import word_codes
+from .shift_space import block_moves
 
 _WORDS_PER_COUNTER = 4
 _BATCH = 1024  # trials; at n = 256 a batch's words are 2 MiB, so they stay in cache
@@ -63,8 +64,8 @@ def _words(seed, counter_start, count):
 
 def sample_path(mu, n, seed, stream=0):
     """One trajectory of n symbols: initial block from pi, then symbols
-    from the rows of Q.  Distinct streams own disjoint counter blocks
-    of the same keyed generator."""
+    from the successor table's rows.  Distinct streams own disjoint
+    counter blocks of the same keyed generator."""
     cfg = SampleConfig(seed=seed, n=n)
     ell = mu.block_length
     steps = max(n - ell, 0)
@@ -75,13 +76,14 @@ def sample_path(mu, n, seed, stream=0):
             f"stream must be an integer in [0, 2**256 / {blocks}), got {stream!r}")
     w = _words(cfg.seed, int(stream) * blocks, draws).tolist()
     first = _thresholds(np.cumsum(mu.stationary)).tolist()
-    rows = _thresholds(np.cumsum(mu.transition, axis=1)).tolist()
-    last = [s[-1] for s in mu.states]
+    rows = _thresholds(np.cumsum(mu.successors, axis=1)).tolist()
+    next_state, symbols = mu.next_state.tolist(), mu.space.symbols
     state = bisect_right(first, w[0])
     out = list(mu.states[state][:n])
     for t in range(steps):
-        state = bisect_right(rows[state], w[1 + t])
-        out.append(last[state])
+        s = bisect_right(rows[state], w[1 + t])
+        out.append(symbols[s])
+        state = next_state[state][s]
     return tuple(out)
 
 
@@ -91,11 +93,12 @@ def empirical_birkhoff(mu, psi, n, trials, seed, exact=None):
     Trials run in batches but each trial owns a fixed counter block, so
     the sample set does not depend on the batch size.  Each step applies
     the inversion rule in integers: u = w * 2**-53 >= c exactly when
-    w >= ceil(c * 2**53), w = word >> 11.  The next state from state s
-    is the count of row s's thresholds <= w (2**53, which no w reaches,
-    from the row's last state of positive weight on: the clamp to that
-    state), found by `_search`.  Its k x k tables are as large as the
-    lifted chain, whose cap `block_chain` checks.
+    w >= ceil(c * 2**53), w = word >> 11.  From block s the next
+    symbol a is the count of row s's thresholds <= w (2**53, which no w
+    reaches, from the row's last successor of positive weight on: the
+    clamp to that successor), found by `_search`, and the next block is
+    entry [s, a] of the L-blocks' next-state table.  Its tables are
+    k x N on the lift's k blocks.
     Returns (samples, summary); the summary carries the empirical mean,
     variance/n, and, when the exact lattice law is supplied, the
     Kolmogorov distance to it.
@@ -103,13 +106,13 @@ def empirical_birkhoff(mu, psi, n, trials, seed, exact=None):
     cfg = SampleConfig(seed=seed, n=n, trials=trials)
     L = max(mu.block_length, psi.memory)
     pi, Q = block_chain(mu, L)
-    k = len(pi)
-    pv = psi.on(word_codes(mu.space, L), L)
+    moves = block_moves(mu.space, L)
+    pv = psi.on(moves.blocks, L)
     first = _thresholds(np.cumsum(pi)).astype(np.int64)
     table = _guide_table(_thresholds(np.cumsum(Q, axis=1)).astype(np.int64))
-    # the search result r = s * k + next state indexes these
-    next_base = np.tile(np.arange(k) << _GUIDE_BITS, k)
-    next_psi = np.tile(pv, k)
+    # the search result r = s * N + symbol indexes these
+    next_state = moves.table(moves.J, mu.space.alphabet_size).ravel()
+    next_base, next_psi = next_state << _GUIDE_BITS, pv[next_state]
     draws_per_trial = n  # one start block plus n - 1 transitions
     blocks_per_trial = -(-draws_per_trial // _WORDS_PER_COUNTER)
     words_per_trial = blocks_per_trial * _WORDS_PER_COUNTER
@@ -138,25 +141,25 @@ def empirical_birkhoff(mu, psi, n, trials, seed, exact=None):
 
 
 def _guide_table(th):
-    """The indexed search in the m x k integer thresholds th (int64,
-    rows nondecreasing, last column 2**53): (guide, th.ravel(), past,
-    rounds).
+    """The indexed search in the k x D integer thresholds th (int64,
+    rows nondecreasing, last column 2**53; D = N for the successor
+    tables): (guide, th.ravel(), past, rounds).
 
-    guide[s << _GUIDE_BITS | b] is the flat index s * k + #{th[s] <= b's
+    guide[s << _GUIDE_BITS | b] is the flat index s * D + #{th[s] <= b's
     first word}, for each bucket b of row s's words; past[r] is the flat
     index just past the run of thresholds equal to the r-th (zero-mass
     moves repeat a threshold); rounds, the most distinct thresholds
     strictly inside one bucket, is the most jumps one search needs.
     """
-    m, k = th.shape
+    k, D = th.shape
     buckets = 1 << _GUIDE_BITS
-    rows = np.repeat(np.arange(m), k)
+    rows = np.repeat(np.arange(k), D)
     flat = th.ravel()
     # th <= b << _SHIFT exactly when b >= the ceiling of th / 2**_SHIFT
     reached = (flat + ((1 << _SHIFT) - 1)) >> _SHIFT
-    counts = np.bincount(rows * (buckets + 1) + reached, minlength=m * (buckets + 1))
-    guide = np.cumsum(counts.reshape(m, buckets + 1)[:, :buckets], axis=1)
-    guide += (np.arange(m) * k)[:, None]
+    counts = np.bincount(rows * (buckets + 1) + reached, minlength=k * (buckets + 1))
+    guide = np.cumsum(counts.reshape(k, buckets + 1)[:, :buckets], axis=1)
+    guide += (np.arange(k) * D)[:, None]
     # runs of equal thresholds; one that crosses rows is of 2**53, which
     # no search jumps past
     starts = np.flatnonzero(np.r_[True, flat[1:] != flat[:-1]])
@@ -168,7 +171,7 @@ def _guide_table(th):
 
 
 def _search(table, base, w):
-    """Flat indices s * k + #{th[s] <= w} of the 53-bit words w (int64)
+    """Flat indices s * D + #{th[s] <= w} of the 53-bit words w (int64)
     in rows s = base >> _GUIDE_BITS of a `_guide_table`: the count at
     the start of w's bucket, then `rounds` jumps past each run of
     thresholds <= w."""
@@ -182,7 +185,7 @@ def _search(table, base, w):
 def _thresholds(cum):
     """The least words w >> 11 that reach each cumulative weight, as
     uint64, with 2**53 (never reached) for weights of 1 or more or NaN
-    and from the row's last state of positive weight on, where the
+    and from the row's last entry of positive weight on, where the
     cumulative weights reach the row's total."""
     t = np.fmax(np.fmin(np.ceil(cum * _SCALE), _SCALE), 0.0)
     t[cum >= cum[..., -1:]] = _SCALE

@@ -229,6 +229,13 @@ class BlockMoves(NamedTuple):
         out[self.I, self.J] = values
         return out
 
+    def table(self, values, N):
+        """The k x N array, N the alphabet size, with values at [u, s]
+        on each move u -> u[1:] + (s,) and zeros elsewhere."""
+        out = np.zeros((len(self.blocks), N), np.asarray(values).dtype)
+        out[self.I, self.words % N] = values
+        return out
+
 
 def block_moves(space, L):
     """The BlockMoves of space's L-blocks: arrays over the blocks and

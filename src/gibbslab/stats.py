@@ -43,12 +43,16 @@ FD_STEP = 1e-4  # pressure_derivative_check's finite-difference step
 LATTICE_TOL = 1e-9  # lattice_parameters' rounding tolerance, relative to the values
 
 
-def _block_data(mu, *fns):
+def _block_data(mu, *fns, dense=None):
     """Common block presentation (L, pi, Q, values) carrying every
-    observable as a vector over the L-blocks."""
+    observable as a vector over the L-blocks; Q is the k x N successor
+    table, or with `dense` naming it, its capped k x k BlockMoves.dense."""
     L = max([mu.block_length] + [f.memory for f in fns])
     pi, Q = block_chain(mu, L)
     codes = word_codes(mu.space, L)
+    if dense:
+        moves = block_moves(mu.space, L)
+        Q = moves.dense(Q[moves.I, moves.words % mu.space.alphabet_size], dense)
     return L, pi, Q, [f.on(codes, L) for f in fns]
 
 
@@ -57,7 +61,7 @@ def correlation(mu, f, g, n):
     f-weighted state distribution n steps through the chain."""
     if n < 0:
         raise ValidationError("lag must be nonnegative")
-    _, pi, Q, (fv, gv) = _block_data(mu, f, g)
+    _, pi, Q, (fv, gv) = _block_data(mu, f, g, dense="correlation chain")
     ef = float(pi @ fv)
     eg = float(pi @ gv)
     w = pi * fv
@@ -72,7 +76,7 @@ def asymptotic_variance(mu, psi):
     2 E[c Z].  One step of iterative refinement, A dZ = Q c - A Z,
     certifies it: 2 sum |pi c dZ| must be at most VARIANCE_TOL.  dZ is
     not added to Z."""
-    _, pi, Q, (pv,) = _block_data(mu, psi)
+    _, pi, Q, (pv,) = _block_data(mu, psi, dense="resolvent chain")
     c = pv - pi @ pv
     var0 = float(pi @ c**2)
     if var0 == 0.0:
@@ -95,8 +99,8 @@ def cohomology_check(mu, psi):
     Q > 0, in order of source and then target block."""
     L, pi, Q, (pv,) = _block_data(mu, psi)
     c = pv - float(pi @ pv)
-    _, I, J, _ = block_moves(mu.space, L)
-    keep = Q[I, J] > 0
+    _, I, J, words = block_moves(mu.space, L)
+    keep = Q[I, words % mu.space.alphabet_size] > 0
     edges = list(zip(I[keep].tolist(), J[keep].tolist()))
     adj = [[] for _ in pi]
     for i, j in edges:
@@ -367,24 +371,24 @@ def _real_gcd(x, y, tol):
 
 
 def _overlap_layout(space, Q, L):
-    """Q on L-blocks as a stack W of per-overlap blocks, with each
-    state's row in the product's input (src) and output (dst) layouts.
+    """The successor table Q on L-blocks as a stack W of per-overlap
+    blocks, with each state's row in the input (src) and output (dst).
 
     A move u = (c, w) -> v = (w, b) exists only on an (L - 1)-symbol
-    overlap w, so with g numbering the overlaps, W[g, b, c] = Q[u, v],
+    overlap w, so with g numbering the overlaps, W[g, b, c] = Q[u, b],
     u sits at input row g*N + c and v at output row g*N + b; rows of no
     state stay zero.  When the S overlaps' S*N*N entries are no fewer
-    than Q's k*k (L = 1, sparse many-symbol shifts) the one group
-    W[0] = Q.T over the states in their own order is used instead."""
+    than k*k (L = 1, sparse many-symbol shifts) the one group W[0], the
+    dense Q's transpose over the states in their own order, is used."""
     N, k = space.alphabet_size, len(Q)
-    _, I, J, words = block_moves(space, L)
+    _, I, J, words = moves = block_moves(space, L)
     overlaps, g = np.unique(words // N % N ** (L - 1), return_inverse=True)
     if len(overlaps) * N * N >= k * k:
         rows = np.arange(k)
-        return Q.T[None], rows, rows
+        return moves.dense(Q[I, words % N], "transition matrix").T[None], rows, rows
     c, b = words // N**L, words % N
     W = np.zeros((len(overlaps), N, N))
-    W[g, b, c] = Q[I, J]
+    W[g, b, c] = Q[I, b]
     src, dst = np.empty(k, dtype=np.int64), np.empty(k, dtype=np.int64)
     src[I], dst[J] = g * N + c, g * N + b
     return W, src, dst

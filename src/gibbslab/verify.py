@@ -84,13 +84,13 @@ def jacobian_max_error(mu, phi, eigendata):
     exp(P - phi)-conformal.  A cylinder whose measure underflows to
     zero is a numerical failure of the check, not invalid input.
 
-    On the move u -> v of word w, mu([w]) = pi[u] Q[u, v] and
-    mu([w minus its first symbol]) = pi[v], the floats that
-    `GibbsMeasure.jacobian` forms.
+    On the move u -> v of word w = u + (s,), mu([w]) = pi[u]
+    successors[u, s] and mu([w minus its first symbol]) = pi[v], the
+    floats that `GibbsMeasure.jacobian` forms.
     """
     h, n = eigendata.h, mu.block_length + 1
     _, I, J, codes = block_moves(mu.space, mu.block_length)
-    mass = mu.stationary[I] * mu.transition[I, J]
+    mass = mu.stationary[I] * mu.successors[I, codes % mu.space.alphabet_size]
     zero = np.flatnonzero(mass == 0.0)
     if zero.size:
         # the moves' words are the admissible n-words, in order

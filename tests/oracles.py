@@ -26,7 +26,8 @@ tilt's Gibbs chain, and a float array's JSON text with every entry
 formatted.
 
 random_full_shift is the seeded random potential that several tests
-solve.
+solve, and dense_table the k x k array of a chain's successor table,
+which every dense reference reads.
 """
 
 import math
@@ -59,6 +60,13 @@ def random_full_shift(seed, memory):
     return FiniteMemoryFunction(
         space, memory, {w: round(float(rng.uniform(-1.0, 1.0)), 6) for w in words}
     )
+
+
+def dense_table(space, L, Q):
+    """The k x k transition matrix of a k x N successor table Q on the
+    L-blocks (as block_chain returns it), under the enumeration cap."""
+    moves = block_moves(space, L)
+    return moves.dense(Q[moves.I, moves.words % space.alphabet_size], "reference chain")
 
 
 def continuation_sums(space, phi, w):
@@ -288,6 +296,7 @@ def float_sampler(mu, psi, n, trials, seed):
     cfg = SampleConfig(seed=seed, n=n, trials=trials)
     L = max(mu.block_length, psi.memory)
     pi, Q = block_chain(mu, L)
+    Q = dense_table(mu.space, L, Q)
     pv = np.array([psi(u) for u in enumerate_words(mu.space, L)])
     cum_pi = np.cumsum(pi)
     cum_q = np.cumsum(Q, axis=1)
@@ -370,7 +379,8 @@ def dense_law(mu, psi, n):
     Q.T @ table over all states, the whole used table cleared."""
     if n < 1:
         raise ValidationError("n must be at least 1")
-    _, pi, Q, (pv,) = _block_data(mu, psi)
+    L, pi, Q, (pv,) = _block_data(mu, psi)
+    Q = dense_table(mu.space, L, Q)
     a, b = lattice_parameters(pv)
     idx = np.array([round((v - a) / b) for v in pv], dtype=np.int64)
     span_idx = int(idx.max())
@@ -439,6 +449,7 @@ def scanned_cohomology(mu, psi, tol=1e-10):
     """cohomology_check with its edges found by scanning each row of Q
     for positive entries."""
     L, pi, Q, (pv,) = _block_data(mu, psi)
+    Q = dense_table(mu.space, L, Q)
     states = enumerate_words(mu.space, L)
     c = pv - float(pi @ pv)
     k = len(states)
@@ -469,7 +480,8 @@ def green_kubo_variance(mu, psi):
     the f-weighted distribution stepped one lag at a time until a term
     falls below 1e-15 Var; 2 * 10**5 lags without that raise
     SolveFailure."""
-    _, pi, Q, (pv,) = _block_data(mu, psi)
+    L, pi, Q, (pv,) = _block_data(mu, psi)
+    Q = dense_table(mu.space, L, Q)
     c = pv - pi @ pv
     var0 = float(pi @ c**2)
     if var0 == 0.0:

@@ -154,15 +154,22 @@ def test_malformed_field_exits_one_without_traceback(tmp_path, field):
     ["pressure-curve", "--builtin", "ising", "--grid", "0:1:inf"],
     ["rate-curve", "--builtin", "ising", "--grid", "0:1:nan"],
     ["rate-curve", "--builtin", "ising", "--grid", "0:1e9:1e-3"],
+    ["sample", "--builtin", "bernoulli", "--n", "5", "--trials", "-1"],
+    ["sample", "--builtin", "bernoulli", "--n", "5", "--summary-n", "-4"],
+    ["sample", "--builtin", "bernoulli", "--n", "5", "--summary-n", "8",
+     "--summary-trials", "0"],
+    ["clt", "--builtin", "bernoulli", "--n", "64", "0"],
 ], ids=["nmax-0", "nmax-negative", "verify-nmax-0", "tol-nan", "tol-inf", "missing-model",
         "binary-model", "grid-text", "grid-inf-stop", "grid-nan-start", "grid-inf-step",
-        "grid-nan-step", "grid-huge"])
+        "grid-nan-step", "grid-huge", "sample-trials-negative", "summary-n-negative",
+        "summary-trials-0", "clt-n-0"])
 def test_bad_cli_input_exits_one_without_traceback(tmp_path, argv):
     """An empty scan length, a tolerance that is no positive finite
     number, a model file that cannot be read or is not text, and a grid
     that is not three finite numbers or has more points than the
-    enumeration cap: each is an input error, reported on one line before
-    any output.  A non-finite or huge grid is refused before its first
+    enumeration cap, a sample or summary count below 1, and a clt length
+    below 1: each is an input error, reported on one line before any
+    output.  A non-finite or huge grid is refused before its first
     point, since its points are built one by one."""
     files = {"MISSING": tmp_path / "missing.json", "BINARY": tmp_path / "binary.json"}
     files["BINARY"].write_bytes(b"\xff\xfe{")
@@ -282,15 +289,16 @@ def test_verify_judges_residuals_at_the_solve_tol(tmp_path, capsys):
 
 def test_clt_lift_past_the_cap_exits_one(tmp_path, capsys):
     """An observable of memory 11 on the full 2-shift lifts the 1-block
-    chain to 2048 states; the 2048 x 2048 lift exceeds the default cap
-    of 2**20 entries, so clt stops before building it."""
+    chain to 2048 states; the 2048 x 2048 dense chain of the variance's
+    resolvent solve exceeds the default cap of 2**20 entries, so clt
+    stops before building it."""
     doc = models.to_document(models.builtin("bernoulli"))
     words = [",".join(w) for w in itertools.product("12", repeat=11)]
     doc["observable"] = {"memory": 11, "values": {w: float(w.count("1") % 2) for w in words}}
     path = tmp_path / "m11.json"
     path.write_text(dump_json(doc))
     assert run(["clt", "--model", str(path), "--n", "4"]) == 1
-    assert "2048 states of 11-blocks" in capsys.readouterr().err
+    assert "2048x2048 resolvent chain exceeds" in capsys.readouterr().err
 
 
 @pytest.mark.xfail(strict=True, reason=(
@@ -355,8 +363,8 @@ def test_model_round_trip(tmp_path, capsys):
 
 def test_outputs_byte_identical(tmp_path, capsys):
     """Two runs of each command give the same bytes, also on a memory-5
-    random full 4-shift, whose 256 x 256 transfer matrix, chain and
-    sampler tables are the largest built here."""
+    random full 4-shift, whose 256 x 256 transfer matrix and chain are
+    the largest built here."""
     a, b = tmp_path / "a", tmp_path / "b"
     phi = random_full_shift(100, 5)
     m5 = tmp_path / "m5.json"

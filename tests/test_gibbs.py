@@ -25,7 +25,7 @@ from gibbslab.potential import FiniteMemoryFunction
 from gibbslab.shift_space import enumerate_words, validate
 from gibbslab.verify import jacobian_max_error
 
-from oracles import encode, transport_lp
+from oracles import dense_table, encode, transport_lp
 
 PHI_G = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -285,10 +285,13 @@ def test_markov_measure_solves_stationary(bernoulli):
 
 def test_states_are_the_enumerated_blocks(golden):
     """A chain's states are the admissible blocks in enumerate_words
-    order, derived from (space, block_length); a chain rebuilt from its
-    lift to 2-blocks gives the same cylinder measures."""
+    order, derived from (space, block_length); a chain rebuilt from the
+    dense form of its lift to 2-blocks has the lift's successor table
+    and gives the same cylinder measures."""
     pi, Q = block_chain(golden.mu, 2)
-    lifted = markov_measure(golden.space, 2, Q, pi)
+    assert Q.shape == (3, 2)
+    lifted = markov_measure(golden.space, 2, dense_table(golden.space, 2, Q), pi)
+    assert lifted.successors.tolist() == Q.tolist()
     assert lifted.states == ((0, 0), (0, 1), (1, 0))
     assert golden.mu.states == ((0,), (1,))
     for w in enumerate_words(golden.space, 5):
@@ -368,9 +371,9 @@ def test_chain_is_validated_once_at_construction(bernoulli, golden):
 
 def test_block_chain_lift_matches_cylinders(golden):
     """Lifting a chain to longer blocks: pi_L is the cylinder measure,
-    each row with mass is cyl(u + s) / cyl(u), and each zero-mass row
-    is the native row of the block's final block, not an absorbing
-    identity row."""
+    each row of the k_L x N successor table with mass is cyl(u + s) /
+    cyl(u) over the symbols s, and each zero-mass row is the native row
+    of the block's final block, not an absorbing identity row."""
     space = validate(3, np.ones((3, 3), dtype=int), symbols=(1, 2, 3))
     Q = np.array([[0.0, 0.5, 0.5], [0.5, 0.5, 0.0], [0.25, 0.25, 0.5]])
     sparse = markov_measure(space, 1, Q)
@@ -379,18 +382,16 @@ def test_block_chain_lift_matches_cylinders(golden):
         assert L == mu.block_length + 1
         states = enumerate_words(mu.space, L)
         assert pi.tolist() == [mu.cylinder_measure(u) for u in states]
-        final = [mu.states.index(v[-mu.block_length:]) for v in states]
+        ell, symbols = mu.block_length, mu.space.symbols
+        assert QL.shape == (len(states), len(symbols))
         for i, u in enumerate(states):
             if pi[i] == 0.0:
-                expected = [
-                    mu.transition[final[i], final[j]] if v[:-1] == u[1:] else 0.0
-                    for j, v in enumerate(states)
-                ]
+                final = mu.states.index(u[-ell:])
+                ahead = [(u + (s,))[-ell:] for s in symbols]
+                expected = [mu.transition[final, mu.states.index(v)] if v in mu.states
+                            else 0.0 for v in ahead]
             else:
-                expected = [
-                    mu.cylinder_measure(u + v[-1:]) / pi[i] if v[:-1] == u[1:] else 0.0
-                    for v in states
-                ]
+                expected = [mu.cylinder_measure(u + (s,)) / pi[i] for s in symbols]
             # the raw ratios carry the eigensolve residual (8e-14 on
             # golden-mean), which block_chain's row renormalisation removes
             assert QL[i] == pytest.approx(expected, abs=1e-12)
@@ -427,8 +428,7 @@ def test_levels_are_the_cylinder_measures():
 
 def test_levels_respect_the_enumeration_cap(monkeypatch):
     """The level sums hold every word of a length at once, so
-    GIBBSLAB_ENUM_CAP bounds alphabet**length for them; the lift is a
-    dense k x k matrix on k blocks, so it bounds k**2 for the lift."""
+    GIBBSLAB_ENUM_CAP bounds alphabet**length for them."""
     _, mu1 = solved_bernoulli(0.7)
     _, mu2 = solved_bernoulli(0.8)
     monkeypatch.setenv("GIBBSLAB_ENUM_CAP", "16")
@@ -436,8 +436,6 @@ def test_levels_respect_the_enumeration_cap(monkeypatch):
     wasserstein_distance(mu1, mu2, 0.5, 4)
     with pytest.raises(SizeGuard):
         wasserstein_distance(mu1, mu2, 0.5, 5)
-    with pytest.raises(SizeGuard, match="8 states of 3-blocks"):
-        block_chain(mu1, 3)
 
 
 def _lifting_calls():
@@ -463,12 +461,18 @@ def _lifting_calls():
                                   "exact_birkhoff_distribution", "gibbs_ratio_scan",
                                   "empirical_birkhoff"])
 def test_every_lift_is_capped_before_it_is_built(name, monkeypatch):
-    """block_chain guards the k x k lift for all its callers: under a
-    cap of 63 (which admits the 8 or 16 words of the value tables) the
-    8 x 8 lift is a SizeGuard naming its states; under 64 it is built."""
+    """The k x N lift is bounded by the word enumeration that builds it,
+    and a dense k x k array made of it by its k**2 entries: under a cap
+    of 63 (which admits the 8 or 16 words of the value tables) the
+    8-state lift runs for every caller but the two dense products, whose
+    8 x 8 array is a SizeGuard naming it; under 64 every one runs."""
     call = _lifting_calls()[name]
     monkeypatch.setenv("GIBBSLAB_ENUM_CAP", "63")
-    with pytest.raises(SizeGuard, match=r"8x8 lifted chain \(8 states of 3-blocks\)"):
+    dense = {"asymptotic_variance": "resolvent", "correlation": "correlation"}
+    if name in dense:
+        with pytest.raises(SizeGuard, match=f"8x8 {dense[name]} chain exceeds"):
+            call()
+    else:
         call()
     monkeypatch.setenv("GIBBSLAB_ENUM_CAP", "64")
     call()

@@ -36,6 +36,7 @@ from oracles import (
     chain_variance,
     dense_curvature,
     dense_law,
+    dense_table,
     encode,
     enumerated_partition,
     enumerated_scan,
@@ -385,9 +386,10 @@ def test_sampler_matches_its_oracle(trials):
             assert got.tobytes() == float_sampler(mu, psi, n, trials, 2024).tobytes()
 
 
-def test_sampler_at_its_state_limit():
-    """2**10 lifted states sample as before; 2**10 + 1 is a SizeGuard,
-    raised before the chain is lifted."""
+def test_sampler_at_its_state_limit(monkeypatch):
+    """2**10 lifted states sample as before, and so do 2**10 + 1: the
+    sampler's tables are k x N, so the cap on a dense k x k array, which
+    the oracle's table still needs raised, no longer bounds it."""
     mu, _, _ = case("bernoulli")
     space = mu.space
     rng = np.random.default_rng(10)
@@ -399,10 +401,37 @@ def test_sampler_at_its_state_limit():
     space = validate(5, [[1, 1, 1, 1, 1], [1, 1, 0, 1, 1], [1, 1, 0, 0, 1],
                          [0, 1, 1, 1, 1], [0, 1, 0, 1, 1]])
     mu = solve(space, FiniteMemoryFunction.constant(space, 0.0))
-    psi = FiniteMemoryFunction.constant(space, 1.0, memory=5)
+    psi = FiniteMemoryFunction(
+        space, 5, {w: float(rng.integers(-3, 4)) for w in enumerate_words(space, 5)})
     assert len(psi.values) == 2**10 + 1
-    with pytest.raises(SizeGuard, match="1025 states"):
-        sampler.empirical_birkhoff(mu, psi, 3, 5, 9)
+    got, _ = sampler.empirical_birkhoff(mu, psi, 3, 50, 9)
+    with pytest.raises(SizeGuard, match="1025x1025 reference chain"):
+        float_sampler(mu, psi, 3, 50, 9)
+    monkeypatch.setenv("GIBBSLAB_ENUM_CAP", str(2**21))
+    assert got.tobytes() == float_sampler(mu, psi, 3, 50, 9).tobytes()
+
+
+def test_lifts_past_the_dense_limit(monkeypatch):
+    """A memory-9 observable lifts the three-symbol chain to 2065 states
+    of 9-blocks, past the 1024 states whose dense k x k array the
+    default cap admits.  On the k x N lift the sampler, the exact law
+    and the coboundary check run under that cap, and agree with their
+    dense oracles, run with the cap raised."""
+    mu = case("three-symbol")[0]
+    psi = integer_observable(mu.space, 9, 9)
+    assert len(psi.values) == 2065
+    n, N = 6, mu.space.alphabet_size
+    got = sampler.empirical_birkhoff(mu, psi, n, 300, 5)[0]
+    law = stats.exact_birkhoff_distribution(mu, psi, n)
+    coboundary = stats.cohomology_check(mu, psi)
+    monkeypatch.setenv("GIBBSLAB_ENUM_CAP", str(2**23))
+    assert got.tobytes() == float_sampler(mu, psi, n, 300, 5).tobytes()
+    want = dense_law(mu, psi, n)
+    assert (law.n, law.offset, law.span) == (want.n, want.offset, want.span)
+    assert law.indices.tolist() == want.indices.tolist()
+    rel = np.abs(law.probs - want.probs) / np.maximum(law.probs, want.probs).clip(1e-300)
+    assert rel.max() <= 2 * n * N * 2.0**-53
+    assert repr(coboundary) == repr(scanned_cohomology(mu, psi))
 
 
 @pytest.mark.parametrize("memory", [1, 2, 3, 4, 5])
@@ -651,7 +680,7 @@ def lifted_golden_chain():
     """golden-mean's chain lifted to 2-blocks and built there."""
     mu = case("golden-mean")[0]
     pi, Q = gibbs.block_chain(mu, 2)
-    return markov_measure(mu.space, 2, Q, pi)
+    return markov_measure(mu.space, 2, dense_table(mu.space, 2, Q), pi)
 
 
 CYLINDER_CHAINS = {
