@@ -219,6 +219,9 @@ def cmd_ldp(args):
     fam = PressureFamily(model.space, model.potential, psi, tol=args.tol)
 
     def oracle(t):
+        lo, hi = stats._mean_range(model.space, psi)  # no invariant measure has a mean off it
+        if abs(min(max(t, lo), hi) - t) > 1e-12 * max(1.0, abs(t)):
+            return math.inf
         return rate_function(model.space, model.potential, psi, t, family=fam).rate
 
     dists = [exact_birkhoff_distribution(mu, psi, n) for n in args.n]
@@ -237,9 +240,10 @@ def cmd_ldp(args):
 
 
 def cmd_sample(args):
+    for flag in ("n", "trials") + (("summary_n", "summary_trials") if args.summary_n else ()):
+        if getattr(args, flag) < 1:
+            raise ValidationError(f"--{flag.replace('_', '-')} must be at least 1")
     SampleConfig(seed=args.seed, n=args.n, trials=args.trials)
-    if args.summary_n:
-        SampleConfig(seed=args.seed, n=args.summary_n, trials=args.summary_trials)
     model = _load_model(args)
     psi = _observable(model)
     _, _, mu = _solved(model, args.tol)

@@ -72,8 +72,8 @@ def contraction_trace(T, eigendata, f, g, k, delta=None):
     the previous theta vanished) and in_cone flags membership of both
     iterates in the width-delta cone before the block is applied.
     image_diameter is the measured theta after one block, row 1's.
-    Matrix powers are normalized by lambda per application; theta is
-    scale invariant so this only guards against overflow.
+    A block applies M.T / lambda to each iterate n0 times, forming no
+    matrix power; theta is scale invariant, so lambda only guards against overflow.
     """
     if k < 1:
         raise ValidationError("need at least one block")
@@ -83,13 +83,13 @@ def contraction_trace(T, eigendata, f, g, k, delta=None):
     f = _positive(f)
     g = _positive(g)
     op = T.matrix.T / eigendata.lambda_
-    step_op = np.linalg.matrix_power(op, cc.n0)
     theta0 = theta = hilbert_metric(f, g)
     rows = []
     for j in range(1, k + 1):
         was_in_cone = in_cone(f, delta) and in_cone(g, delta)
-        f = step_op @ f
-        g = step_op @ g
+        for _ in range(cc.n0):
+            f = op @ f
+            g = op @ g
         new_theta = hilbert_metric(f, g)
         factor = new_theta / theta if theta > 0 else None
         rows.append({"step": j, "theta": new_theta, "factor": factor,

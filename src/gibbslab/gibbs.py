@@ -26,45 +26,47 @@ BAND_TOL = 1e-12  # slack of the scan's band test, at each end
 @dataclass(frozen=True, eq=False)
 class GibbsMeasure:
     """Stationary Markov measure whose states are the admissible
-    l-blocks in `enumerate_words` order: stationary is their
-    distribution pi, transition the row-stochastic forward kernel Q,
-    positive only on the block graph's moves u -> u[1:] + (s,), which
-    its readers index in the read-only k x N tables (N symbols)
-    successors[u, s] = Q(u -> u[1:] + (s,)), zero where s may not
-    follow u, and next_state[u, s], that block's index.  For the
-    equilibrium chain pi = h * nu and pressure = log lambda.
-    """
+    l-blocks in `enumerate_words` order: stationary is their distribution
+    pi, successors the row-stochastic forward kernel Q as the read-only
+    k x N table (N symbols) Q(u -> u[1:] + (s,)), zero where s may not
+    follow u, next_state[u, s] that block's index, and transition Q as a
+    k x k array made when first read.  For the equilibrium chain
+    pi = h * nu and pressure = log lambda."""
 
     space: object
     block_length: int
     stationary: np.ndarray
-    transition: np.ndarray
+    successors: np.ndarray
     pressure: float = None
 
     def __post_init__(self):
         moves = block_moves(self.space, self.block_length)
-        k, pi, Q = len(moves.blocks), self.stationary, self.transition
-        for name, a, shape in (("stationary", pi, (k,)), ("transition", Q, (k, k))):
+        k, N, pi, Q = len(moves.blocks), self.space.alphabet_size, self.stationary, self.successors
+        for name, a, shape in (("stationary", pi, (k,)), ("successors", Q, (k, N))):
             if not (isinstance(a, np.ndarray) and a.shape == shape):
                 raise _shape_error(name, shape, getattr(a, "shape", type(a).__name__))
         # the checks are written so that NaN fails them; an infinite
         # entry makes its sum infinite
         if not (pi.min() >= 0.0 and Q.min() >= 0.0):
             raise ValidationError("stationary and transition entries must be finite and nonnegative")
-        on_moves = Q[moves.I, moves.J]
-        if np.count_nonzero(Q) != np.count_nonzero(on_moves):
+        if np.count_nonzero(Q) != np.count_nonzero(Q[moves.I, moves.words % N]):
             raise ValidationError("transition has mass off the block graph's moves")
         if not abs(pi.sum() - 1.0) <= 1e-9:
             raise ValidationError("stationary vector must sum to 1")
         if not np.abs(Q.sum(axis=1) - 1.0).max() <= 1e-9:
             raise ValidationError("transition rows must sum to 1")
-        pi.setflags(write=False)
-        Q.setflags(write=False)
-        for name, values in (("successors", on_moves), ("next_state", moves.J)):
-            table = moves.table(values, self.space.alphabet_size)
-            table.setflags(write=False)
-            object.__setattr__(self, name, table)
+        object.__setattr__(self, "next_state", moves.table(moves.J, N))
+        for a in (pi, Q, self.next_state):
+            a.setflags(write=False)
+        object.__setattr__(self, "_moves", moves)  # for transition
         object.__setattr__(self, "_codes", moves.blocks.tolist())  # the states' codes, for cylinder_measure
+
+    @cached_property
+    def transition(self):
+        m = self._moves
+        Q = m.dense(self.successors[m.I, m.words % self.space.alphabet_size], "transition matrix")
+        Q.setflags(write=False)
+        return Q
 
     @cached_property
     def states(self):
@@ -129,29 +131,35 @@ def _shape_error(name, shape, got):
 
 def gibbs_measure(T, eigendata):
     """Equilibrium chain of a solved transfer system: pi = h nu, Q the
-    normalized operator."""
+    normalized operator's successor table."""
     Q, pi = normalized_operator(T, eigendata)
     return GibbsMeasure(T.space, T.block_length, pi, Q, eigendata.pressure)
 
 
 def markov_measure(space, block_length, transition, stationary=None):
-    """Arbitrary stationary chain on the block_length-blocks, Q indexed
-    by them in `enumerate_words` order (candidate measures for the
-    variational diagnostics).  When not supplied, the stationary vector
-    is solved from Q in one dense solve of pi (I - Q + 1 1^T) = 1^T, once
-    Q is k x k over the k blocks; without a unique solution, SolveFailure."""
-    shape = (len(word_codes(space, block_length)),) * 2
+    """Arbitrary stationary chain on the block_length-blocks from a dense
+    k x k Q indexed by them in `enumerate_words` order (candidate measures
+    for the variational diagnostics), with no mass off the moves, kept as
+    its successor table.  When not supplied, pi is solved from Q in one
+    dense solve of pi (I - Q + 1 1^T) = 1^T; without a unique solution,
+    SolveFailure."""
+    moves = block_moves(space, block_length)
+    shape = (len(moves.blocks),) * 2
     try:
         Q = np.asarray(transition, dtype=float)
     except ValueError:
         raise _shape_error("transition", shape, "ragged or non-numeric rows")
     if Q.shape != shape:
         raise _shape_error("transition", shape, Q.shape)
+    on_moves = Q[moves.I, moves.J]
+    if np.count_nonzero(Q) != np.count_nonzero(on_moves):
+        raise ValidationError("transition has mass off the block graph's moves")
     if stationary is None:
         stationary = _linear_solve((np.eye(len(Q)) - Q + 1.0).T, np.ones(len(Q)), "stationary")
         # rounding leaves entries like -6e-17 where a transient block's mass is 0
         stationary = np.maximum(stationary, 0.0)
-    return GibbsMeasure(space, block_length, np.asarray(stationary, dtype=float), Q)
+    return GibbsMeasure(space, block_length, np.asarray(stationary, dtype=float),
+                        moves.table(on_moves, space.alphabet_size))
 
 
 def entropy(mu):

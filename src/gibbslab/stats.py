@@ -43,40 +43,40 @@ FD_STEP = 1e-4  # pressure_derivative_check's finite-difference step
 LATTICE_TOL = 1e-9  # lattice_parameters' rounding tolerance, relative to the values
 
 
-def _block_data(mu, *fns, dense=None):
-    """Common block presentation (L, pi, Q, values) carrying every
-    observable as a vector over the L-blocks; Q is the k x N successor
-    table, or with `dense` naming it, its capped k x k BlockMoves.dense."""
+def _block_data(mu, *fns):
+    """Common block presentation (L, pi, Q, values) carrying every observable
+    as a vector over the L-blocks, Q the k x N successor table."""
     L = max([mu.block_length] + [f.memory for f in fns])
     pi, Q = block_chain(mu, L)
     codes = word_codes(mu.space, L)
-    if dense:
-        moves = block_moves(mu.space, L)
-        Q = moves.dense(Q[moves.I, moves.words % mu.space.alphabet_size], dense)
     return L, pi, Q, [f.on(codes, L) for f in fns]
 
 
 def correlation(mu, f, g, n):
     """Exact C_n(f, g) = E[f (g o shift^n)] - E[f] E[g] by pushing the
-    f-weighted state distribution n steps through the chain."""
+    f-weighted state distribution n steps along the chain's moves."""
     if n < 0:
         raise ValidationError("lag must be nonnegative")
-    _, pi, Q, (fv, gv) = _block_data(mu, f, g, dense="correlation chain")
+    L, pi, Q, (fv, gv) = _block_data(mu, f, g)
+    _, I, J, words = block_moves(mu.space, L)
+    q = Q[I, words % mu.space.alphabet_size]
     ef = float(pi @ fv)
     eg = float(pi @ gv)
     w = pi * fv
     for _ in range(n):
-        w = w.dot(Q)
+        w = np.bincount(J, w[I] * q, len(w))
     return float(w.dot(gv) - ef * eg)
 
 
 def asymptotic_variance(mu, psi):
-    """Variance rate of S_n psi by one resolvent solve: with psi
-    centered to c, A Z = Q c for A = I - Q + 1 pi, and xi^2 = E[c^2] +
-    2 E[c Z].  One step of iterative refinement, A dZ = Q c - A Z,
-    certifies it: 2 sum |pi c dZ| must be at most VARIANCE_TOL.  dZ is
-    not added to Z."""
-    _, pi, Q, (pv,) = _block_data(mu, psi, dense="resolvent chain")
+    """Variance rate of S_n psi by one resolvent solve on the dense
+    k x k Q: with psi centered to c, A Z = Q c for A = I - Q + 1 pi, and
+    xi^2 = E[c^2] + 2 E[c Z].  One step of iterative refinement, A dZ =
+    Q c - A Z, certifies it: 2 sum |pi c dZ| must be at most
+    VARIANCE_TOL.  dZ is not added to Z."""
+    L, pi, Q, (pv,) = _block_data(mu, psi)
+    moves = block_moves(mu.space, L)
+    Q = moves.dense(Q[moves.I, moves.words % mu.space.alphabet_size], "resolvent chain")
     c = pv - pi @ pv
     var0 = float(pi @ c**2)
     if var0 == 0.0:
@@ -149,9 +149,8 @@ class PressureFamily:
         self._cache = {}  # s -> (P, Lambda', lambda, h, nu), or its NoConvergence
         self._solved = []  # sorted tilts whose (h, nu) can start a solve
         self._T = transfer.build(space, affine_combine(phi, psi, 0.0))
-        moves = block_moves(space, self._T.block_length)
-        self._Psi = moves.dense(psi.on(moves.words, self._T.block_length + 1),
-                                "transfer matrix")
+        moves, ell = self._T.moves, self._T.block_length
+        self._Psi = moves.dense(psi.on(moves.words, ell + 1), "transfer matrix")
         self._p0 = self._solve(0.0)[0]
 
     def _tilt(self, s):
@@ -472,6 +471,32 @@ def local_limit_check(dist, mean, xi2):
         -((v - n * mean) ** 2) / (2.0 * n * xi2)
     )
     return float(np.max(np.abs(xi * math.sqrt(n) * p - gauss)))
+
+
+def _mean_range(space, psi):
+    """(min, max) of psi's mean over the shift-invariant measures: the
+    extreme mean weights of the cycles of psi's block graph, with psi on
+    each move (Jenkinson, ETDS 39, 2019).  The maximum is Karp's maximum
+    mean cycle (Discrete Math. 23, 1978), max over blocks v of min over
+    n < k of (D_k(v) - D_n(v)) / (k - n), D_n(v) the heaviest n-move
+    walk ending at v, by (max,+) steps; the minimum is the negated
+    maximum of -psi.  On a mixing shift every D_n is finite.  D_k is
+    found first, so that the D_n are stepped through again, not kept."""
+    ell, (blocks, I, J, words) = transfer.block_graph(space, psi)
+    k = len(blocks)
+
+    def max_mean(w):
+        last = np.zeros(k)
+        for _ in range(k):
+            last = transfer._tropical_step(last, I, J, w, np.fmax, k)
+        D, best = np.zeros(k), np.full(k, np.inf)
+        for n in range(k):
+            best = np.minimum(best, (last - D) / (k - n))
+            D = transfer._tropical_step(D, I, J, w, np.fmax, k)
+        return float(best.max())
+
+    w = psi.on(words, ell + 1)
+    return -max_mean(-w), max_mean(w)
 
 
 def ldp_empirical(dists, interval, rate_oracle, gibbs_mean):

@@ -43,6 +43,11 @@ class TransferSystem:
     def states(self):
         return tuple(enumerate_words(self.space, self.block_length))
 
+    @cached_property
+    def moves(self):
+        """The states' BlockMoves; `build` fills it with its own."""
+        return block_moves(self.space, self.block_length)
+
     @property
     def state_count(self):
         return self.matrix.shape[0]
@@ -98,7 +103,9 @@ def build(space, phi):
         # every memory-word starts a move, and moves run in word order
         w = max(sorted(phi.values), key=phi)
         raise ValidationError(f"exp(phi) overflows at word {w!r} (phi = {phi(w):g})")
-    return TransferSystem(space, phi, ell, moves.dense(weights, "transfer matrix"))
+    T = TransferSystem(space, phi, ell, moves.dense(weights, "transfer matrix"))
+    vars(T)["moves"] = moves  # the cached_property's slot
+    return T
 
 
 def dominant_eigendata(T, tol=DEFAULT_TOL, start=None):
@@ -300,18 +307,16 @@ def _eigendata(T, lam, h, nu, min_h, residual_h, residual_nu, iterations):
 
 
 def normalized_operator(T, eigendata):
-    """Row-stochastic forward kernel Q of the Gibbs chain and its
-    stationary vector pi = h * nu (sums to one under nu(h) = 1).
+    """Row-stochastic forward kernel Q of the Gibbs chain as its k x N
+    successor table, and its stationary vector pi = h * nu (nu(h) = 1).
 
     With rows indexed by the preimage block, peeling one symbol off an
     (l+1)-cylinder gives mu([u0 w]) = h(u) entry(u -> w) nu(w) / lambda,
-    so Q(u -> w) = entry(u -> w) nu(w) / (lambda nu(u)); row sums are
-    (M nu)(u) / (lambda nu(u)) = 1 exactly.
+    so Q(u -> w) = entry(u -> w) nu(w) / (lambda nu(u)) on each of T's
+    moves; row sums are (M nu)(u) / (lambda nu(u)) = 1 exactly.
     """
-    lam, h, nu = eigendata.lambda_, eigendata.h, eigendata.nu
-    Q = T.matrix * nu[None, :] / (lam * nu[:, None])
-    pi = h * nu
-    return Q, pi
+    lam, h, nu, (_, I, J, _) = eigendata.lambda_, eigendata.h, eigendata.nu, T.moves
+    return T.moves.table(T.matrix[I, J] * nu[J] / (lam * nu[I]), T.space.alphabet_size), h * nu
 
 
 def _linear_solve(A, b, what):

@@ -17,7 +17,7 @@ SURFACE = {
     "EigenData": ("lambda_", "pressure", "h", "nu", "min_h", "ess_radius_bound",
                   "residual_h", "residual_nu", "iterations", "matrix"),
     "FiniteMemoryFunction": ("space", "memory", "values", "alpha=0.5"),
-    "GibbsMeasure": ("space", "block_length", "stationary", "transition", "pressure=None"),
+    "GibbsMeasure": ("space", "block_length", "stationary", "successors", "pressure=None"),
     "LatticeDistribution": ("n", "offset", "span", "indices", "probs"),
     "PressureFamily": ("space", "phi", "psi", "tol=1e-13"),
     "RateFunctionPoint": ("t", "s_star", "rate", "cumulant_at_s_star"),

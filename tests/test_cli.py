@@ -154,6 +154,7 @@ def test_malformed_field_exits_one_without_traceback(tmp_path, field):
     ["pressure-curve", "--builtin", "ising", "--grid", "0:1:inf"],
     ["rate-curve", "--builtin", "ising", "--grid", "0:1:nan"],
     ["rate-curve", "--builtin", "ising", "--grid", "0:1e9:1e-3"],
+    ["sample", "--builtin", "bernoulli", "--n", "0"],
     ["sample", "--builtin", "bernoulli", "--n", "5", "--trials", "-1"],
     ["sample", "--builtin", "bernoulli", "--n", "5", "--summary-n", "-4"],
     ["sample", "--builtin", "bernoulli", "--n", "5", "--summary-n", "8",
@@ -161,15 +162,15 @@ def test_malformed_field_exits_one_without_traceback(tmp_path, field):
     ["clt", "--builtin", "bernoulli", "--n", "64", "0"],
 ], ids=["nmax-0", "nmax-negative", "verify-nmax-0", "tol-nan", "tol-inf", "missing-model",
         "binary-model", "grid-text", "grid-inf-stop", "grid-nan-start", "grid-inf-step",
-        "grid-nan-step", "grid-huge", "sample-trials-negative", "summary-n-negative",
+        "grid-nan-step", "grid-huge", "sample-n-0", "sample-trials-negative", "summary-n-negative",
         "summary-trials-0", "clt-n-0"])
 def test_bad_cli_input_exits_one_without_traceback(tmp_path, argv):
     """An empty scan length, a tolerance that is no positive finite
     number, a model file that cannot be read or is not text, and a grid
     that is not three finite numbers or has more points than the
-    enumeration cap, a sample or summary count below 1, and a clt length
-    below 1: each is an input error, reported on one line before any
-    output.  A non-finite or huge grid is refused before its first
+    enumeration cap, a sample or summary count below 1 (named by its
+    flag, the last one given), and a clt length below 1: each is an input
+    error, reported on one line before any output.  A non-finite or huge grid is refused before its first
     point, since its points are built one by one."""
     files = {"MISSING": tmp_path / "missing.json", "BINARY": tmp_path / "binary.json"}
     files["BINARY"].write_bytes(b"\xff\xfe{")
@@ -179,6 +180,8 @@ def test_bad_cli_input_exits_one_without_traceback(tmp_path, argv):
     assert proc.stderr.startswith("error:")
     assert "Traceback" not in proc.stderr
     assert not (tmp_path / "r").exists()
+    if argv[0] == "sample":
+        assert proc.stderr.startswith(f"error: {argv[-2]} must be at least 1")
 
 
 def test_overflowing_tilt_is_out_of_range_fast(tmp_path):
@@ -510,6 +513,19 @@ def test_clt_and_ldp_commands(tmp_path, capsys):
     lines = (out / "ldp.csv").read_text().splitlines()
     assert lines[0].startswith("n,probability,empirical_rate")
     assert len(lines) == 2
+
+
+@pytest.mark.parametrize("a, b", [(0.6, 0.9), (0.9, 1.0)])
+def test_ldp_off_the_mean_range_is_infinite(tmp_path, capsys, a, b):
+    """Bernoulli's observable ranges over [-0.7, 0.3]: an interval whose
+    clamped point lies past it has rate +inf, written Infinity, and no
+    mass, so its gaps are empty."""
+    out = tmp_path / "ldp"
+    assert run(["ldp", "--builtin", "bernoulli", "--a-level", str(a), "--b-level", str(b),
+                "--out", str(out)]) == 0
+    capsys.readouterr()
+    lines = (out / "ldp.csv").read_text().splitlines()
+    assert lines[1:] == [f"{n},0,,Infinity,,true" for n in (100, 200, 400)]
 
 
 def test_format_csv_variants(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from gibbslab.potential import FiniteMemoryFunction
 from gibbslab.shift_space import enumerate_words, validate
 from gibbslab.verify import jacobian_max_error
 
-from oracles import dense_table, encode, transport_lp
+from oracles import dense_table, encode, random_full_shift, transport_lp
 
 PHI_G = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -283,6 +284,28 @@ def test_markov_measure_solves_stationary(bernoulli):
         markov_measure(space, 1, np.eye(3))
 
 
+def test_chain_stores_its_successor_table_only():
+    """On the full 4-shift with a memory-6 potential (k = 1024 states of
+    5-blocks), gibbs_measure allocates less than one k x k float array
+    and makes no dense transition until it is read; read, transition is
+    the dense normalized operator M nu / (lambda nu), bit for bit."""
+    phi = random_full_shift(100, 6)
+    T = transfer.build(phi.space, phi)
+    E = transfer.dominant_eigendata(T, tol=1e-12)
+    k = T.state_count
+    tracemalloc.start()
+    try:
+        mu = gibbs_measure(T, E)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert k == 1024 and peak < k * k * 8
+    assert "transition" not in vars(mu)
+    dense = T.matrix * E.nu[None, :] / (E.lambda_ * E.nu[:, None])
+    assert np.array_equal(mu.transition, dense)
+    assert "transition" in vars(mu) and not mu.transition.flags.writeable
+
+
 def test_states_are_the_enumerated_blocks(golden):
     """A chain's states are the admissible blocks in enumerate_words
     order, derived from (space, block_length); a chain rebuilt from the
@@ -318,8 +341,9 @@ def test_states_argument_is_gone(bernoulli, golden):
 
 
 def test_malformed_shapes_are_named_before_any_solve(bernoulli, monkeypatch):
-    """On the full 2-shift: a 1 x 2 Q, a ragged Q and a stationary list
-    passed straight to GibbsMeasure are ValidationErrors naming the
+    """On the full 2-shift: a 1 x 2 Q, a ragged Q, a stationary list
+    passed straight to GibbsMeasure and a dense 4 x 4 Q passed as the
+    successor table of the 2-blocks are ValidationErrors naming the
     expected shape, and no stationary solve runs."""
     def no_solve(*args):
         raise AssertionError("solve called")
@@ -331,7 +355,9 @@ def test_malformed_shapes_are_named_before_any_solve(bernoulli, monkeypatch):
     with pytest.raises(ValidationError, match=r"transition .* shape \(2, 2\), got ragged"):
         markov_measure(space, 1, [[0.5, 0.5], [1.0]])
     with pytest.raises(ValidationError, match=r"stationary .* shape \(2,\), got list"):
-        GibbsMeasure(space, 1, stationary=[0.5, 0.5], transition=np.full((2, 2), 0.5))
+        GibbsMeasure(space, 1, stationary=[0.5, 0.5], successors=np.full((2, 2), 0.5))
+    with pytest.raises(ValidationError, match=r"successors .* shape \(4, 2\), got \(4, 4\)"):
+        GibbsMeasure(space, 2, np.full(4, 0.25), np.full((4, 4), 0.25))
 
 
 def test_chain_is_validated_once_at_construction(bernoulli, golden):
@@ -464,13 +490,12 @@ def test_every_lift_is_capped_before_it_is_built(name, monkeypatch):
     """The k x N lift is bounded by the word enumeration that builds it,
     and a dense k x k array made of it by its k**2 entries: under a cap
     of 63 (which admits the 8 or 16 words of the value tables) the
-    8-state lift runs for every caller but the two dense products, whose
+    8-state lift runs for every caller but the resolvent solve, whose
     8 x 8 array is a SizeGuard naming it; under 64 every one runs."""
     call = _lifting_calls()[name]
     monkeypatch.setenv("GIBBSLAB_ENUM_CAP", "63")
-    dense = {"asymptotic_variance": "resolvent", "correlation": "correlation"}
-    if name in dense:
-        with pytest.raises(SizeGuard, match=f"8x8 {dense[name]} chain exceeds"):
+    if name == "asymptotic_variance":
+        with pytest.raises(SizeGuard, match="8x8 resolvent chain exceeds"):
             call()
     else:
         call()
@@ -518,7 +543,7 @@ def test_scan_rejects_non_gibbs_chain(bernoulli):
 
     fair = GibbsMeasure(
         space=bernoulli.space, block_length=1,
-        stationary=np.array([0.5, 0.5]), transition=np.full((2, 2), 0.5),
+        stationary=np.array([0.5, 0.5]), successors=np.full((2, 2), 0.5),
         pressure=bernoulli.E.pressure,
     )
     scan = gibbs_ratio_scan(fair, bernoulli.phi, 10)

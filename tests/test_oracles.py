@@ -108,7 +108,7 @@ def case(name):
         P = solve(m.space, m.potential).pressure
         fair = GibbsMeasure(
             space=m.space, block_length=1,
-            stationary=np.array([0.5, 0.5]), transition=np.full((2, 2), 0.5),
+            stationary=np.array([0.5, 0.5]), successors=np.full((2, 2), 0.5),
             pressure=P,
         )
         return fair, m.potential, 8

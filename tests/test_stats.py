@@ -1,3 +1,4 @@
+import itertools
 import math
 import re
 from dataclasses import replace
@@ -596,6 +597,29 @@ def test_ldp_zero_probability_golden(golden):
     dists = [stats.exact_birkhoff_distribution(golden.mu, ind, n) for n in (2, 4, 8)]
     rows = stats.ldp_empirical(dists, (1.0, 1.0), lambda t: 1.0, 0.25)
     assert all(r["zero_probability"] for r in rows)
+
+
+def test_mean_range_is_the_extreme_cycle_means(builtin_triple):
+    """The built-ins' observables range over [-0.7, 0.3], [-1, 1] and
+    [0, 1], the three-symbol model's over [-1, 1]; for a memory-3
+    observable on that shift (7 states of 2-blocks) each end is the
+    extreme mean of phi around a periodic word of period at most 7."""
+    ranges = {"bernoulli": (-0.7, 0.3), "ising": (-1.0, 1.0), "golden-mean": (0.0, 1.0)}
+    for name, s in builtin_triple.items():
+        assert stats._mean_range(s.space, s.psi) == pytest.approx(ranges[name], abs=1e-15)
+    space = validate(3, [[1, 1, 1], [1, 0, 1], [0, 1, 1]], symbols=(1, 2, 3))
+    psi = FiniteMemoryFunction(space, 1, {(1,): 1.0, (2,): 0.0, (3,): -1.0})
+    assert stats._mean_range(space, psi) == (-1.0, 1.0)
+    rng = np.random.default_rng(11)
+    phi = FiniteMemoryFunction(space, 3, {w: round(float(rng.uniform(-0.8, 0.8)), 6)
+                                          for w in enumerate_words(space, 3)})
+    means = []
+    for p in range(1, 8):
+        for w in itertools.product(space.symbols, repeat=p):
+            ring = (w * 3)[: p + 2]
+            if space.is_admissible(ring):
+                means.append(sum(phi.values[ring[i : i + 3]] for i in range(p)) / p)
+    assert stats._mean_range(space, phi) == pytest.approx((min(means), max(means)), abs=1e-12)
 
 
 def test_ldp_interval_containing_mean(bernoulli):
