@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import Undefined, ValidationError
 from .potential import or_inf, total_variation
-from .shift_space import _extend, block_moves, check_cap, enumerate_words, word_codes
+from .shift_space import _extend, block_moves, check_cap, enumerate_words
 from .transfer import _by_prefix, _linear_solve, _tropical_step, normalized_operator
 
 BAND_TOL = 1e-12  # slack of the scan's band test, at each end
@@ -49,7 +49,7 @@ class GibbsMeasure:
         # entry makes its sum infinite
         if not (pi.min() >= 0.0 and Q.min() >= 0.0):
             raise ValidationError("stationary and transition entries must be finite and nonnegative")
-        if np.count_nonzero(Q) != np.count_nonzero(Q[moves.I, moves.words % N]):
+        if np.count_nonzero(Q) != np.count_nonzero(moves.gather(Q)):
             raise ValidationError("transition has mass off the block graph's moves")
         if not abs(pi.sum() - 1.0) <= 1e-9:
             raise ValidationError("stationary vector must sum to 1")
@@ -58,13 +58,12 @@ class GibbsMeasure:
         object.__setattr__(self, "next_state", moves.table(moves.J, N))
         for a in (pi, Q, self.next_state):
             a.setflags(write=False)
-        object.__setattr__(self, "_moves", moves)  # for transition
         object.__setattr__(self, "_codes", moves.blocks.tolist())  # the states' codes, for cylinder_measure
 
     @cached_property
     def transition(self):
-        m = self._moves
-        Q = m.dense(self.successors[m.I, m.words % self.space.alphabet_size], "transition matrix")
+        moves = block_moves(self.space, self.block_length)
+        Q = moves.dense(moves.gather(self.successors), "transition matrix")
         Q.setflags(write=False)
         return Q
 
@@ -178,7 +177,8 @@ def _levels(mu, start=1):
     successors[last(u), s], last indexing each word's final block: the
     product that cylinder_measure forms, so the masses are the same floats."""
     N, ell = mu.space.alphabet_size, mu.block_length
-    words, pi, last = word_codes(mu.space, ell), mu.stationary, np.arange(len(mu.stationary))
+    words, pi = block_moves(mu.space, ell).blocks, mu.stationary
+    last = np.arange(len(pi))
     for n in range(start, ell):
         prefix = words // N ** (ell - n)
         yield np.unique(prefix), _by_prefix(pi, prefix, np.add), None
@@ -191,11 +191,16 @@ def _levels(mu, start=1):
         pi, last = pi[I] * mu.successors[last[I], s], mu.next_state[last[I], s]
 
 
+def require_space(mu, *fns):
+    """ValidationError unless every function lives on mu's shift space."""
+    if not all(f.space.same_as(mu.space) for f in fns):
+        raise ValidationError("observable is not defined on this shift space")
+
+
 def expectation(mu, psi):
     """Integral of a finite-memory observable: sum over its memory-words
     of value times cylinder measure."""
-    if not psi.space.same_as(mu.space):
-        raise ValidationError("observable is not defined on this shift space")
+    require_space(mu, psi)
     blocks, pi, _ = next(_levels(mu, psi.memory))
     return float(sum(v * p for v, p in zip(psi.on(blocks, psi.memory).tolist(), pi.tolist())))
 
@@ -264,12 +269,13 @@ def gibbs_ratio_scan(mu, phi, n_max):
         raise ValidationError("n_max must be at least 1")
     if mu.pressure is None:
         raise ValidationError("scan needs a chain with a pressure attached")
+    require_space(mu, phi)
     L = max(mu.block_length, phi.memory - 1)
     pi, Q = block_chain(mu, L)
     k = len(pi)
-    blocks, I, J, words = block_moves(mu.space, L)
+    blocks, I, J, words = moves = block_moves(mu.space, L)
     phis = phi.on(words, L + 1)
-    q = Q[I, words % mu.space.alphabet_size]
+    q = moves.gather(Q)
     keep = q > 0.0
     inside = I[keep], J[keep], np.log(q[keep]) - phis[keep]
     heads, tails = [np.log(np.where(pi > 0.0, pi, np.nan))] * 2, [np.zeros(k)] * 2
@@ -326,6 +332,8 @@ def _level_sum(mu1, mu2, alpha, n):
         raise ValidationError("measures must share one shift space")
     if not 0.0 < alpha < 1.0:
         raise ValidationError("alpha must lie in (0, 1)")
+    if n < 1:
+        raise ValidationError(f"level count must be at least 1, got {n}")
     value = tv = 0.0
     for j, (_, p1, _), (_, p2, _) in zip(range(1, n + 1), _levels(mu1), _levels(mu2)):
         tv = 0.5 * sum(np.abs(p1 - p2).tolist())

@@ -28,7 +28,7 @@ import numpy as np
 from numpy.random import Philox
 
 from .errors import ValidationError
-from .gibbs import block_chain
+from .gibbs import block_chain, require_space
 from .shift_space import block_moves
 
 _WORDS_PER_COUNTER = 4
@@ -104,6 +104,9 @@ def empirical_birkhoff(mu, psi, n, trials, seed, exact=None):
     Kolmogorov distance to it.
     """
     cfg = SampleConfig(seed=seed, n=n, trials=trials)
+    require_space(mu, psi)
+    if exact is not None and exact.n != n:
+        raise ValidationError(f"the exact law is of S_{exact.n}, not of the sampled S_{n}")
     L = max(mu.block_length, psi.memory)
     pi, Q = block_chain(mu, L)
     moves = block_moves(mu.space, L)

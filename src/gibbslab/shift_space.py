@@ -53,6 +53,8 @@ class ShiftSpace:
     transitions: np.ndarray
     mixing_time: int
     _index: dict = field(init=False, repr=False, compare=False)
+    # L -> the BlockMoves of the L-blocks, filled by block_moves
+    _graphs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "_index", {s: k for k, s in enumerate(self.symbols)})
@@ -176,13 +178,18 @@ def _reachability(A):
         P = P.astype(np.float32) @ B > 0
 
 
+def _check_length(space, n):
+    """ValidationError for n < 1, SizeGuard for N**n past the cap."""
+    if n < 1:
+        raise ValidationError("word length must be at least 1")
+    check_cap(space.alphabet_size**n, f"{space.alphabet_size}**{n}")
+
+
 def word_codes(space, n):
     """Codes of the admissible n-words in increasing (lexicographic)
     order: the base-N numbers of their symbol positions.  They need
     N**n < 2**63; past that, and past the enumeration cap, a SizeGuard."""
-    if n < 1:
-        raise ValidationError("word length must be at least 1")
-    check_cap(space.alphabet_size**n, f"{space.alphabet_size}**{n}")
+    _check_length(space, n)
     codes = np.arange(space.alphabet_size, dtype=np.int64)
     for m in range(1, n):
         codes = _extend(space, codes, m)[1]
@@ -236,13 +243,29 @@ class BlockMoves(NamedTuple):
         out[self.I, self.words % N] = values
         return out
 
+    def gather(self, table):
+        """The entries of a k x N table on the moves, in move order: the
+        inverse of `table`."""
+        return table[self.I, self.words % table.shape[1]]
+
 
 def block_moves(space, L):
     """The BlockMoves of space's L-blocks: arrays over the blocks and
-    their moves, nothing k x k until `dense` is asked for it."""
-    blocks = word_codes(space, L)
-    I, words = _extend(space, blocks, L)
-    return BlockMoves(blocks, I, np.searchsorted(blocks, words % space.alphabet_size**L), words)
+    their moves, nothing k x k until `dense` is asked for it.  Each
+    L-block graph is derived once per space and kept on it, its arrays
+    read-only; the length and the enumeration cap are checked on every
+    call."""
+    _check_length(space, L)
+    moves = space._graphs.get(L)
+    if moves is None:
+        blocks = word_codes(space, L)
+        I, words = _extend(space, blocks, L)
+        J = np.searchsorted(blocks, words % space.alphabet_size**L)
+        moves = BlockMoves(blocks, I, J, words)
+        for a in moves:
+            a.setflags(write=False)
+        space._graphs[L] = moves
+    return moves
 
 
 def word_count(space, n):

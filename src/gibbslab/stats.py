@@ -24,9 +24,9 @@ from .errors import (
     ValidationError,
 )
 from . import transfer
-from .gibbs import block_chain
+from .gibbs import block_chain, require_space
 from .potential import affine_combine
-from .shift_space import block_moves, enumerate_words, word_codes
+from .shift_space import block_moves, enumerate_words
 
 DP_CELL_CAP = 10**8
 VARIANCE_TOL = 1e-9  # bound on the resolvent refinement's effect on xi^2
@@ -46,9 +46,10 @@ LATTICE_TOL = 1e-9  # lattice_parameters' rounding tolerance, relative to the va
 def _block_data(mu, *fns):
     """Common block presentation (L, pi, Q, values) carrying every observable
     as a vector over the L-blocks, Q the k x N successor table."""
+    require_space(mu, *fns)
     L = max([mu.block_length] + [f.memory for f in fns])
     pi, Q = block_chain(mu, L)
-    codes = word_codes(mu.space, L)
+    codes = block_moves(mu.space, L).blocks
     return L, pi, Q, [f.on(codes, L) for f in fns]
 
 
@@ -58,8 +59,8 @@ def correlation(mu, f, g, n):
     if n < 0:
         raise ValidationError("lag must be nonnegative")
     L, pi, Q, (fv, gv) = _block_data(mu, f, g)
-    _, I, J, words = block_moves(mu.space, L)
-    q = Q[I, words % mu.space.alphabet_size]
+    moves = block_moves(mu.space, L)
+    I, J, q = moves.I, moves.J, moves.gather(Q)
     ef = float(pi @ fv)
     eg = float(pi @ gv)
     w = pi * fv
@@ -76,7 +77,7 @@ def asymptotic_variance(mu, psi):
     VARIANCE_TOL.  dZ is not added to Z."""
     L, pi, Q, (pv,) = _block_data(mu, psi)
     moves = block_moves(mu.space, L)
-    Q = moves.dense(Q[moves.I, moves.words % mu.space.alphabet_size], "resolvent chain")
+    Q = moves.dense(moves.gather(Q), "resolvent chain")
     c = pv - pi @ pv
     var0 = float(pi @ c**2)
     if var0 == 0.0:
@@ -99,9 +100,9 @@ def cohomology_check(mu, psi):
     Q > 0, in order of source and then target block."""
     L, pi, Q, (pv,) = _block_data(mu, psi)
     c = pv - float(pi @ pv)
-    _, I, J, words = block_moves(mu.space, L)
-    keep = Q[I, words % mu.space.alphabet_size] > 0
-    edges = list(zip(I[keep].tolist(), J[keep].tolist()))
+    moves = block_moves(mu.space, L)
+    keep = moves.gather(Q) > 0
+    edges = list(zip(moves.I[keep].tolist(), moves.J[keep].tolist()))
     adj = [[] for _ in pi]
     for i, j in edges:
         adj[i].append((j, -c[i]))  # forward: U(j) = U(i) - c(i)
@@ -149,7 +150,8 @@ class PressureFamily:
         self._cache = {}  # s -> (P, Lambda', lambda, h, nu), or its NoConvergence
         self._solved = []  # sorted tilts whose (h, nu) can start a solve
         self._T = transfer.build(space, affine_combine(phi, psi, 0.0))
-        moves, ell = self._T.moves, self._T.block_length
+        ell = self._T.block_length
+        moves = block_moves(space, ell)
         self._Psi = moves.dense(psi.on(moves.words, ell + 1), "transfer matrix")
         self._p0 = self._solve(0.0)[0]
 
@@ -384,10 +386,10 @@ def _overlap_layout(space, Q, L):
     overlaps, g = np.unique(words // N % N ** (L - 1), return_inverse=True)
     if len(overlaps) * N * N >= k * k:
         rows = np.arange(k)
-        return moves.dense(Q[I, words % N], "transition matrix").T[None], rows, rows
+        return moves.dense(moves.gather(Q), "transition matrix").T[None], rows, rows
     c, b = words // N**L, words % N
     W = np.zeros((len(overlaps), N, N))
-    W[g, b, c] = Q[I, b]
+    W[g, b, c] = moves.gather(Q)
     src, dst = np.empty(k, dtype=np.int64), np.empty(k, dtype=np.int64)
     src[I], dst[J] = g * N + c, g * N + b
     return W, src, dst

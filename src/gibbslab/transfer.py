@@ -43,11 +43,6 @@ class TransferSystem:
     def states(self):
         return tuple(enumerate_words(self.space, self.block_length))
 
-    @cached_property
-    def moves(self):
-        """The states' BlockMoves; `build` fills it with its own."""
-        return block_moves(self.space, self.block_length)
-
     @property
     def state_count(self):
         return self.matrix.shape[0]
@@ -103,9 +98,7 @@ def build(space, phi):
         # every memory-word starts a move, and moves run in word order
         w = max(sorted(phi.values), key=phi)
         raise ValidationError(f"exp(phi) overflows at word {w!r} (phi = {phi(w):g})")
-    T = TransferSystem(space, phi, ell, moves.dense(weights, "transfer matrix"))
-    vars(T)["moves"] = moves  # the cached_property's slot
-    return T
+    return TransferSystem(space, phi, ell, moves.dense(weights, "transfer matrix"))
 
 
 def dominant_eigendata(T, tol=DEFAULT_TOL, start=None):
@@ -315,8 +308,10 @@ def normalized_operator(T, eigendata):
     so Q(u -> w) = entry(u -> w) nu(w) / (lambda nu(u)) on each of T's
     moves; row sums are (M nu)(u) / (lambda nu(u)) = 1 exactly.
     """
-    lam, h, nu, (_, I, J, _) = eigendata.lambda_, eigendata.h, eigendata.nu, T.moves
-    return T.moves.table(T.matrix[I, J] * nu[J] / (lam * nu[I]), T.space.alphabet_size), h * nu
+    lam, h, nu = eigendata.lambda_, eigendata.h, eigendata.nu
+    moves = block_moves(T.space, T.block_length)
+    I, J = moves.I, moves.J
+    return moves.table(T.matrix[I, J] * nu[J] / (lam * nu[I]), T.space.alphabet_size), h * nu
 
 
 def _linear_solve(A, b, what):

@@ -31,6 +31,7 @@ from .gibbs import (
     gibbs_measure,
     gibbs_ratio_scan,
     markov_measure,
+    require_space,
     variational_defect,
 )
 from .potential import FiniteMemoryFunction
@@ -88,9 +89,10 @@ def jacobian_max_error(mu, phi, eigendata):
     successors[u, s] and mu([w minus its first symbol]) = pi[v], the
     floats that `GibbsMeasure.jacobian` forms.
     """
+    require_space(mu, phi)
     h, n = eigendata.h, mu.block_length + 1
-    _, I, J, codes = block_moves(mu.space, mu.block_length)
-    mass = mu.stationary[I] * mu.successors[I, codes % mu.space.alphabet_size]
+    _, I, J, codes = moves = block_moves(mu.space, mu.block_length)
+    mass = mu.stationary[I] * moves.gather(mu.successors)
     zero = np.flatnonzero(mass == 0.0)
     if zero.size:
         # the moves' words are the admissible n-words, in order

@@ -226,6 +226,17 @@ def test_wasserstein_zero_for_equal():
     assert tail == 0.5**6
 
 
+@pytest.mark.parametrize("n", [0, -2])
+def test_level_sums_need_a_level(n):
+    """With no level the tail bound alpha**n would pass the metric's
+    diameter 1, and the LP value would read 0."""
+    _, mu = solved_bernoulli(0.7)
+    _, nu = solved_bernoulli(0.4)
+    for call in (wasserstein_distance, wasserstein_lp):
+        with pytest.raises(ValidationError, match="level count must be at least 1"):
+            call(mu, nu, 0.5, n)
+
+
 def test_wasserstein_lp_oracle_agreement(golden):
     m = models.golden_mean(0.5)
     T = transfer.build(m.space, m.potential)

@@ -504,8 +504,9 @@ def graph_cases():
 
 def assert_moves_match(space, L):
     """The words of enumerate_words and I, J and the words of block_moves
-    equal their tuple forms, and every gather equals the per-word value."""
-    blocks, I, J, words = block_moves(space, L)
+    equal their tuple forms, gather inverts table, and every gather
+    equals the per-word value."""
+    blocks, I, J, words = moves = block_moves(space, L)
     states = tuple_words(space, L)
     tI, tJ, twords = tuple_moves(space, states)
     assert enumerate_words(space, L) == states
@@ -514,6 +515,8 @@ def assert_moves_match(space, L):
     assert I.tolist() == tI.tolist()
     assert J.tolist() == tJ.tolist()
     assert words.tolist() == [encode(space, w) for w in twords]
+    v = np.arange(1.0, len(I) + 1)
+    assert moves.gather(moves.table(v, space.alphabet_size)).tolist() == v.tolist()
     rng = np.random.default_rng(L)
     for m in range(1, L + 2):
         f = FiniteMemoryFunction(

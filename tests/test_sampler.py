@@ -95,6 +95,19 @@ def test_bernoulli_ks_against_exact_law(bernoulli):
     assert summary["ks"] <= 0.01
 
 
+def test_exact_law_of_another_n_is_refused(ising, monkeypatch):
+    """A law of S_16 says nothing of samples of S_64: the mismatch is a
+    ValidationError naming both, raised before any word is drawn."""
+    exact = stats.exact_birkhoff_distribution(ising.mu, ising.psi, 16)
+
+    def no_draws(*args):
+        raise AssertionError("sampled before the check")
+
+    monkeypatch.setattr(sampler_mod, "_words", no_draws)
+    with pytest.raises(ValidationError, match="S_16, not of the sampled S_64"):
+        empirical_birkhoff(ising.mu, ising.psi, 64, 100, 0, exact=exact)
+
+
 def test_chi_squared_two_cylinders(builtin_triple):
     for s in builtin_triple.values():
         path = sample_path(s.mu, 100_000, 2024)

@@ -1,10 +1,13 @@
+import collections
 import itertools
 
 import numpy as np
 import pytest
 
+from gibbslab import gibbs, models, shift_space, stats, transfer
 from gibbslab.errors import NoPath, NotPrimitive, RowColumnEmpty, SizeGuard, ValidationError
 from gibbslab.shift_space import (
+    block_moves,
     canonical_extension,
     connecting_word,
     enumerate_words,
@@ -12,6 +15,7 @@ from gibbslab.shift_space import (
     validate,
     word_count,
 )
+from gibbslab.verify import uniform_chain, verify_model
 
 FULL2 = validate(2, [[1, 1], [1, 1]], symbols=(1, 2))
 GOLDEN = validate(2, [[1, 1], [1, 0]], symbols=(0, 1))
@@ -205,3 +209,60 @@ def test_recode_word_count_correspondence():
 def test_successors_sorted():
     assert GOLDEN.successors(0) == (0, 1)
     assert GOLDEN.successors(1) == (0,)
+
+
+def test_block_graph_is_kept_read_only():
+    space = validate(2, [[1, 1], [1, 0]], symbols=(0, 1))
+    moves = block_moves(space, 3)
+    assert block_moves(space, 3) is moves
+    for a in moves:
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = a[0]
+
+
+def test_kept_graph_still_checks_length_and_cap(monkeypatch):
+    """A kept graph is no way round the cap: lowering it below N**L
+    raises the SizeGuard that a space with nothing kept raises."""
+    kept = validate(2, [[1, 1], [1, 0]], symbols=(0, 1))
+    fresh = validate(2, [[1, 1], [1, 0]], symbols=(0, 1))
+    block_moves(kept, 4)
+    monkeypatch.setenv("GIBBSLAB_ENUM_CAP", "15")
+    messages = []
+    for space in (kept, fresh):
+        with pytest.raises(SizeGuard) as exc:
+            block_moves(space, 4)
+        messages.append(str(exc.value))
+    assert messages == ["2**4 exceeds enumeration cap 15"] * 2
+    with pytest.raises(ValidationError, match="at least 1"):
+        block_moves(kept, 0)
+
+
+@pytest.fixture
+def derivations(monkeypatch):
+    """How often each block graph is built during the test, keyed by its
+    size and its (L + 1)-word codes."""
+    counts = collections.Counter()
+    make = shift_space.BlockMoves
+
+    def counted(blocks, I, J, words):
+        counts[len(blocks), words.tobytes()] += 1
+        return make(blocks, I, J, words)
+
+    monkeypatch.setattr(shift_space, "BlockMoves", counted)
+    return counts
+
+
+def test_each_block_graph_is_derived_once(derivations):
+    """verify with an injected chain, and clt's variance and three exact
+    laws, build each (space, L) graph once, however many readers it has."""
+    m = models.ising(1.0, 0.0)
+    verify_model(m, inject_chain=uniform_chain(m))
+    assert derivations and set(derivations.values()) == {1}
+    derivations.clear()
+    g = models.golden_mean(0.0)
+    T = transfer.build(g.space, g.potential)
+    mu = gibbs.gibbs_measure(T, transfer.dominant_eigendata(T, tol=1e-13))
+    stats.asymptotic_variance(mu, g.observable)
+    for n in (16, 32, 64):
+        stats.exact_birkhoff_distribution(mu, g.observable, n)
+    assert len(derivations) == 2 and set(derivations.values()) == {1}

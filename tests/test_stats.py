@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from gibbslab import stats, transfer
+from gibbslab import models, sampler, stats, transfer
 from gibbslab.errors import (
     DegenerateVariance,
     NoConvergence,
@@ -14,10 +14,12 @@ from gibbslab.errors import (
     OutOfRange,
     SizeGuard,
     SolveFailure,
+    ValidationError,
 )
-from gibbslab.gibbs import expectation, gibbs_measure, markov_measure
+from gibbslab.gibbs import expectation, gibbs_measure, gibbs_ratio_scan, markov_measure
 from gibbslab.potential import FiniteMemoryFunction, affine_combine
 from gibbslab.shift_space import enumerate_words, validate
+from gibbslab.verify import jacobian_max_error
 
 from oracles import dense_tilt
 
@@ -630,3 +632,41 @@ def test_ldp_interval_containing_mean(bernoulli):
     assert rows[0]["inf_rate"] == 0.0
     assert rates[2] < rates[1] < rates[0]
     assert rates[2] < 0.01
+
+
+def _off_space(case):
+    """(chain, eigendata, function on another shift space).  full-3:
+    a full 3-shift chain and psi on the shift that forbids 0 -> 1,
+    whose missing word would read its neighbour's value; bernoulli: the
+    Bernoulli chain and golden-mean psi, whose codes run past its table."""
+    if case == "full-3":
+        full = validate(3, np.ones((3, 3), dtype=int), symbols=(0, 1, 2))
+        sft = validate(3, [[1, 0, 1], [1, 1, 1], [1, 1, 1]], symbols=(0, 1, 2))
+        phi = FiniteMemoryFunction.constant(full, 0.0, memory=2)
+        f = FiniteMemoryFunction(sft, 2, {w: 3.0 * w[0] + w[1] for w in enumerate_words(sft, 2)})
+    else:
+        m = models.bernoulli(0.7)
+        full, phi, f = m.space, m.potential, models.golden_mean(0.0).observable
+    T = transfer.build(full, phi)
+    E = transfer.dominant_eigendata(T, tol=1e-13)
+    return gibbs_measure(T, E), E, f
+
+
+OFF_SPACE_CALLS = {
+    "expectation": lambda mu, E, f: expectation(mu, f),
+    "asymptotic_variance": lambda mu, E, f: stats.asymptotic_variance(mu, f),
+    "correlation": lambda mu, E, f: stats.correlation(mu, f, f, 0),
+    "cohomology_check": lambda mu, E, f: stats.cohomology_check(mu, f),
+    "exact_law": lambda mu, E, f: stats.exact_birkhoff_distribution(mu, f, 4),
+    "empirical_birkhoff": lambda mu, E, f: sampler.empirical_birkhoff(mu, f, 4, 10, 0),
+    "gibbs_ratio_scan": lambda mu, E, f: gibbs_ratio_scan(mu, f, 3),
+    "jacobian_max_error": lambda mu, E, f: jacobian_max_error(mu, f, E),
+}
+
+
+@pytest.mark.parametrize("call", sorted(OFF_SPACE_CALLS))
+@pytest.mark.parametrize("case", ["full-3", "bernoulli"])
+def test_function_on_another_space_is_refused(case, call):
+    mu, E, f = _off_space(case)
+    with pytest.raises(ValidationError, match="not defined on this shift space"):
+        OFF_SPACE_CALLS[call](mu, E, f)
