@@ -216,12 +216,12 @@ def cmd_ldp(args):
     psi = _observable(model)
     _, _, mu = _solved(model, args.tol)
     mean = expectation(mu, psi)
-    fam = PressureFamily(model.space, model.potential, psi, tol=args.tol)
 
-    def oracle(t):
+    def oracle(t):  # ldp_empirical calls it at most once, and not when [a, b] holds the mean
         lo, hi = stats._mean_range(model.space, psi)  # no invariant measure has a mean off it
         if abs(min(max(t, lo), hi) - t) > 1e-12 * max(1.0, abs(t)):
             return math.inf
+        fam = PressureFamily(model.space, model.potential, psi, tol=args.tol)
         return rate_function(model.space, model.potential, psi, t, family=fam).rate
 
     dists = [exact_birkhoff_distribution(mu, psi, n) for n in args.n]

@@ -69,11 +69,28 @@ def contraction_trace(T, eigendata, f, g, k, delta=None):
     Returns {delta, delta_prime, n0, kappa, rows, image_diameter}.
     rows are {step, theta, factor, in_cone}, where factor is the
     per-block ratio theta_j / theta_{j-1} (None on the first row or when
-    the previous theta vanished) and in_cone flags membership of both
-    iterates in the width-delta cone before the block is applied.
+    theta_{j-1} is within its rounding error, see below) and in_cone
+    flags membership of both iterates in the width-delta cone before
+    the block is applied.
     image_diameter is the measured theta after one block, row 1's.
     A block applies M.T / lambda to each iterate n0 times, forming no
     matrix power; theta is scale invariant, so lambda only guards against overflow.
+
+    The rounding error of theta_j: with u = 2**-53 the unit roundoff and
+    k the state count, each entry of op is within a relative u of M.T /
+    lambda, and a length-k dot product of nonnegative terms is within a
+    relative k u of exact, to first order (Higham, Accuracy and Stability
+    of Numerical Algorithms, 2002, section 3.1), so one product of op
+    with a positive vector adds at most (k + 1) u to the relative error
+    of every entry, and positivity keeps the errors it starts from from
+    growing: after the j n0 products of j blocks every entry of f and g
+    is within j n0 (k + 1) u of exact.  The ratios f / g move by
+    2 j n0 (k + 1) u + u each, their max over min by twice that plus u,
+    and its log by that much absolutely, plus the log's own error, below
+    u for theta_j <= 1: such a theta_j is within
+    err_j = (4 j n0 (k + 1) + 4) u of the exact iterates' theta, to
+    first order in u.  A factor over theta_{j-1} <= err_{j-1} is a
+    ratio of rounding noise, and is None.
     """
     if k < 1:
         raise ValidationError("need at least one block")
@@ -91,7 +108,8 @@ def contraction_trace(T, eigendata, f, g, k, delta=None):
             f = op @ f
             g = op @ g
         new_theta = hilbert_metric(f, g)
-        factor = new_theta / theta if theta > 0 else None
+        err = (4 * (j - 1) * cc.n0 * (len(f) + 1) + 4) * 2.0**-53  # theta's, see above
+        factor = new_theta / theta if theta > err else None
         rows.append({"step": j, "theta": new_theta, "factor": factor,
                      "in_cone": was_in_cone})
         theta = new_theta

@@ -12,9 +12,15 @@ from functools import cached_property
 import numpy as np
 
 from .errors import TooShort, ValidationError
-from .shift_space import enumerate_words, word_codes
+from .shift_space import kept_codes, spell
 
 DEFAULT_ALPHA = 0.5
+
+
+def _memory_words(space, m):
+    """The admissible m-words in order, spelled from the codes the space
+    keeps (`kept_codes`), so a space's m-word codes are derived once."""
+    return spell(space, kept_codes(space, m), m)
 
 
 @dataclass(frozen=True, eq=False)
@@ -36,7 +42,7 @@ class FiniteMemoryFunction:
             raise ValidationError("memory must be at least 1")
         if not 0.0 < self.alpha < 1.0:
             raise ValidationError("alpha must lie in (0, 1)")
-        words = enumerate_words(self.space, self.memory)
+        words = _memory_words(self.space, self.memory)
         admissible = set(words)
         missing = [w for w in words if w not in self.values]
         if missing:
@@ -50,14 +56,14 @@ class FiniteMemoryFunction:
 
     @classmethod
     def constant(cls, space, c, memory=1, alpha=DEFAULT_ALPHA):
-        words = enumerate_words(space, memory)
+        words = _memory_words(space, memory)
         return cls(space, memory, {w: float(c) for w in words}, alpha)
 
     @classmethod
     def indicator(cls, space, word, alpha=DEFAULT_ALPHA):
         """1 on the cylinder of `word`, 0 elsewhere; memory = len(word)."""
         word = tuple(word)
-        words = enumerate_words(space, len(word))
+        words = _memory_words(space, len(word))
         return cls(space, len(word), {w: float(w == word) for w in words}, alpha)
 
     def __call__(self, word):
@@ -79,7 +85,7 @@ class FiniteMemoryFunction:
         """The memory-words' codes, increasing, and the values in that
         order, which is the sorted order of the words."""
         values = [v for _, v in sorted(self.values.items())]
-        return word_codes(self.space, self.memory), np.array(values)
+        return kept_codes(self.space, self.memory), np.array(values)
 
     def on(self, codes, n):
         """The values at the first `memory` symbols of the admissible
@@ -147,6 +153,6 @@ def affine_combine(f, g, s):
     if not f.space.same_as(g.space):
         raise ValidationError("operands must live on the same shift space")
     m = max(f.memory, g.memory)
-    codes = word_codes(f.space, m)
+    codes = kept_codes(f.space, m)
     vals = (f.on(codes, m) + s * g.on(codes, m)).tolist()
-    return FiniteMemoryFunction(f.space, m, dict(zip(enumerate_words(f.space, m), vals)), f.alpha)
+    return FiniteMemoryFunction(f.space, m, dict(zip(spell(f.space, codes, m), vals)), f.alpha)

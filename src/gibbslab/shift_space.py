@@ -210,8 +210,13 @@ def enumerate_words(space, n):
     """All admissible words of length n, lexicographically ordered: the
     words of `word_codes`, under its guards.  The count equals the sum
     of entries of A**(n-1)."""
+    return spell(space, word_codes(space, n), n)
+
+
+def spell(space, codes, n):
+    """The n-words with these codes, as tuples of symbols."""
     N, symbols = space.alphabet_size, space.symbols
-    digits = word_codes(space, n)[:, None] // N ** np.arange(n - 1, -1, -1) % N
+    digits = codes[:, None] // N ** np.arange(n - 1, -1, -1) % N
     return [tuple(map(symbols.__getitem__, row)) for row in digits.tolist()]
 
 
@@ -266,6 +271,14 @@ def block_moves(space, L):
             a.setflags(write=False)
         space._graphs[L] = moves
     return moves
+
+
+def kept_codes(space, n):
+    """The codes of `word_codes(space, n)`, under its guards, read off a
+    graph the space keeps (see `block_moves`): the move words of its
+    (n - 1)-block graph, or for n = 1 the blocks of its 1-block graph."""
+    _check_length(space, n)
+    return block_moves(space, n - 1).words if n > 1 else block_moves(space, 1).blocks
 
 
 def word_count(space, n):

@@ -528,6 +528,25 @@ def test_ldp_off_the_mean_range_is_infinite(tmp_path, capsys, a, b):
     assert lines[1:] == [f"{n},0,,Infinity,,true" for n in (100, 200, 400)]
 
 
+@pytest.mark.parametrize("a, b, builds", [(-0.1, 0.1, 0), (0.6, 0.9, 0), (0.1, 0.25, 1)])
+def test_ldp_builds_a_family_only_for_a_rate(tmp_path, capsys, monkeypatch, a, b, builds):
+    """ldp builds its tilted family on the rate oracle's first call: an
+    interval holding bernoulli's Gibbs mean 0, or past its mean range
+    [-0.7, 0.3], asks no rate point and builds none."""
+    made = []
+
+    class Counted(cli.PressureFamily):
+        def __init__(self, *args, **kwargs):
+            made.append(args)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "PressureFamily", Counted)
+    assert run(["ldp", "--builtin", "bernoulli", "--a-level", str(a), "--b-level", str(b),
+                "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert len(made) == builds
+
+
 def test_format_csv_variants(tmp_path, capsys):
     out = tmp_path / "fmt"
     assert run(["verify", "--builtin", "bernoulli", "--format", "csv",

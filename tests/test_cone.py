@@ -130,3 +130,15 @@ def test_contraction_factors_all_builtins(builtin_triple):
             assert row["in_cone"]
             if row["factor"] is not None:
                 assert row["factor"] <= kappa + 1e-12
+
+
+def test_no_factor_over_rounding_noise(golden):
+    """On golden-mean (k = 2, n0 = 4) theta falls below 1e-15 at step 9
+    and to 0 at step 10: their factors would be ratios of rounding
+    noise, and are None; steps 1-8, over thetas above the bound, keep
+    theirs."""
+    tr = contraction_trace(golden.T, golden.E, [1.0, 2.0], [2.0, 3.0], k=10)
+    rows = tr["rows"]
+    assert rows[9]["theta"] < 1e-15 and rows[10]["theta"] == 0.0
+    assert [r["factor"] is None for r in rows] == [True] + [False] * 8 + [True] * 2
+    assert all(0.02 < r["factor"] < 0.027 for r in rows[1:9])

@@ -266,3 +266,37 @@ def test_each_block_graph_is_derived_once(derivations):
     for n in (16, 32, 64):
         stats.exact_birkhoff_distribution(mu, g.observable, n)
     assert len(derivations) == 2 and set(derivations.values()) == {1}
+
+
+def test_memory_word_codes_are_derived_once(monkeypatch):
+    """A model's functions, their affine combinations in a rate curve and
+    verify with an injected chain derive the codes of the 2-words once
+    per space: every reader takes them from the kept 1-block graph.
+    Counted at `_extend`, through which word_codes and block_moves make
+    every code past the 1-words."""
+    made = collections.Counter()
+    extend = shift_space._extend
+
+    def counted(space, codes, n):
+        made[n + 1] += 1
+        return extend(space, codes, n)
+
+    monkeypatch.setattr(shift_space, "_extend", counted)
+    g = models.golden_mean(0.0)
+    fam = stats.PressureFamily(g.space, g.potential, g.observable)
+    for t in (0.1, 0.2, 0.3):
+        stats.rate_function(g.space, g.potential, g.observable, t, family=fam)
+    assert made == {2: 1}
+    made.clear()
+    m = models.ising(1.0, 0.0)
+    verify_model(m, inject_chain=uniform_chain(m))
+    assert made == {2: 1}
+
+
+@pytest.mark.parametrize("name", ["golden-mean", "ising", "bernoulli"])
+def test_kept_codes_are_the_word_codes(name):
+    space = models.builtin(name).space
+    for m in range(1, 5):
+        codes = shift_space.kept_codes(space, m)
+        assert np.array_equal(codes, shift_space.word_codes(space, m)) and codes.dtype == np.int64
+        assert codes is shift_space.kept_codes(space, m)

@@ -21,7 +21,7 @@ from gibbslab.potential import FiniteMemoryFunction, affine_combine
 from gibbslab.shift_space import enumerate_words, validate
 from gibbslab.verify import jacobian_max_error
 
-from oracles import dense_tilt
+from oracles import dense_tilt, random_full_shift
 
 
 def test_correlation_ising_tanh(ising):
@@ -424,6 +424,75 @@ def test_underflowed_tilt_is_no_start():
     *_, nu = fam._cache[-40.0]
     assert nu.min() == 0.0
     assert fam.pressure(-50.0) == 0.0
+
+
+PRESSURE_GRID = [-3.0 + 0.25 * j for j in range(25)]  # the pressure-curve default grid
+
+
+def test_dense_started_family_is_order_free(solves):
+    """A three-symbol family (k = 7) starts each tilt from M(s)'s own
+    Perron pair: solved ascending or reversed it gives the same bits of
+    (P, Lambda') at every tilt, and every tilt certifies within 2
+    iterations."""
+    got = []
+    for order in (PRESSURE_GRID, PRESSURE_GRID[::-1]):
+        fam = stats.PressureFamily(*_three_symbol())
+        got.append({s: (fam.pressure(s), fam.mean(s)) for s in order})
+    assert len(fam._T.matrix) == 7
+    assert got[0] == got[1]
+    assert len(solves) == 2 * 25 and max(E.iterations for _, E in solves) <= 2
+
+
+def _no_eig(*args):
+    raise AssertionError("np.linalg.eig called")
+
+
+def test_two_state_and_large_families_run_no_eig(ising, monkeypatch):
+    """k = 2 and k > DENSE_START_MAX keep the interpolated start."""
+    monkeypatch.setattr(np.linalg, "eig", _no_eig)
+    phi = random_full_shift(100, 4)
+    large = (phi.space, phi, FiniteMemoryFunction.indicator(phi.space, (1,)))
+    for args in ((ising.space, ising.phi, ising.psi), large):
+        fam = stats.PressureFamily(*args)
+        for s in PRESSURE_GRID:
+            fam.pressure(s)
+    assert len(fam._T.matrix) == 64 > stats.DENSE_START_MAX
+
+
+def test_tilt_without_a_dense_start_is_predicted(monkeypatch):
+    """On the full 3-shift with psi = 30 on symbol 1, M(-40) has an
+    underflowed zero row, so its dense nu has a zero entry: that tilt
+    starts from the solved s = 0 instead, and certifies P = log 2."""
+    starts = []
+    solve = transfer.dominant_eigendata
+
+    def recorded(T, **kwargs):
+        starts.append(kwargs["start"])
+        return solve(T, **kwargs)
+
+    monkeypatch.setattr(transfer, "dominant_eigendata", recorded)
+    space = validate(3, np.ones((3, 3), dtype=int), symbols=(1, 2, 3))
+    phi = FiniteMemoryFunction.constant(space, 0.0)
+    psi = FiniteMemoryFunction(space, 1, {(1,): 30.0, (2,): 0.0, (3,): 0.0})
+    fam = stats.PressureFamily(space, phi, psi)
+    assert stats._dense_pair(fam._tilt(-40.0)) is None
+    assert fam.pressure(-40.0) == pytest.approx(math.log(2.0), abs=1e-13)
+    assert all(a is b for a, b in zip(starts[1], fam._cache[0.0][3:]))
+
+
+def _broken_eig(a):
+    raise np.linalg.LinAlgError("eig did not converge")
+
+
+def test_failed_dense_solve_falls_back(monkeypatch):
+    """Where eig raises, each tilt takes the interpolated start and
+    certifies the dense-started values to tol."""
+    dense = stats.PressureFamily(*_three_symbol())
+    want = [dense.pressure(s) for s in PRESSURE_GRID]
+    monkeypatch.setattr(np.linalg, "eig", _broken_eig)
+    fam = stats.PressureFamily(*_three_symbol())
+    for s, p in zip(PRESSURE_GRID, want):
+        assert abs(fam.pressure(s) - p) <= 1e-12 * max(1.0, abs(p))
 
 
 def _arrays(x):
