@@ -69,7 +69,7 @@ def contraction_trace(T, eigendata, f, g, k, delta=None):
     Returns {delta, delta_prime, n0, kappa, rows, image_diameter}.
     rows are {step, theta, factor, in_cone}, where factor is the
     per-block ratio theta_j / theta_{j-1} (None on the first row or when
-    theta_{j-1} is within its rounding error, see below) and in_cone
+    theta_{j-1} or theta_j is within its rounding error, see below) and in_cone
     flags membership of both iterates in the width-delta cone before
     the block is applied.
     image_diameter is the measured theta after one block, row 1's.
@@ -89,8 +89,8 @@ def contraction_trace(T, eigendata, f, g, k, delta=None):
     and its log by that much absolutely, plus the log's own error, below
     u for theta_j <= 1: such a theta_j is within
     err_j = (4 j n0 (k + 1) + 4) u of the exact iterates' theta, to
-    first order in u.  A factor over theta_{j-1} <= err_{j-1} is a
-    ratio of rounding noise, and is None.
+    first order in u.  A factor with theta_{j-1} <= err_{j-1} or
+    theta_j <= err_j is a ratio over or of rounding noise, and is None.
     """
     if k < 1:
         raise ValidationError("need at least one block")
@@ -101,6 +101,10 @@ def contraction_trace(T, eigendata, f, g, k, delta=None):
     g = _positive(g)
     op = T.matrix.T / eigendata.lambda_
     theta0 = theta = hilbert_metric(f, g)
+
+    def err(j):  # theta_j's rounding error, see above
+        return (4 * j * cc.n0 * (len(f) + 1) + 4) * 2.0**-53
+
     rows = []
     for j in range(1, k + 1):
         was_in_cone = in_cone(f, delta) and in_cone(g, delta)
@@ -108,8 +112,7 @@ def contraction_trace(T, eigendata, f, g, k, delta=None):
             f = op @ f
             g = op @ g
         new_theta = hilbert_metric(f, g)
-        err = (4 * (j - 1) * cc.n0 * (len(f) + 1) + 4) * 2.0**-53  # theta's, see above
-        factor = new_theta / theta if theta > err else None
+        factor = new_theta / theta if theta > err(j - 1) and new_theta > err(j) else None
         rows.append({"step": j, "theta": new_theta, "factor": factor,
                      "in_cone": was_in_cone})
         theta = new_theta

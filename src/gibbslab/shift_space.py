@@ -258,12 +258,14 @@ def block_moves(space, L):
     """The BlockMoves of space's L-blocks: arrays over the blocks and
     their moves, nothing k x k until `dense` is asked for it.  Each
     L-block graph is derived once per space and kept on it, its arrays
-    read-only; the length and the enumeration cap are checked on every
-    call."""
+    read-only, its blocks read off the kept (L - 1)-block graph's move
+    words where there is one; the length and the enumeration cap are
+    checked on every call."""
     _check_length(space, L)
     moves = space._graphs.get(L)
     if moves is None:
-        blocks = word_codes(space, L)
+        shorter = space._graphs.get(L - 1)
+        blocks = word_codes(space, L) if shorter is None else shorter.words
         I, words = _extend(space, blocks, L)
         J = np.searchsorted(blocks, words % space.alphabet_size**L)
         moves = BlockMoves(blocks, I, J, words)

@@ -41,7 +41,8 @@ S_MAX = 50.0  # the rate function's tilts stay within [-S_MAX, S_MAX]
 BISECT_WIDTH = 1e-2
 FD_STEP = 1e-4  # pressure_derivative_check's finite-difference step
 # PressureFamily starts every tilt of a family of 3..DENSE_START_MAX
-# states from a dense eigensolve.  A 25-tilt pressure curve (2 vCPUs,
+# states from a dense eigensolve (and of 2 states from the closed-form
+# pair, transfer._two_state_pair).  A 25-tilt pressure curve (2 vCPUs,
 # one BLAS thread, min of 7) took with it / with the interpolated start
 # 3.8 / 6.7 ms at k = 7 and 5.6-8.9 / 7.3-29.5 ms at k = 16, but
 # 8.3-8.9 / 8.1 ms at k = 22, 9.6-10.3 / 7.9-9.3 ms at k = 24 and
@@ -139,11 +140,12 @@ class PressureFamily:
     taken from M(s) right after the solve; the variance Lambda'' alone
     forms M(s) again.  No tilted system or Gibbs chain is kept.
 
-    Each tilt's power loop is warm-started.  With 3 <= k <=
-    DENSE_START_MAX states it starts from the Perron pair of M(s) itself,
-    read off one dense eigensolve (`_dense_pair`), so each value depends
-    on s alone.  With k = 2, with k > DENSE_START_MAX, and where that
-    pair is no start, it starts from the tilts already solved (the
+    Each tilt's power loop is warm-started.  With k <= DENSE_START_MAX
+    states it starts from the Perron pair of M(s) itself, in closed form
+    at k = 2 (`transfer._two_state_pair`) and read off one dense
+    eigensolve at k >= 3 (`_dense_pair`), so each value depends on s
+    alone.  With k > DENSE_START_MAX, and where that pair is no start,
+    it starts from the tilts already solved (the
     predictor step of a continuation method): between two of them, from
     the linear interpolation at s of the (h, nu) of the nearest below
     and the nearest above; outside their range, from the nearest one;
@@ -192,7 +194,9 @@ class PressureFamily:
     def _start(self, s, M):
         """(h, nu) to start tilt s, whose matrix is M, or None for the
         all-ones start (see the class docstring)."""
-        pair = _dense_pair(M) if 3 <= len(M) <= DENSE_START_MAX else None
+        k = len(M)
+        pair = (transfer._two_state_pair(M) if k == 2
+                else _dense_pair(M) if k <= DENSE_START_MAX else None)
         if pair is not None:
             return pair
         solved = self._solved

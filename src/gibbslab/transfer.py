@@ -244,6 +244,36 @@ def _two_state_loop(T, tol, start):
                       res_h, res_nu, iters)
 
 
+def _two_state_pair(M):
+    """(h, nu) of the Perron pair of a 2 x 2 matrix M = [[a, b], [c, d]]
+    in closed form, on Python floats, nu summing to 1; None unless its
+    four numbers are finite and positive.
+
+    M is first scaled by its largest entry, so that no square below
+    overflows.  lambda solves (lambda - a)(lambda - d) = bc; with
+    r = sqrt(((a - d)/2)**2 + bc), lambda - d = (a - d)/2 + r when
+    a > d, and then lambda - a = bc / (lambda - d), else
+    lambda - a = (d - a)/2 + r: a sum of two nonnegative terms either
+    way, so nothing cancels.  Then M nu = lambda nu for nu ~ (b, lambda - a)
+    and M.T h = lambda h for h ~ (c, lambda - a).
+    """
+    (a, b), (c, d) = M.tolist()
+    top = max(a, b, c, d)
+    if not 0 < top < math.inf:  # NaN fails too
+        return None
+    a, b, c, d = a / top, b / top, c / top, d / top
+    if not b > 0:  # so that b + p below is positive
+        return None
+    half = 0.5 * (a - d)
+    r = math.sqrt(half * half + b * c)
+    p = b * c / (half + r) if half > 0 else r - half  # lambda - a
+    n0, n1 = b / (b + p), p / (b + p)
+    # c, n0 and n1 are at most 1; each comparison fails on a NaN
+    if not (c > 0 and 0 < p < math.inf and n0 > 0 and n1 > 0):
+        return None
+    return (c, p), (n0, n1)
+
+
 _BAD_START = "start vector entries must be finite and positive"
 
 

@@ -477,6 +477,23 @@ def test_pressure_curve_golden_closed_form(tmp_path, capsys):
     assert worst <= 1e-9
 
 
+def test_pressure_curve_stiff_golden_mean(tmp_path, capsys):
+    """golden-mean a = -8, whose gap ratio is 0.99966, gives its whole
+    default curve, every P the closed form log((x + sqrt(x^2 + 4)) / 2),
+    x = e^(s - 8)."""
+    out = tmp_path / "gm8"
+    assert run(["pressure-curve", "--builtin", "golden-mean", "--a", "-8",
+                "--out", str(out)]) == 0
+    capsys.readouterr()
+    lines = (out / "pressure_curve.csv").read_text().splitlines()
+    assert len(lines) == 1 + 25
+    for line in lines[1:]:
+        s, pressure, _, _ = (float(x) for x in line.split(","))
+        x = math.exp(s - 8.0)
+        closed = math.log((x + math.sqrt(x * x + 4.0)) / 2.0)
+        assert abs(pressure - closed) <= 1e-15
+
+
 def test_empty_grid_gives_header_only(tmp_path, capsys):
     out = tmp_path / "e"
     assert run(["pressure-curve", "--builtin", "bernoulli",

@@ -133,12 +133,14 @@ def test_contraction_factors_all_builtins(builtin_triple):
 
 
 def test_no_factor_over_rounding_noise(golden):
-    """On golden-mean (k = 2, n0 = 4) theta falls below 1e-15 at step 9
-    and to 0 at step 10: their factors would be ratios of rounding
-    noise, and are None; steps 1-8, over thetas above the bound, keep
-    theirs."""
+    """On golden-mean (k = 2, n0 = 4) theta_8 = 1.5e-14 is below its
+    rounding error err_8 = (4*8*4*3 + 4) 2**-53 = 4.3e-14, theta falls
+    below 1e-15 at step 9 and to 0 at step 10: the factors of steps 8-10
+    would be ratios of or over rounding noise, and are None; steps 1-7,
+    between thetas above their bounds, keep theirs."""
     tr = contraction_trace(golden.T, golden.E, [1.0, 2.0], [2.0, 3.0], k=10)
     rows = tr["rows"]
+    assert 1e-14 < rows[8]["theta"] < 388 * 2.0**-53 < 4.4e-14
     assert rows[9]["theta"] < 1e-15 and rows[10]["theta"] == 0.0
-    assert [r["factor"] is None for r in rows] == [True] + [False] * 8 + [True] * 2
-    assert all(0.02 < r["factor"] < 0.027 for r in rows[1:9])
+    assert [r["factor"] is None for r in rows] == [True] + [False] * 7 + [True] * 3
+    assert all(0.02 < r["factor"] < 0.027 for r in rows[1:8])

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from gibbslab import cone, gibbs, models, sampler, stats, transfer
-from gibbslab.errors import GibbsLabError, SizeGuard, SolveFailure, Undefined, ValidationError
+from gibbslab.errors import GibbsLabError, SizeGuard, SolveFailure, Undefined
 from gibbslab.gibbs import (
     GibbsMeasure,
     gibbs_measure,
@@ -849,18 +849,17 @@ def test_tilted_variance_matches_the_chain_route(name, solves):
 
 
 def test_stiff_tilted_variance_matches_a_dense_reference(solves):
-    """Ising beta = 4, h = 0.01 at s = -1: the tilt's Q has rows off by
-    2.3e-9 although its eigendata are certified to 1e-12, so the chain
-    route raised 'transition rows must sum to 1'.  The curvature is
-    1.1e-7 and within 1e-8 relative of the dense 2 x 2 reference
-    (7.3e-10 measured)."""
+    """Ising beta = 4, h = 0.01 at s = -1, whose curvature is 1.1e-7:
+    started from the closed-form Perron pair, the tilt's Q has rows
+    that sum to 1, and both the family and the tilt's Gibbs chain are
+    within 1e-8 relative of the dense 2 x 2 reference."""
     m = models.ising(4.0, 0.01)
     fam = stats.PressureFamily(m.space, m.potential, m.observable, tol=1e-12)
     T, E = family_solve(fam, solves, -1.0)
-    with pytest.raises(ValidationError, match="rows must sum to 1"):
-        chain_variance(T, E, m.observable)
     Ts = transfer.build(m.space, affine_combine(m.potential, m.observable, -1.0))
     I, J, words = tuple_moves(m.space, Ts.states)
     Psi = np.zeros_like(Ts.matrix)
     Psi[I, J] = [m.observable(w) for w in words]
-    assert fam.variance(-1.0) == pytest.approx(dense_curvature(Ts.matrix, Psi), rel=1e-8)
+    want = dense_curvature(Ts.matrix, Psi)
+    assert fam.variance(-1.0) == pytest.approx(want, rel=1e-8)
+    assert chain_variance(T, E, m.observable) == pytest.approx(want, rel=1e-8)

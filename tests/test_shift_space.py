@@ -4,7 +4,7 @@ import itertools
 import numpy as np
 import pytest
 
-from gibbslab import gibbs, models, shift_space, stats, transfer
+from gibbslab import cli, gibbs, models, shift_space, stats, transfer
 from gibbslab.errors import NoPath, NotPrimitive, RowColumnEmpty, SizeGuard, ValidationError
 from gibbslab.shift_space import (
     block_moves,
@@ -268,20 +268,26 @@ def test_each_block_graph_is_derived_once(derivations):
     assert len(derivations) == 2 and set(derivations.values()) == {1}
 
 
-def test_memory_word_codes_are_derived_once(monkeypatch):
-    """A model's functions, their affine combinations in a rate curve and
-    verify with an injected chain derive the codes of the 2-words once
-    per space: every reader takes them from the kept 1-block graph.
-    Counted at `_extend`, through which word_codes and block_moves make
-    every code past the 1-words."""
-    made = collections.Counter()
+@pytest.fixture
+def made(monkeypatch):
+    """How often the codes of the n-words are derived during the test,
+    keyed by n: counted at `_extend`, through which word_codes and
+    block_moves make every code past the 1-words."""
+    counts = collections.Counter()
     extend = shift_space._extend
 
     def counted(space, codes, n):
-        made[n + 1] += 1
+        counts[n + 1] += 1
         return extend(space, codes, n)
 
     monkeypatch.setattr(shift_space, "_extend", counted)
+    return counts
+
+
+def test_memory_word_codes_are_derived_once(made):
+    """A model's functions, their affine combinations in a rate curve and
+    verify with an injected chain derive the codes of the 2-words once
+    per space: every reader takes them from the kept 1-block graph."""
     g = models.golden_mean(0.0)
     fam = stats.PressureFamily(g.space, g.potential, g.observable)
     for t in (0.1, 0.2, 0.3):
@@ -291,6 +297,21 @@ def test_memory_word_codes_are_derived_once(monkeypatch):
     m = models.ising(1.0, 0.0)
     verify_model(m, inject_chain=uniform_chain(m))
     assert made == {2: 1}
+
+
+def test_block_graph_reads_its_blocks_off_the_shorter_graph(made, tmp_path, capsys):
+    """ldp on golden-mean keeps graphs at L = 1 and 2: the 2-block graph
+    takes its blocks from the 1-block graph's move words, so the codes
+    of the 2-words are derived once, and each graph's blocks are the
+    word codes."""
+    assert cli.main(["ldp", "--builtin", "golden-mean", "--a-level", "0.1",
+                     "--b-level", "0.3", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert made[2] == 1
+    space = validate(2, [[1, 1], [1, 0]], symbols=(0, 1))
+    short, long = block_moves(space, 1), block_moves(space, 2)
+    assert long.blocks is short.words
+    assert np.array_equal(long.blocks, shift_space.word_codes(space, 2))
 
 
 @pytest.mark.parametrize("name", ["golden-mean", "ising", "bernoulli"])

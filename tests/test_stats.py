@@ -1,3 +1,4 @@
+import decimal
 import itertools
 import math
 import re
@@ -448,7 +449,8 @@ def _no_eig(*args):
 
 
 def test_two_state_and_large_families_run_no_eig(ising, monkeypatch):
-    """k = 2 and k > DENSE_START_MAX keep the interpolated start."""
+    """k = 2 (closed-form start) and k > DENSE_START_MAX (interpolated
+    start) make no dense eigensolve."""
     monkeypatch.setattr(np.linalg, "eig", _no_eig)
     phi = random_full_shift(100, 4)
     large = (phi.space, phi, FiniteMemoryFunction.indicator(phi.space, (1,)))
@@ -478,6 +480,54 @@ def test_tilt_without_a_dense_start_is_predicted(monkeypatch):
     assert stats._dense_pair(fam._tilt(-40.0)) is None
     assert fam.pressure(-40.0) == pytest.approx(math.log(2.0), abs=1e-13)
     assert all(a is b for a, b in zip(starts[1], fam._cache[0.0][3:]))
+
+
+TWO_STATE_FAMILIES = {
+    "bernoulli": lambda: models.builtin("bernoulli"),
+    "ising": lambda: models.builtin("ising"),
+    "golden-mean": lambda: models.builtin("golden-mean"),
+    "golden-mean-a-8": lambda: models.golden_mean(-8.0),
+    "ising-b4-h0.01": lambda: models.ising(4.0, 0.01),
+}
+
+
+def _reference_pressure(M):
+    """log lambda of a 2 x 2 matrix, exact from its float entries to 60
+    digits: lambda = (a + d)/2 + sqrt(((a - d)/2)**2 + bc)."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        (a, b), (c, d) = ([decimal.Decimal(x) for x in row] for row in M.tolist())
+        half = (a - d) / 2
+        return ((a + d) / 2 + (half * half + b * c).sqrt()).ln()
+
+
+@pytest.mark.parametrize("name", list(TWO_STATE_FAMILIES))
+def test_two_state_family_pressure_is_exact(name, solves):
+    """A k = 2 family starts each tilt of the pressure-curve grid from
+    M(s)'s closed-form Perron pair: every tilt certifies at iteration 1,
+    and P is within 1e-15 max(1, |P|) of a 60-digit reference on the
+    same M(s), gaps near 1 (golden-mean a = -8) included."""
+    m = TWO_STATE_FAMILIES[name]()
+    fam = stats.PressureFamily(m.space, m.potential, m.observable)
+    for s in PRESSURE_GRID:
+        P, want = fam.pressure(s), _reference_pressure(fam._tilt(s))
+        assert abs(decimal.Decimal(P) - want) <= 1e-15 * max(1.0, abs(P))
+    assert len(fam._T.matrix) == 2
+    assert len(solves) == 25 and {E.iterations for _, E in solves} == {1}
+
+
+def test_two_state_tilt_without_a_pair_is_predicted():
+    """On the full 2-shift with psi = 30 on symbol 1, M(-40)'s moves out
+    of symbol 1 underflow to b = 0, and M(40)'s overflow to inf: neither
+    has a closed-form pair, and each starts from the solved s = 0."""
+    space = validate(2, [[1, 1], [1, 1]], symbols=(1, 2))
+    phi = FiniteMemoryFunction.constant(space, 0.0)
+    psi = FiniteMemoryFunction(space, 1, {(1,): 30.0, (2,): 0.0})
+    fam = stats.PressureFamily(space, phi, psi)
+    for s in (-40.0, 40.0):
+        M = fam._tilt(s)
+        assert transfer._two_state_pair(M) is None
+        assert all(a is b for a, b in zip(fam._start(s, M), fam._cache[0.0][3:]))
 
 
 def _broken_eig(a):
@@ -523,26 +573,31 @@ def test_family_keeps_no_tilted_matrix():
     assert max(a.size for v in fam._cache.values() for a in _arrays(v)) == k
 
 
-def test_failed_tilt_is_solved_once(golden, monkeypatch):
-    """Golden-mean t = -0.1 needs |s| = 8, which a 2000-step cap cannot
-    certify: the second rate point re-raises the cached failure."""
-    monkeypatch.setattr(transfer, "MAX_ITER", 2000)
+def test_failed_tilt_is_solved_once(monkeypatch):
+    """A k = 64 family, which keeps the interpolated start, cannot
+    certify its tilt at s = -1 within a 3-step cap: that solve runs out
+    the cap, and the second rate point re-raises the cached failure
+    without iterating again."""
+    phi = random_full_shift(100, 4)
+    psi = FiniteMemoryFunction.indicator(phi.space, (1,))
+    fam = stats.PressureFamily(phi.space, phi, psi, tol=1e-12)
+    assert len(fam._T.matrix) == 64 > stats.DENSE_START_MAX
+    monkeypatch.setattr(transfer, "MAX_ITER", 3)
     failed = []
     solve = transfer.dominant_eigendata
 
     def counted(T, **kwargs):
         try:
             return solve(T, **kwargs)
-        except NoConvergence:
-            failed.append(T)
+        except NoConvergence as exc:
+            failed.append(exc)
             raise
 
     monkeypatch.setattr(transfer, "dominant_eigendata", counted)
-    fam = stats.PressureFamily(golden.space, golden.phi, golden.psi, tol=1e-12)
     for _ in range(2):
         with pytest.raises(OutOfRange, match="near-degenerate"):
-            stats.rate_function(golden.space, golden.phi, golden.psi, -0.1, family=fam)
-    assert len(failed) == 1
+            stats.rate_function(phi.space, phi, psi, 0.1, family=fam)
+    assert len(failed) == 1 and str(failed[0]).endswith("after 3 iterations")
 
 
 def test_lattice_parameters():

@@ -189,6 +189,40 @@ def test_two_state_and_array_loops_agree():
             assert np.array_equal(a, b), field.name
 
 
+@pytest.mark.parametrize("M", [
+    [[0.7, 0.7], [0.3, 0.3]],
+    [[math.e, 1.0 / math.e], [1.0 / math.e, math.e]],
+    [[1.0, 1.0], [1.0, 0.0]],
+    [[0.0, 2.0], [3.0, 0.0]],
+    [[1e-9, 1.0], [1e-300, 1.0]],
+    [[1e300, 1e300], [1e300, 2e300]],
+])
+def test_two_state_pair_is_the_perron_pair(M):
+    """The closed-form pair solves M nu = lambda nu and M.T h = lambda h
+    to rounding, nu summing to 1, also with entries that span 300
+    decades or whose squares overflow."""
+    M = np.array(M)
+    h, nu = (np.array(v) for v in transfer._two_state_pair(M))
+    lam = (M @ nu).sum()
+    assert nu.sum() == pytest.approx(1.0, abs=1e-15)
+    assert np.abs(M @ nu - lam * nu).max() <= 1e-15 * lam
+    assert np.abs(M.T @ h - lam * h).max() <= 1e-15 * lam * h.max()
+
+
+@pytest.mark.parametrize("M", [
+    [[1.0, 0.0], [1.0, 1.0]],  # b = 0
+    [[1.0, 1.0], [0.0, 1.0]],  # c = 0
+    [[np.inf, 1.0], [1.0, 1.0]],
+    [[1.0, 1.0], [1.0, np.inf]],
+    [[1.0, np.nan], [1.0, 1.0]],
+    [[np.nan, 1.0], [1.0, 1.0]],
+    [[0.0, 0.0], [0.0, 0.0]],
+    [[1.0, 5e-324], [5e-324, 1.0]],  # bc underflows: lambda - a is 0
+])
+def test_two_state_pair_none_without_a_positive_pair(M):
+    assert transfer._two_state_pair(np.array(M)) is None
+
+
 def test_two_state_and_array_loops_fail_alike(bernoulli):
     """Bad starts, non-finite matrices, an overflowing row-sum floor, a
     lambda estimate of 0, an h residual that is NaN on one state only
