@@ -410,26 +410,26 @@ def _real_gcd(x, y, tol):
 
 def _overlap_layout(space, Q, L):
     """The successor table Q on L-blocks as a stack W of per-overlap
-    blocks, with each state's row in the input (src) and output (dst).
+    blocks, with the table row of each state.
 
     A move u = (c, w) -> v = (w, b) exists only on an (L - 1)-symbol
-    overlap w, so with g numbering the overlaps, W[g, b, c] = Q[u, b],
-    u sits at input row g*N + c and v at output row g*N + b; rows of no
-    state stay zero.  When the S overlaps' S*N*N entries are no fewer
-    than k*k (L = 1, sparse many-symbol shifts) the one group W[0], the
-    dense Q's transpose over the states in their own order, is used."""
+    overlap w, so over all S = N**(L - 1) overlap codes w, W[w, b, c] =
+    Q[u, b]; overlaps and (overlap, symbol) pairs of no state get zero
+    entries.  The product reads row c*S + w as (w, c) and writes row
+    w*N + b as (w, b), and both are L-block codes, of u and of v, so each
+    state's row, input and output alike, is its code.  When the S*N*N
+    entries are no fewer than k*k (L = 1, sparse many-symbol shifts) the
+    one group W[0], the dense Q's transpose over the states in their own
+    order, is used, and each state's row is its position."""
     N, k = space.alphabet_size, len(Q)
-    _, I, J, words = moves = block_moves(space, L)
-    overlaps, g = np.unique(words // N % N ** (L - 1), return_inverse=True)
-    if len(overlaps) * N * N >= k * k:
-        rows = np.arange(k)
-        return moves.dense(moves.gather(Q), "transition matrix").T[None], rows, rows
-    c, b = words // N**L, words % N
-    W = np.zeros((len(overlaps), N, N))
-    W[g, b, c] = moves.gather(Q)
-    src, dst = np.empty(k, dtype=np.int64), np.empty(k, dtype=np.int64)
-    src[I], dst[J] = g * N + c, g * N + b
-    return W, src, dst
+    moves = block_moves(space, L)
+    S = N ** (L - 1)
+    if S * N * N >= k * k:
+        return moves.dense(moves.gather(Q), "transition matrix").T[None], np.arange(k)
+    words = moves.words
+    W = np.zeros((S, N, N))
+    W[words // N % S, words % N, words // N**L] = moves.gather(Q)
+    return W, moves.blocks
 
 
 def exact_birkhoff_distribution(mu, psi, n):
@@ -437,10 +437,12 @@ def exact_birkhoff_distribution(mu, psi, n):
     (state, accumulated lattice index).
 
     table[u, x] is the probability of sitting in state u with the
-    lattice indices summed so far, u's own included, equal to x; each
-    step is one batched product over the block graph's overlaps (see
-    `_overlap_layout`) followed by a shift of row v by v's index, which
-    also moves v from its output row back to its input row."""
+    lattice indices summed so far, u's own included, equal to x, u's row
+    given by `_overlap_layout`.  Each step is one batched product over
+    the block graph's overlaps into a second table, which reads and
+    writes the same row order, followed by a shift of the rows of each
+    nonzero index j by j (see `_shifted_rows`); then the two tables
+    swap."""
     if n < 1:
         raise ValidationError("n must be at least 1")
     L, pi, Q, (pv,) = _block_data(mu, psi)
@@ -450,19 +452,22 @@ def exact_birkhoff_distribution(mu, psi, n):
     width = n * span_idx + 1
     if n * width > DP_CELL_CAP:
         raise SizeGuard(f"DP table of {n * width} cells exceeds cap {DP_CELL_CAP}")
-    W, src, dst = _overlap_layout(mu.space, Q, L)
+    W, rows = _overlap_layout(mu.space, Q, L)
     S, R, _ = W.shape
-    table = np.zeros((S * R, width))
-    table[src, idx] = pi
-    groups = [(j, src[idx == j], dst[idx == j]) for j in np.unique(idx)]
+    table, spare = np.zeros((S * R, width)), np.zeros((S * R, width))
+    table[rows, idx] = pi
+    shifted = _shifted_rows(rows, idx, S * R)
     for t in range(1, n):
         used = t * span_idx + 1
-        step = np.matmul(W, table[:, :used].reshape(S, R, used)).reshape(S * R, used)
-        # a state's row is only ever written from its own index j on, and
-        # below j + used it is overwritten in full, so nothing is cleared
-        for j, rows, moved in groups:
-            table[rows, j : j + used] = step[moved]
-    out = table[src].sum(axis=0)  # over the states in their own order
+        x = table.reshape(R, S, width)[:, :, :used].transpose(1, 0, 2)
+        np.matmul(W, x, out=spare.reshape(S, R, width)[:, :, :used])
+        # the product writes [0, used) of every row, and this table was
+        # last written below used - span_idx: only the shift's gap is cleared
+        for j, r in shifted:
+            spare[r, j : j + used] = spare[r, :used]
+            spare[r, :j] = 0.0
+        table, spare = spare, table
+    out = table[rows].sum(axis=0)  # over the states in their own order
     total = out.sum()
     if abs(total - 1.0) > 1e-12:
         raise SolveFailure(
@@ -476,6 +481,24 @@ def exact_birkhoff_distribution(mu, psi, n):
         indices=np.arange(lo, hi + 1),
         probs=out[lo : hi + 1].copy(),
     )
+
+
+def _shifted_rows(rows, idx, size):
+    """(j, r) pairs whose table rows r hold every state of nonzero
+    lattice index j.  r is a slice over a maximal run of rows of one
+    index where there are at most two runs per index, and otherwise one
+    index array per j: a slice copy is cheaper than a fancy index, but
+    not than many of them (the full 4-shift with a memory-5 observable
+    has 267 runs of one index).  A row of no state is zero in every
+    column a step reads, so it joins the run before it."""
+    shift = idx[np.maximum(np.searchsorted(rows, np.arange(size), side="right") - 1, 0)]
+    edges = np.flatnonzero(np.diff(shift)) + 1
+    runs = [(int(shift[r0]), slice(int(r0), int(r1)))
+            for r0, r1 in zip(np.r_[0, edges], np.r_[edges, size]) if shift[r0]]
+    indices = np.unique(idx[idx > 0])
+    if len(runs) <= 2 * len(indices):
+        return runs
+    return [(int(j), rows[idx == j]) for j in indices]
 
 
 def _norm_cdf(z):

@@ -17,9 +17,10 @@ two-state loop's two-rounding products, or numpy's for the array
 loop), the sampler step and the single path comparing float uniforms
 with the cumulative rows, var_n grouping the words again on every
 call, the Jacobian identity formed per move from cylinder measures,
-the exact law of S_n stepped by the dense transition matrix, cylinder
-measures walked over tuple blocks, affine combinations formed word by
-word, the coboundary check's edges found by scanning rows of Q, the
+the exact law of S_n stepped by the dense transition matrix and by
+per-overlap products with each row gathered back after the step,
+cylinder measures walked over tuple blocks, affine combinations formed
+word by word, the coboundary check's edges found by scanning rows of Q, the
 asymptotic variance as its Green-Kubo series, one vector-matrix
 product per lag, the tilted variance as the asymptotic variance of the
 tilt's Gibbs chain, and a float array's JSON text with every entry
@@ -398,6 +399,71 @@ def dense_law(mu, psi, n):
         for j, rows in groups:
             table[rows, j : j + used] = step[rows]
     out = table.sum(axis=0)
+    total = out.sum()
+    if abs(total - 1.0) > 1e-12:
+        raise SolveFailure(
+            f"DP mass at n = {n} drifted to {float(total)!r}, more than 1e-12 from 1")
+    support = np.flatnonzero(out > 0.0)
+    lo, hi = int(support.min()), int(support.max())
+    return LatticeDistribution(
+        n=n,
+        offset=a,
+        span=b,
+        indices=np.arange(lo, hi + 1),
+        probs=out[lo : hi + 1].copy(),
+    )
+
+
+def _gather_layout(space, Q, L):
+    """The successor table Q on L-blocks as a stack W of per-overlap
+    blocks, with each state's row in the input (src) and output (dst).
+
+    A move u = (c, w) -> v = (w, b) exists only on an (L - 1)-symbol
+    overlap w, so with g numbering the overlaps, W[g, b, c] = Q[u, b],
+    u sits at input row g*N + c and v at output row g*N + b; rows of no
+    state stay zero.  When the S overlaps' S*N*N entries are no fewer
+    than k*k (L = 1, sparse many-symbol shifts) the one group W[0], the
+    dense Q's transpose over the states in their own order, is used."""
+    N, k = space.alphabet_size, len(Q)
+    _, I, J, words = moves = block_moves(space, L)
+    overlaps, g = np.unique(words // N % N ** (L - 1), return_inverse=True)
+    if len(overlaps) * N * N >= k * k:
+        rows = np.arange(k)
+        return moves.dense(moves.gather(Q), "transition matrix").T[None], rows, rows
+    c, b = words // N**L, words % N
+    W = np.zeros((len(overlaps), N, N))
+    W[g, b, c] = moves.gather(Q)
+    src, dst = np.empty(k, dtype=np.int64), np.empty(k, dtype=np.int64)
+    src[I], dst[J] = g * N + c, g * N + b
+    return W, src, dst
+
+
+def gather_law(mu, psi, n):
+    """exact_birkhoff_distribution with the table's rows in the input
+    order of the overlap layout above, each step's output rows gathered
+    back into it by one fancy index per lattice index."""
+    if n < 1:
+        raise ValidationError("n must be at least 1")
+    L, pi, Q, (pv,) = _block_data(mu, psi)
+    a, b = lattice_parameters(pv)
+    idx = np.array([round((v - a) / b) for v in pv], dtype=np.int64)
+    span_idx = int(idx.max())
+    width = n * span_idx + 1
+    if n * width > DP_CELL_CAP:
+        raise SizeGuard(f"DP table of {n * width} cells exceeds cap {DP_CELL_CAP}")
+    W, src, dst = _gather_layout(mu.space, Q, L)
+    S, R, _ = W.shape
+    table = np.zeros((S * R, width))
+    table[src, idx] = pi
+    groups = [(j, src[idx == j], dst[idx == j]) for j in np.unique(idx)]
+    for t in range(1, n):
+        used = t * span_idx + 1
+        step = np.matmul(W, table[:, :used].reshape(S, R, used)).reshape(S * R, used)
+        # a state's row is only ever written from its own index j on, and
+        # below j + used it is overwritten in full, so nothing is cleared
+        for j, rows, moved in groups:
+            table[rows, j : j + used] = step[moved]
+    out = table[src].sum(axis=0)  # over the states in their own order
     total = out.sum()
     if abs(total - 1.0) > 1e-12:
         raise SolveFailure(

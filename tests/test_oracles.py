@@ -4,11 +4,12 @@ against every word and continuation, and the closed-form ultrametric
 transport against the transportation LP.  The block graph's moves and
 value gathers, the power loop, the sampler step and path and the
 cached variations, the Jacobian identity, cylinder measures, affine
-combinations and the coboundary check against their earlier forms, bit
-for bit; the exact law of S_n against its dense-product form, to
-rounding; the asymptotic variance against its Green-Kubo series and
-the tilted variance against the tilt's Gibbs chain and a dense
-eigendecomposition, within a tolerance that follows from the solve's."""
+combinations, the coboundary check and the exact law of S_n against
+their earlier forms, bit for bit; the exact law against its
+dense-product form, to rounding; the asymptotic variance against its
+Green-Kubo series and the tilted variance against the tilt's Gibbs
+chain and a dense eigendecomposition, within a tolerance that follows
+from the solve's."""
 
 import dataclasses
 import functools
@@ -43,6 +44,7 @@ from oracles import (
     family_solve,
     float_path,
     float_sampler,
+    gather_law,
     green_kubo_variance,
     grouped_var_n,
     per_move_jacobian_error,
@@ -578,9 +580,9 @@ LAW_CASES = ["bernoulli", "ising", "golden-mean", "golden-mean-psi-m2", "three-s
 def law_case(name):
     """(chain, observable): the built-ins, golden-mean with a memory-2
     observable (its chain lifted to 2-blocks), three-symbol on 3-blocks
-    (16 of its 21 (overlap, symbol) rows are states), the full 4-shift
-    with memory-m observables (k = 4**m) and an 8-cycle with one chord
-    lifted to 3-blocks."""
+    (16 of its 27 3-block codes are states, 2 of its 9 overlaps empty),
+    the full 4-shift with memory-m observables (k = 4**m) and an 8-cycle
+    with one chord lifted to 3-blocks."""
     if name in ("bernoulli", "ising", "golden-mean"):
         return case(name)[0], models.builtin(name).observable
     if name == "golden-mean-psi-m2":
@@ -630,19 +632,57 @@ def test_law_matches_its_dense_oracle(name):
         assert rel.max() <= 2 * n * N * 2.0**-53, (n, rel.max())
 
 
+def law_bits(law, mu, psi, n):
+    """The law's lattice, support and atom bytes, or its failure's text."""
+    outcome = law_outcome(law, mu, psi, n)
+    if isinstance(outcome, SolveFailure):
+        return str(outcome)
+    return (outcome.n, outcome.offset, outcome.span, outcome.indices.tolist(),
+            outcome.probs.tobytes())
+
+
+def assert_same_law(mu, psi, n):
+    got = law_bits(stats.exact_birkhoff_distribution, mu, psi, n)
+    assert got == law_bits(gather_law, mu, psi, n), n
+
+
+@pytest.mark.parametrize("name", LAW_CASES)
+def test_law_matches_its_gather_oracle_bit_for_bit(name):
+    """The same atoms, bit for bit, and the same mass-check message as
+    the overlap layout that gathered each step's rows back: each cell is
+    the same N-term product, only where it lands has changed."""
+    mu, psi = law_case(name)
+    for n in (1, 2, 3, 64, 257):
+        assert_same_law(mu, psi, n)
+
+
+def test_law_failure_matches_its_gather_oracle():
+    """Rows off by 1e-10 leak DP mass: the same message, the same digits."""
+    m = models.builtin("bernoulli")
+    chain = markov_measure(m.space, 1, np.array([[0.6, 0.4 + 1e-10], [0.5, 0.5]]))
+    for n in (8, 64):
+        with pytest.raises(SolveFailure):
+            gather_law(chain, m.observable, n)
+        assert_same_law(chain, m.observable, n)
+
+
 @pytest.mark.parametrize("name", LAW_CASES)
 def test_law_layout_is_no_larger_than_dense(name):
     """The overlap layout does at most k*k multiply-adds per column,
-    and falls back to the one dense group where the overlaps would not
-    be fewer: at L = 1 and on the sparse 8-cycle."""
+    falls back to the one dense group where the N**(L - 1) overlaps
+    would not be fewer, at L = 1 and on the sparse 8-cycle, and
+    otherwise keeps each state at the row of its L-block code."""
     mu, psi = law_case(name)
     L, _, Q, _ = stats._block_data(mu, psi)
     k = len(Q)
-    W, src, dst = stats._overlap_layout(mu.space, Q, L)
+    W, rows = stats._overlap_layout(mu.space, Q, L)
     S, R, _ = W.shape
     assert S * R * R <= k * k
     assert (S == 1) == (L == 1 or name == "8-cycle-chord-L3")
-    assert len(set(src.tolist())) == len(set(dst.tolist())) == k
+    if S == 1:
+        assert rows.tolist() == list(range(k))
+    else:
+        assert rows.tolist() == block_moves(mu.space, L).blocks.tolist()
 
 
 def jacobian_error_or_failure(check, mu, phi, E):
