@@ -273,8 +273,10 @@ def cmd_examples(args):
 
 def _grid(text):
     """start:stop:step grid, inclusive of both ends within a half step.
-    The three parts must be finite numbers, and the nominal point count
-    (stop - start) / step + 1 is held to the enumeration cap."""
+    The three parts must be finite numbers, the nominal point count
+    (stop - start) / step + 1 is held to the enumeration cap, and each
+    point must exceed the one before it: a step below the float spacing
+    at a point would repeat it, past the nominal count."""
     parts = text.split(":")
     if len(parts) != 3:
         raise ValidationError("grid must be start:stop:step")
@@ -294,6 +296,8 @@ def _grid(text):
         v = start + k * step
         if v > stop + 0.5 * step:
             break
+        if out and v <= out[-1]:
+            raise ValidationError(f"grid step {step:g} is below the float spacing at point {v:g}")
         out.append(v)
         k += 1
     return out

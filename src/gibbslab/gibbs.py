@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import Undefined, ValidationError
 from .potential import or_inf, total_variation
-from .shift_space import _extend, block_moves, check_cap, enumerate_words
+from .shift_space import block_moves, check_cap, enumerate_words
 from .transfer import _by_prefix, _linear_solve, _tropical_step, normalized_operator
 
 BAND_TOL = 1e-12  # slack of the scan's band test, at each end
@@ -162,8 +162,9 @@ def markov_measure(space, block_length, transition, stationary=None):
 
 
 def entropy(mu):
-    """Entropy rate -sum pi(u) Q(u,v) log Q(u,v), with 0 log 0 = 0."""
-    Q = mu.transition
+    """Entropy rate -sum pi(u) Q(u,s) log Q(u,s) over the successor
+    table, with 0 log 0 = 0."""
+    Q = mu.successors
     with np.errstate(divide="ignore", invalid="ignore"):
         plogp = np.where(Q > 0, Q * np.log(np.where(Q > 0, Q, 1.0)), 0.0)
     return float(-(mu.stationary @ plogp.sum(axis=1)))
@@ -172,8 +173,8 @@ def entropy(mu):
 def _levels(mu, start=1):
     """Yield (word_codes, masses, last) for word lengths start, start + 1,
     ...  Words shorter than a block sum pi over the blocks they start.
-    From the block length on, each level extends each word u of the one
-    below by every symbol s that may follow, with mass pi[u] times
+    From the block length on, the n-words u + (s,) and their sources u
+    are the kept (n - 1)-block graph's moves, with mass pi[u] times
     successors[last(u), s], last indexing each word's final block: the
     product that cylinder_measure forms, so the masses are the same floats."""
     N, ell = mu.space.alphabet_size, mu.block_length
@@ -186,7 +187,7 @@ def _levels(mu, start=1):
         if n > start:  # words are the (n - 1)-words
             yield words, pi, last
         check_cap(N**n, f"{N}**{n}")
-        I, words = _extend(mu.space, words, n - 1)
+        _, I, _, words = block_moves(mu.space, n - 1)
         s = words % N
         pi, last = pi[I] * mu.successors[last[I], s], mu.next_state[last[I], s]
 

@@ -187,13 +187,12 @@ def _check_length(space, n):
 
 def word_codes(space, n):
     """Codes of the admissible n-words in increasing (lexicographic)
-    order: the base-N numbers of their symbol positions.  They need
+    order: the base-N numbers of their symbol positions, read off the
+    space's kept graphs (`block_moves`): the (n - 1)-block graph's move
+    words, or for n = 1 the 1-block graph's blocks.  They need
     N**n < 2**63; past that, and past the enumeration cap, a SizeGuard."""
     _check_length(space, n)
-    codes = np.arange(space.alphabet_size, dtype=np.int64)
-    for m in range(1, n):
-        codes = _extend(space, codes, m)[1]
-    return codes
+    return block_moves(space, n - 1).words if n > 1 else block_moves(space, 1).blocks
 
 
 def _extend(space, codes, n):
@@ -258,29 +257,21 @@ def block_moves(space, L):
     """The BlockMoves of space's L-blocks: arrays over the blocks and
     their moves, nothing k x k until `dense` is asked for it.  Each
     L-block graph is derived once per space and kept on it, its arrays
-    read-only, its blocks read off the kept (L - 1)-block graph's move
-    words where there is one; the length and the enumeration cap are
-    checked on every call."""
+    read-only, its blocks the move words of the (L - 1)-block graph,
+    derived and kept first if need be (for L = 1, the N symbols); the
+    length and the enumeration cap are checked on every call."""
     _check_length(space, L)
     moves = space._graphs.get(L)
     if moves is None:
-        shorter = space._graphs.get(L - 1)
-        blocks = word_codes(space, L) if shorter is None else shorter.words
+        N = space.alphabet_size
+        blocks = block_moves(space, L - 1).words if L > 1 else np.arange(N, dtype=np.int64)
         I, words = _extend(space, blocks, L)
-        J = np.searchsorted(blocks, words % space.alphabet_size**L)
+        J = np.searchsorted(blocks, words % N**L)
         moves = BlockMoves(blocks, I, J, words)
         for a in moves:
             a.setflags(write=False)
         space._graphs[L] = moves
     return moves
-
-
-def kept_codes(space, n):
-    """The codes of `word_codes(space, n)`, under its guards, read off a
-    graph the space keeps (see `block_moves`): the move words of its
-    (n - 1)-block graph, or for n = 1 the blocks of its 1-block graph."""
-    _check_length(space, n)
-    return block_moves(space, n - 1).words if n > 1 else block_moves(space, 1).blocks
 
 
 def word_count(space, n):

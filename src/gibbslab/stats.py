@@ -328,10 +328,10 @@ def rate_function(space, phi, psi, t, family=None):
                              cumulant_at_s_star=float(lam_s))
 
 
-def pressure_derivative_check(space, phi, psi, family=None):
+def pressure_derivative_check(space, phi, psi):
     """Central finite differences of the tilted pressure at 0, with step
     FD_STEP, against the analytic mean and variance."""
-    fam = family or PressureFamily(space, phi, psi)
+    fam = PressureFamily(space, phi, psi)
     p_plus, p_minus, p0 = fam.pressure(FD_STEP), fam.pressure(-FD_STEP), fam.pressure(0.0)
     fd1 = (p_plus - p_minus) / (2.0 * FD_STEP)
     fd2 = (p_plus - 2.0 * p0 + p_minus) / FD_STEP**2

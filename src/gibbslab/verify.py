@@ -38,7 +38,7 @@ from .potential import FiniteMemoryFunction
 from .shift_space import block_moves, enumerate_words
 from .stats import PressureFamily, rate_function
 
-EIGEN_TOL = 1e-13  # verify's eigensolver tolerance, also the CLI's --tol default
+EIGEN_TOL = 1e-13  # verify's eigensolver tolerance and `gibbslab verify`'s --tol default
 TOLS = {
     "jacobian_identity": 1e-10,
     "gibbs_band": BAND_TOL,

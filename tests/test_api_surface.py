@@ -45,7 +45,7 @@ SURFACE = {
     "local_limit_check": ("dist", "mean", "xi2"),
     "markov_measure": ("space", "block_length", "transition", "stationary=None"),
     "normalized_operator": ("T", "eigendata"),
-    "pressure_derivative_check": ("space", "phi", "psi", "family=None"),
+    "pressure_derivative_check": ("space", "phi", "psi"),
     "pressure_via_partition": ("space", "phi", "n"),
     "rate_function": ("space", "phi", "psi", "t", "family=None"),
     "recode": ("space", "block_length"),
@@ -59,7 +59,7 @@ SURFACE = {
                             "eigen_tol=1e-13"),
     "verify.perturbed_nu": ("model", "tol=1e-13"),
 }
-SETTINGS = 14  # entries of SURFACE with a default
+SETTINGS = 13  # entries of SURFACE with a default
 
 
 def _entries(obj):

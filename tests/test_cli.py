@@ -154,6 +154,7 @@ def test_malformed_field_exits_one_without_traceback(tmp_path, field):
     ["pressure-curve", "--builtin", "ising", "--grid", "0:1:inf"],
     ["rate-curve", "--builtin", "ising", "--grid", "0:1:nan"],
     ["rate-curve", "--builtin", "ising", "--grid", "0:1e9:1e-3"],
+    ["pressure-curve", "--builtin", "ising", "--grid", "1:1:1e-20"],
     ["sample", "--builtin", "bernoulli", "--n", "0"],
     ["sample", "--builtin", "bernoulli", "--n", "5", "--trials", "-1"],
     ["sample", "--builtin", "bernoulli", "--n", "5", "--summary-n", "-4"],
@@ -162,13 +163,14 @@ def test_malformed_field_exits_one_without_traceback(tmp_path, field):
     ["clt", "--builtin", "bernoulli", "--n", "64", "0"],
 ], ids=["nmax-0", "nmax-negative", "verify-nmax-0", "tol-nan", "tol-inf", "missing-model",
         "binary-model", "grid-text", "grid-inf-stop", "grid-nan-start", "grid-inf-step",
-        "grid-nan-step", "grid-huge", "sample-n-0", "sample-trials-negative", "summary-n-negative",
-        "summary-trials-0", "clt-n-0"])
+        "grid-nan-step", "grid-huge", "grid-step-below-spacing", "sample-n-0",
+        "sample-trials-negative", "summary-n-negative", "summary-trials-0", "clt-n-0"])
 def test_bad_cli_input_exits_one_without_traceback(tmp_path, argv):
     """An empty scan length, a tolerance that is no positive finite
     number, a model file that cannot be read or is not text, and a grid
-    that is not three finite numbers or has more points than the
-    enumeration cap, a sample or summary count below 1 (named by its
+    that is not three finite numbers, has more points than the
+    enumeration cap or a step below the float spacing at a point (which
+    would repeat that point past the nominal count), a sample or summary count below 1 (named by its
     flag, the last one given), and a clt length below 1: each is an input
     error, reported on one line before any output.  A non-finite or huge grid is refused before its first
     point, since its points are built one by one."""
@@ -397,9 +399,12 @@ def test_outputs_byte_identical(tmp_path, capsys):
         capsys.readouterr()
         assert run(["verify", "--builtin", "golden-mean", "--out", str(out)]) == 0
         capsys.readouterr()
+        assert run(["ldp", "--builtin", "golden-mean", "--a-level", "0.1", "--b-level", "0.3",
+                    "--out", str(out)]) == 0
+        capsys.readouterr()
     for name in ("samples.txt", "sample_summary.json", "analyze.json", "cone_trace.csv",
                  "clt.json", "distribution_n64.csv", "distribution_n256.csv",
-                 "rate_curve.csv", "pressure_curve.csv", "verify.json",
+                 "rate_curve.csv", "pressure_curve.csv", "verify.json", "ldp.csv",
                  "m5/analyze.json", "m5/cone_trace.csv", "m5/samples.txt",
                  "m5/sample_summary.json"):
         assert (a / name).read_bytes() == (b / name).read_bytes()

@@ -1,11 +1,15 @@
 import collections
+import importlib
 import itertools
+import pkgutil
 
 import numpy as np
 import pytest
 
+import gibbslab
 from gibbslab import cli, gibbs, models, shift_space, stats, transfer
 from gibbslab.errors import NoPath, NotPrimitive, RowColumnEmpty, SizeGuard, ValidationError
+from gibbslab.potential import FiniteMemoryFunction
 from gibbslab.shift_space import (
     block_moves,
     canonical_extension,
@@ -16,6 +20,7 @@ from gibbslab.shift_space import (
     word_count,
 )
 from gibbslab.verify import uniform_chain, verify_model
+from oracles import encode, tuple_words
 
 FULL2 = validate(2, [[1, 1], [1, 1]], symbols=(1, 2))
 GOLDEN = validate(2, [[1, 1], [1, 0]], symbols=(0, 1))
@@ -271,8 +276,12 @@ def test_each_block_graph_is_derived_once(derivations):
 @pytest.fixture
 def made(monkeypatch):
     """How often the codes of the n-words are derived during the test,
-    keyed by n: counted at `_extend`, through which word_codes and
-    block_moves make every code past the 1-words."""
+    keyed by n: counted at `_extend`, through which block_moves makes
+    every code past the 1-words.  No other gibbslab module may hold its
+    own binding of `_extend`, which the count would miss."""
+    for info in pkgutil.iter_modules(gibbslab.__path__):
+        module = importlib.import_module(f"gibbslab.{info.name}")
+        assert info.name == "shift_space" or not hasattr(module, "_extend"), info.name
     counts = collections.Counter()
     extend = shift_space._extend
 
@@ -314,10 +323,36 @@ def test_block_graph_reads_its_blocks_off_the_shorter_graph(made, tmp_path, caps
     assert np.array_equal(long.blocks, shift_space.word_codes(space, 2))
 
 
+def test_each_word_list_is_derived_once(made):
+    """Two enumerations, a memory-n function, both states properties and
+    three rounds of both Wasserstein level sums on ising derive each
+    n-word list once: every reader takes it from the space's kept
+    graphs."""
+    m = models.ising(1.0, 0.0)
+    space = m.space
+    for n in (3, 3, 5):
+        enumerate_words(space, n)
+    FiniteMemoryFunction.constant(space, 0.0, memory=4)
+    T = transfer.build(space, m.potential)
+    mu = gibbs.gibbs_measure(T, transfer.dominant_eigendata(T, tol=1e-13))
+    assert T.states == mu.states
+    other = uniform_chain(m)
+    for _ in range(3):
+        gibbs.wasserstein_distance(mu, other, 0.5, 8)
+        gibbs.wasserstein_lp(mu, other, 0.5, 7)
+    assert sorted(made) == list(range(2, 9)) and set(made.values()) == {1}
+
+
 @pytest.mark.parametrize("name", ["golden-mean", "ising", "bernoulli"])
 def test_kept_codes_are_the_word_codes(name):
+    """word_codes returns one kept read-only int64 array per length, for
+    m >= 2 the kept (m - 1)-block graph's move words, with the codes of
+    the words extended one successor at a time."""
     space = models.builtin(name).space
     for m in range(1, 5):
-        codes = shift_space.kept_codes(space, m)
-        assert np.array_equal(codes, shift_space.word_codes(space, m)) and codes.dtype == np.int64
-        assert codes is shift_space.kept_codes(space, m)
+        codes = shift_space.word_codes(space, m)
+        assert codes is shift_space.word_codes(space, m)
+        assert codes.dtype == np.int64 and not codes.flags.writeable
+        if m >= 2:
+            assert codes is block_moves(space, m - 1).words
+        assert codes.tolist() == [encode(space, w) for w in tuple_words(space, m)]
