@@ -63,15 +63,15 @@ def cone_constants(space, phi):
     return ConeConstants(delta_prime=dp, n0=2 * M)
 
 
-def contraction_trace(T, eigendata, f, g, k, delta=None):
+def contraction_trace(T, eigendata, f, g, k):
     """Hilbert-metric trace of k blocks of n0 operator applications.
 
     Returns {delta, delta_prime, n0, kappa, rows, image_diameter}.
     rows are {step, theta, factor, in_cone}, where factor is the
     per-block ratio theta_j / theta_{j-1} (None on the first row or when
     theta_{j-1} or theta_j is within its rounding error, see below) and in_cone
-    flags membership of both iterates in the width-delta cone before
-    the block is applied.
+    flags membership of both iterates in the cone of width
+    delta = 2 delta_prime before the block is applied.
     image_diameter is the measured theta after one block, row 1's.
     A block applies M.T / lambda to each iterate n0 times, forming no
     matrix power; theta is scale invariant, so lambda only guards against overflow.
@@ -95,8 +95,7 @@ def contraction_trace(T, eigendata, f, g, k, delta=None):
     if k < 1:
         raise ValidationError("need at least one block")
     cc = cone_constants(T.space, T.potential)
-    if delta is None:
-        delta = 2.0 * cc.delta_prime
+    delta = 2.0 * cc.delta_prime
     f = _positive(f)
     g = _positive(g)
     op = T.matrix.T / eigendata.lambda_

@@ -40,14 +40,6 @@ S_MAX = 50.0  # the rate function's tilts stay within [-S_MAX, S_MAX]
 # three-symbol model's default rate curves (bisection alone: 2,318)
 BISECT_WIDTH = 1e-2
 FD_STEP = 1e-4  # pressure_derivative_check's finite-difference step
-# PressureFamily starts every tilt of a family of 3..DENSE_START_MAX
-# states from a dense eigensolve (and of 2 states from the closed-form
-# pair, transfer._two_state_pair).  A 25-tilt pressure curve (2 vCPUs,
-# one BLAS thread, min of 7) took with it / with the interpolated start
-# 3.8 / 6.7 ms at k = 7 and 5.6-8.9 / 7.3-29.5 ms at k = 16, but
-# 8.3-8.9 / 8.1 ms at k = 22, 9.6-10.3 / 7.9-9.3 ms at k = 24 and
-# 15.6-15.8 / 6.6-12.0 ms at k = 32
-DENSE_START_MAX = 16
 LATTICE_TOL = 1e-9  # lattice_parameters' rounding tolerance, relative to the values
 
 
@@ -140,16 +132,16 @@ class PressureFamily:
     taken from M(s) right after the solve; the variance Lambda'' alone
     forms M(s) again.  No tilted system or Gibbs chain is kept.
 
-    Each tilt's power loop is warm-started.  With k <= DENSE_START_MAX
-    states it starts from the Perron pair of M(s) itself, in closed form
-    at k = 2 (`transfer._two_state_pair`) and read off one dense
-    eigensolve at k >= 3 (`_dense_pair`), so each value depends on s
-    alone.  With k > DENSE_START_MAX, and where that pair is no start,
-    it starts from the tilts already solved (the
-    predictor step of a continuation method): between two of them, from
-    the linear interpolation at s of the (h, nu) of the nearest below
-    and the nearest above; outside their range, from the nearest one;
-    with none solved, from the all-ones vector.  There the last digits
+    Each tilt's power loop is warm-started.  With k <=
+    transfer.DENSE_START_MAX states it starts from the Perron pair of
+    M(s) itself, `transfer._perron_pair` (in closed form at k = 2, read
+    off one dense eigensolve above), so each value depends on s alone.
+    With more states, and where that pair is None, it starts from the
+    tilts already solved (the predictor step of a continuation method):
+    between two of them, from the linear interpolation at s of the
+    (h, nu) of the nearest below and the nearest above; outside their
+    range, from the nearest one; with none solved, from start=None,
+    which dominant_eigendata resolves to all ones.  There the last digits
     depend on the order in which the tilts were solved (the same calls
     give the same digits).  Every value is certified to tol by the power
     loop, whatever its start.  A tilt whose solve fails is cached too,
@@ -192,11 +184,9 @@ class PressureFamily:
         return hit
 
     def _start(self, s, M):
-        """(h, nu) to start tilt s, whose matrix is M, or None for the
-        all-ones start (see the class docstring)."""
-        k = len(M)
-        pair = (transfer._two_state_pair(M) if k == 2
-                else _dense_pair(M) if k <= DENSE_START_MAX else None)
+        """(h, nu) to start tilt s, whose matrix is M, or None for
+        dominant_eigendata's default start (see the class docstring)."""
+        pair = transfer._perron_pair(M)
         if pair is not None:
             return pair
         solved = self._solved
@@ -233,23 +223,6 @@ class PressureFamily:
         A = lam * np.eye(len(h)) - M + np.outer(nu, h)
         x = transfer._linear_solve(A, MP @ nu, f"tilted variance (s = {s:g})")
         return float((h @ (MP * Psi_c) @ nu + 2.0 * h @ MP @ x) / lam)
-
-
-def _dense_pair(M):
-    """(h, nu) of M's Perron pair from one dense eigensolve of the stack
-    (M.T, M): in each half the eigenvector of the eigenvalue of largest
-    real part, as absolute values, nu scaled to sum 1.  None where eig
-    fails or the pair is not finite and strictly positive."""
-    with np.errstate(all="ignore"):
-        try:
-            w, v = np.linalg.eig(np.stack((M.T, M)))
-        except np.linalg.LinAlgError:  # a non-finite M(s), or no convergence
-            return None
-        P = np.abs(v[[0, 1], :, w.real.argmax(axis=1)])
-        P[1] /= P[1].sum()
-    if not (0 < P.min() and P.max() < math.inf):
-        return None
-    return P[0], P[1]
 
 
 @dataclass(frozen=True)
@@ -570,7 +543,7 @@ def ldp_empirical(dists, interval, rate_oracle, gibbs_mean):
     mean reduces the infimum to the clamped endpoint.
     """
     a, b = interval
-    if a > b:
+    if not a <= b:  # a NaN end fails too
         raise ValidationError("interval must be ordered")
     t_star = min(max(gibbs_mean, a), b)
     inf_rate = 0.0 if t_star == gibbs_mean else rate_oracle(t_star)
@@ -584,7 +557,7 @@ def ldp_empirical(dists, interval, rate_oracle, gibbs_mean):
             rows.append({"n": n, "probability": 0.0, "empirical_rate": None,
                          "inf_rate": inf_rate, "gap": None, "zero_probability": True})
         else:
-            rate = -math.log(p) / n
+            rate = 0.0 - math.log(p) / n  # 0.0, not -0.0, where p = 1
             rows.append({"n": n, "probability": p, "empirical_rate": rate,
                          "inf_rate": inf_rate, "gap": rate - inf_rate,
                          "zero_probability": False})

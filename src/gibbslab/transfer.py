@@ -24,6 +24,14 @@ from .shift_space import block_moves, enumerate_words
 
 DEFAULT_TOL = 1e-12
 MAX_ITER = 2 * 10**5
+# _perron_pair reads the Perron pair of a matrix of up to DENSE_START_MAX
+# states off one dense eigensolve (at 2 states, in closed form), and a
+# tilted family starts each tilt from it.  A 25-tilt pressure curve
+# (2 vCPUs, one BLAS thread, min of 7) took with it / with the
+# interpolated start 3.8 / 6.7 ms at k = 7 and 5.6-8.9 / 7.3-29.5 ms at
+# k = 16, but 8.3-8.9 / 8.1 ms at k = 22, 9.6-10.3 / 7.9-9.3 ms at k = 24
+# and 15.6-15.8 / 6.6-12.0 ms at k = 32
+DENSE_START_MAX = 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -106,10 +114,12 @@ def dominant_eigendata(T, tol=DEFAULT_TOL, start=None):
 
     The loop starts from start = (h, nu), a pair of finite positive
     vectors of length k with nu summing to 1, or from h = ones and
-    nu = 1/k when start is None.  It stops when both residuals
-    max|M.T h - lambda h| and the l1 residual of nu fall below
-    tol * lambda, whatever the start, so a start changes the iteration
-    count and the last digits of the answer, never its certificate.
+    nu = 1/k when start is None.  Only here is a start defaulted and
+    checked; the loops take the resolved pair as Python floats.  It
+    stops when both residuals max|M.T h - lambda h| and the l1 residual
+    of nu fall below tol * lambda, whatever the start, so a start
+    changes the iteration count and the last digits of the answer,
+    never its certificate.
     Primitivity guarantees convergence at the spectral-gap rate; the
     MAX_ITER cap signals a nearly degenerate gap, and a non-finite
     lambda estimate or residual fails at the iteration it appears.
@@ -128,14 +138,25 @@ def dominant_eigendata(T, tol=DEFAULT_TOL, start=None):
     """
     if not 0 < tol < math.inf:
         raise ValidationError(f"tolerance must be positive and finite, got {tol!r}")
-    if T.state_count == 2:
-        return _two_state_loop(T, tol, start)
-    return _array_loop(T, tol, start)
+    k = T.state_count
+    if start is None:
+        start = [1.0] * k, [1.0 / k] * k
+    else:
+        start = [np.asarray(v, dtype=float) for v in start]
+        shapes = [v.shape for v in start]
+        if shapes != [(k,), (k,)]:
+            raise ValidationError(f"start vectors have shapes {shapes}, expected ({k},)")
+        start = [v.tolist() for v in start]
+        # each entry compared as a Python float: a NaN fails wherever it sits
+        if not all(0 < x < math.inf for v in start for x in v):
+            raise ValidationError("start vector entries must be finite and positive")
+    return (_two_state_loop if k == 2 else _array_loop)(T, tol, start)
 
 
 def _array_loop(T, tol, start):
-    """dominant_eigendata's loop on numpy arrays, testing the residuals
-    after every iteration as _two_state_loop does.
+    """dominant_eigendata's loop on numpy arrays from the resolved
+    start = (h, nu), testing the residuals after every iteration as
+    _two_state_loop does.
 
     Every iteration writes into three (2, k) arrays made once: the
     state P = (nu, h), its products MP = (M nu, M.T h), which the next
@@ -145,12 +166,7 @@ def _array_loop(T, tol, start):
     k = T.state_count
     P, MP, R = np.empty((3, 2, k))
     (nu, h), (Mnu, Mh), (R_nu, R_h) = P, MP, R
-    if start is None:
-        nu[:], h[:] = 1.0 / k, 1.0
-    else:
-        h[:], nu[:] = _checked_shapes(start, k)
-        if not (0 < P.min() and P.max() < math.inf):
-            raise ValidationError(_BAD_START)
+    h[:], nu[:] = start
     # overflow in a product shows up as a non-finite estimate, checked below
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         _check_matrix(np.isfinite(M).all(), M.sum(axis=1).min())
@@ -189,22 +205,14 @@ def _array_loop(T, tol, start):
 
 def _two_state_loop(T, tol, start):
     """dominant_eigendata's loop for a 2 x 2 matrix [[a, b], [c, d]] on
+    Python floats from the resolved start = (h, nu), two pairs of
     Python floats, testing the residuals after every iteration.
 
     Python raises on a zero divisor where numpy gives inf or NaN, so
     such quotients are taken by numpy and the residual test fails on
     them.
     """
-    if start is None:
-        h0 = h1 = 1.0
-        n0 = n1 = 0.5
-    else:
-        (h0, h1), (n0, n1) = (np.asarray(v, dtype=float).tolist()
-                              for v in _checked_shapes(start, 2))
-        # each comparison on its own: a NaN fails it whatever its place
-        if not (0 < h0 < math.inf and 0 < h1 < math.inf
-                and 0 < n0 < math.inf and 0 < n1 < math.inf):
-            raise ValidationError(_BAD_START)
+    (h0, h1), (n0, n1) = start
     (a, b), (c, d) = T.matrix.tolist()
     finite = math.isfinite(a) and math.isfinite(b) and math.isfinite(c) and math.isfinite(d)
     _check_matrix(finite, min(a + b, c + d))
@@ -244,19 +252,39 @@ def _two_state_loop(T, tol, start):
                       res_h, res_nu, iters)
 
 
-def _two_state_pair(M):
-    """(h, nu) of the Perron pair of a 2 x 2 matrix M = [[a, b], [c, d]]
-    in closed form, on Python floats, nu summing to 1; None unless its
-    four numbers are finite and positive.
+def _perron_pair(M):
+    """(h, nu) of the Perron pair of M made without iterating, nu summing
+    to 1: in closed form on Python floats at 2 states, from one dense
+    eigensolve at any other count up to DENSE_START_MAX.  None above
+    DENSE_START_MAX, and wherever the pair is not finite and positive.
 
-    M is first scaled by its largest entry, so that no square below
-    overflows.  lambda solves (lambda - a)(lambda - d) = bc; with
-    r = sqrt(((a - d)/2)**2 + bc), lambda - d = (a - d)/2 + r when
-    a > d, and then lambda - a = bc / (lambda - d), else
-    lambda - a = (d - a)/2 + r: a sum of two nonnegative terms either
-    way, so nothing cancels.  Then M nu = lambda nu for nu ~ (b, lambda - a)
-    and M.T h = lambda h for h ~ (c, lambda - a).
+    At 2 states, M = [[a, b], [c, d]] is first scaled by its largest
+    entry, so that no square below overflows.  lambda solves
+    (lambda - a)(lambda - d) = bc; with r = sqrt(((a - d)/2)**2 + bc),
+    lambda - d = (a - d)/2 + r when a > d, and then
+    lambda - a = bc / (lambda - d), else lambda - a = (d - a)/2 + r: a
+    sum of two nonnegative terms either way, so nothing cancels.  Then
+    M nu = lambda nu for nu ~ (b, lambda - a) and M.T h = lambda h for
+    h ~ (c, lambda - a).
+
+    Otherwise the eigensolve is of the stack (M.T, M): in each half the
+    eigenvector of the eigenvalue of largest real part, as absolute
+    values.
     """
+    k = len(M)
+    if k > DENSE_START_MAX:
+        return None
+    if k != 2:
+        with np.errstate(all="ignore"):
+            try:
+                w, v = np.linalg.eig(np.stack((M.T, M)))
+            except np.linalg.LinAlgError:  # a non-finite M, or no convergence
+                return None
+            P = np.abs(v[[0, 1], :, w.real.argmax(axis=1)])
+            P[1] /= P[1].sum()
+        if not (0 < P.min() and P.max() < math.inf):
+            return None
+        return P[0], P[1]
     (a, b), (c, d) = M.tolist()
     top = max(a, b, c, d)
     if not 0 < top < math.inf:  # NaN fails too
@@ -272,17 +300,6 @@ def _two_state_pair(M):
     if not (c > 0 and 0 < p < math.inf and n0 > 0 and n1 > 0):
         return None
     return (c, p), (n0, n1)
-
-
-_BAD_START = "start vector entries must be finite and positive"
-
-
-def _checked_shapes(start, k):
-    """start, once both its vectors are known to have shape (k,)."""
-    shapes = [np.shape(v) for v in start]
-    if shapes != [(k,), (k,)]:
-        raise ValidationError(f"start vectors have shapes {shapes}, expected ({k},)")
-    return start
 
 
 def _check_matrix(finite, floor):

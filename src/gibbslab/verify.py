@@ -63,8 +63,8 @@ class VerifyReport:
 
 
 def default_observable(model):
-    """Centered indicator of the smallest symbol, used when the model
-    does not carry an observable."""
+    """Indicator of the smallest symbol (not centered), used when the
+    model does not carry an observable."""
     if model.observable is not None:
         return model.observable
     sym = model.space.symbols[0]

@@ -209,10 +209,7 @@ def power_loop(T, tol=transfer.DEFAULT_TOL, start=None, dot=None):
     k = T.state_count
     if dot is None:
         dot = two_term_dot if k == 2 else np.matmul
-    if start is None:
-        h, nu = np.ones(k), np.full(k, 1.0 / k)
-    else:
-        h, nu = (_start_vector(v, k) for v in start)
+    h, nu = (_start_vector(v, k) for v in (ones_start(k) if start is None else start))
     if not np.isfinite(M).all():
         raise NoConvergence("eigendata: the transfer matrix has non-finite entries")
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -262,6 +259,12 @@ def power_loop(T, tol=transfer.DEFAULT_TOL, start=None, dot=None):
         iterations=iters,
         matrix=M,
     )
+
+
+def ones_start(k):
+    """The start dominant_eigendata resolves start=None to: h all ones,
+    nu = 1/k."""
+    return np.ones(k), np.full(k, 1.0 / k)
 
 
 def two_term_dot(A, x):

@@ -286,10 +286,7 @@ def test_c05_residuals_and_variance_routes(builtin_triple):
 
 
 def test_c06_cone_contraction_ising(ising):
-    cc = cone.cone_constants(ising.space, ising.phi)
-    delta = 2.0 * cc.delta_prime
-    trace = cone.contraction_trace(ising.T, ising.E, [1.0, 10.0], [10.0, 1.0],
-                                   k=10, delta=delta)
+    trace = cone.contraction_trace(ising.T, ising.E, [1.0, 10.0], [10.0, 1.0], k=10)
     kappa = trace["kappa"]
     ok = True
     for row in trace["rows"][1:]:

@@ -537,6 +537,29 @@ def test_clt_and_ldp_commands(tmp_path, capsys):
     assert len(lines) == 2
 
 
+@pytest.mark.parametrize("a, b", [("nan", "0.1"), ("0.1", "nan"), ("0.3", "0.1")])
+def test_ldp_refuses_an_unordered_interval(tmp_path, capsys, a, b):
+    """An interval with a NaN end is no interval: exit 1 and no rows."""
+    assert run(["ldp", "--builtin", "ising", "--a-level", a, "--b-level", b,
+                "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == "error: interval must be ordered\n"
+    assert not (tmp_path / "ldp.csv").exists()
+
+
+def test_ldp_certain_event_writes_zero_rates(tmp_path, capsys):
+    """A constant observable makes [0, 1] certain: rate and gap are
+    written 0, not -0."""
+    doc = models.to_document(models.builtin("bernoulli"))
+    doc["observable"]["values"] = {"1": 0.5, "2": 0.5}
+    path = tmp_path / "constant.json"
+    path.write_text(dump_json(doc))
+    assert run(["ldp", "--model", str(path), "--n", "4", "8", "--a-level", "0",
+                "--b-level", "1", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    lines = (tmp_path / "ldp.csv").read_text().splitlines()
+    assert lines[1:] == ["4,1,0,0,0,false", "8,1,0,0,0,false"]
+
+
 @pytest.mark.parametrize("a, b", [(0.6, 0.9), (0.9, 1.0)])
 def test_ldp_off_the_mean_range_is_infinite(tmp_path, capsys, a, b):
     """Bernoulli's observable ranges over [-0.7, 0.3]: an interval whose

@@ -122,9 +122,8 @@ def test_contraction_trace_bernoulli_rank_one(bernoulli):
 
 def test_contraction_factors_all_builtins(builtin_triple):
     for name, sv in builtin_triple.items():
-        cc = cone_constants(sv.space, sv.phi)
-        delta = 2.0 * cc.delta_prime
-        tr = contraction_trace(sv.T, sv.E, [1.0, 3.0], [3.0, 1.0], k=10, delta=delta)
+        tr = contraction_trace(sv.T, sv.E, [1.0, 3.0], [3.0, 1.0], k=10)
+        assert tr["delta"] == 2.0 * cone_constants(sv.space, sv.phi).delta_prime
         kappa = tr["kappa"]
         for row in tr["rows"][1:]:
             assert row["in_cone"]

@@ -47,6 +47,7 @@ from oracles import (
     gather_law,
     green_kubo_variance,
     grouped_var_n,
+    ones_start,
     per_move_jacobian_error,
     per_word_affine,
     power_loop,
@@ -225,12 +226,19 @@ def outcome(solver, T, tol, start=None):
 # of the repeat stop, and one far from them
 CAPS = (1, 3, 5, 63, 64, 65, 2000)
 
+
+def array_loop(T, tol, start=None):
+    """transfer._array_loop from start, or, when start is None, from the
+    all-ones start that dominant_eigendata resolves None to."""
+    return transfer._array_loop(T, tol, ones_start(T.state_count) if start is None else start)
+
+
 # each 2 x 2 loop and its oracle: dominant_eigendata runs the two-state
 # loop, and the array loop, which runs every larger matrix, is called
-# directly, its products those of numpy's BLAS
+# directly with a resolved start, its products those of numpy's BLAS
 LOOPS = {
     "two-state": (transfer.dominant_eigendata, power_loop),
-    "array": (transfer._array_loop, functools.partial(power_loop, dot=np.matmul)),
+    "array": (array_loop, functools.partial(power_loop, dot=np.matmul)),
 }
 
 

@@ -458,7 +458,7 @@ def test_two_state_and_large_families_run_no_eig(ising, monkeypatch):
         fam = stats.PressureFamily(*args)
         for s in PRESSURE_GRID:
             fam.pressure(s)
-    assert len(fam._T.matrix) == 64 > stats.DENSE_START_MAX
+    assert len(fam._T.matrix) == 64 > transfer.DENSE_START_MAX
 
 
 def test_tilt_without_a_dense_start_is_predicted(monkeypatch):
@@ -477,7 +477,7 @@ def test_tilt_without_a_dense_start_is_predicted(monkeypatch):
     phi = FiniteMemoryFunction.constant(space, 0.0)
     psi = FiniteMemoryFunction(space, 1, {(1,): 30.0, (2,): 0.0, (3,): 0.0})
     fam = stats.PressureFamily(space, phi, psi)
-    assert stats._dense_pair(fam._tilt(-40.0)) is None
+    assert transfer._perron_pair(fam._tilt(-40.0)) is None
     assert fam.pressure(-40.0) == pytest.approx(math.log(2.0), abs=1e-13)
     assert all(a is b for a, b in zip(starts[1], fam._cache[0.0][3:]))
 
@@ -526,7 +526,7 @@ def test_two_state_tilt_without_a_pair_is_predicted():
     fam = stats.PressureFamily(space, phi, psi)
     for s in (-40.0, 40.0):
         M = fam._tilt(s)
-        assert transfer._two_state_pair(M) is None
+        assert transfer._perron_pair(M) is None
         assert all(a is b for a, b in zip(fam._start(s, M), fam._cache[0.0][3:]))
 
 
@@ -581,7 +581,7 @@ def test_failed_tilt_is_solved_once(monkeypatch):
     phi = random_full_shift(100, 4)
     psi = FiniteMemoryFunction.indicator(phi.space, (1,))
     fam = stats.PressureFamily(phi.space, phi, psi, tol=1e-12)
-    assert len(fam._T.matrix) == 64 > stats.DENSE_START_MAX
+    assert len(fam._T.matrix) == 64 > transfer.DENSE_START_MAX
     monkeypatch.setattr(transfer, "MAX_ITER", 3)
     failed = []
     solve = transfer.dominant_eigendata
@@ -746,6 +746,25 @@ def test_mean_range_is_the_extreme_cycle_means(builtin_triple):
             if space.is_admissible(ring):
                 means.append(sum(phi.values[ring[i : i + 3]] for i in range(p)) / p)
     assert stats._mean_range(space, phi) == pytest.approx((min(means), max(means)), abs=1e-12)
+
+
+@pytest.mark.parametrize("a, b", [(0.3, 0.2), (math.nan, 0.1), (0.1, math.nan)])
+def test_ldp_refuses_an_unordered_interval(bernoulli, a, b):
+    """An interval is ordered when a <= b holds, which a NaN end fails."""
+    ind = FiniteMemoryFunction.indicator(bernoulli.space, (1,))
+    dists = [stats.exact_birkhoff_distribution(bernoulli.mu, ind, 10)]
+    with pytest.raises(ValidationError, match="^interval must be ordered$"):
+        stats.ldp_empirical(dists, (a, b), lambda t: 0.0, 0.7)
+
+
+def test_ldp_certain_event_has_a_positive_zero_rate(bernoulli):
+    """A constant observable puts all mass on one level: an interval
+    holding it has probability 1, and rate and gap +0.0, not -0.0."""
+    c = FiniteMemoryFunction.constant(bernoulli.space, 0.5)
+    dists = [stats.exact_birkhoff_distribution(bernoulli.mu, c, n) for n in (4, 8)]
+    for r in stats.ldp_empirical(dists, (0.0, 1.0), lambda t: 0.0, 0.5):
+        assert r["probability"] == 1.0
+        assert math.copysign(1.0, r["empirical_rate"]) == math.copysign(1.0, r["gap"]) == 1.0
 
 
 def test_ldp_interval_containing_mean(bernoulli):

@@ -12,7 +12,7 @@ from gibbslab.gibbs import gibbs_measure, gibbs_ratio_scan
 from gibbslab.potential import FiniteMemoryFunction, affine_combine, total_variation
 from gibbslab.shift_space import validate
 
-from oracles import random_full_shift
+from oracles import ones_start, random_full_shift
 
 
 def test_bernoulli_matrix(bernoulli):
@@ -150,16 +150,45 @@ def test_repeat_stop_does_not_lean_on_the_cap(monkeypatch):
     assert first + period <= 100
 
 
+def _outcome(solve, *args):
+    """solve(*args): the EigenData, or the failure's class and message."""
+    try:
+        return solve(*args)
+    except GibbsLabError as exc:
+        return type(exc), str(exc)
+
+
 def _both_loops(T, tol=1e-12, start=None):
-    """The two-state loop's outcome on T, then the array loop's: the
-    EigenData, or the failure's class and message."""
-    outcomes = []
-    for solve in (transfer.dominant_eigendata, transfer._array_loop):
-        try:
-            outcomes.append(solve(T, tol=tol, start=start))
-        except GibbsLabError as exc:
-            outcomes.append((type(exc), str(exc)))
-    return outcomes
+    """The two-state loop's outcome on T, through dominant_eigendata,
+    then the array loop's, called directly from the same start resolved
+    (all ones when start is None)."""
+    resolved = ones_start(T.state_count) if start is None else start
+    return [_outcome(transfer.dominant_eigendata, T, tol, start),
+            _outcome(transfer._array_loop, T, tol, resolved)]
+
+
+def test_default_start_is_all_ones():
+    """start=None is h all ones with nu = 1/k, bit for bit, failures
+    included: on the built-ins, golden-mean a = -8 at 1e-12 (56,491
+    iterations) and 1e-13 (a repeat), and k = 3 and 16."""
+    ms = [models.builtin(name) for name in ("bernoulli", "ising", "golden-mean")]
+    systems = [transfer.build(m.space, m.potential) for m in (*ms, models.golden_mean(-8.0))]
+    space = validate(3, np.ones((3, 3), dtype=int), symbols=(1, 2, 3))
+    phi = FiniteMemoryFunction(space, 1, {(1,): 0.5, (2,): -0.25, (3,): 0.0})
+    systems.append(transfer.build(space, phi))
+    phi = random_full_shift(100, 3)
+    systems.append(transfer.build(phi.space, phi))
+    assert [T.state_count for T in systems[-3:]] == [2, 3, 16]
+    for T in systems:
+        for tol in (1e-12, 1e-13):
+            cold = _outcome(transfer.dominant_eigendata, T, tol)
+            ones = _outcome(transfer.dominant_eigendata, T, tol, ones_start(T.state_count))
+            if isinstance(cold, tuple):
+                assert cold == ones
+                continue
+            for field in dataclasses.fields(cold):
+                a, b = getattr(cold, field.name), getattr(ones, field.name)
+                assert np.array_equal(a, b), field.name
 
 
 def test_two_state_and_array_loops_agree():
@@ -202,7 +231,7 @@ def test_two_state_pair_is_the_perron_pair(M):
     to rounding, nu summing to 1, also with entries that span 300
     decades or whose squares overflow."""
     M = np.array(M)
-    h, nu = (np.array(v) for v in transfer._two_state_pair(M))
+    h, nu = (np.array(v) for v in transfer._perron_pair(M))
     lam = (M @ nu).sum()
     assert nu.sum() == pytest.approx(1.0, abs=1e-15)
     assert np.abs(M @ nu - lam * nu).max() <= 1e-15 * lam
@@ -220,21 +249,58 @@ def test_two_state_pair_is_the_perron_pair(M):
     [[1.0, 5e-324], [5e-324, 1.0]],  # bc underflows: lambda - a is 0
 ])
 def test_two_state_pair_none_without_a_positive_pair(M):
-    assert transfer._two_state_pair(np.array(M)) is None
+    assert transfer._perron_pair(np.array(M)) is None
+
+
+def test_perron_pair_is_dense_up_to_its_bound():
+    """Past 2 states the pair is read off a dense eigensolve, up to
+    DENSE_START_MAX states, and is None beyond."""
+    rng = np.random.default_rng(7)
+    for k in (3, transfer.DENSE_START_MAX, transfer.DENSE_START_MAX + 1):
+        M = rng.uniform(0.5, 1.5, (k, k))
+        pair = transfer._perron_pair(M)
+        if k > transfer.DENSE_START_MAX:
+            assert pair is None
+            continue
+        h, nu = pair
+        lam = (M @ nu).sum()
+        assert nu.sum() == pytest.approx(1.0, abs=1e-15)
+        assert np.abs(M @ nu - lam * nu).max() <= 1e-13 * lam
+        assert np.abs(M.T @ h - lam * h).max() <= 1e-13 * lam * h.max()
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_bad_starts_fail_in_dominant_eigendata(k):
+    """A start of the wrong length, or with a NaN, inf, zero or negative
+    entry in either vector, first or last, fails dominant_eigendata
+    before either loop runs, with the same class and message at k = 2
+    (the two-state loop's size) and k = 3 (the array loop's)."""
+    space = validate(k, np.ones((k, k), dtype=int), symbols=tuple(range(1, k + 1)))
+    T = transfer.build(space, FiniteMemoryFunction.constant(space, 0.0))
+    good, long = np.ones(k), np.ones(k + 1)
+    for start, shapes in (((long, good), f"[({k + 1},), ({k},)]"),
+                          ((good, long), f"[({k},), ({k + 1},)]")):
+        with pytest.raises(ValidationError) as exc:
+            transfer.dominant_eigendata(T, start=start)
+        assert str(exc.value) == f"start vectors have shapes {shapes}, expected ({k},)"
+    for i, x in ((0, np.nan), (-1, np.nan), (0, np.inf), (-1, 0.0), (0, -1.0)):
+        bad = good.copy()
+        bad[i] = x
+        for start in ((bad, good), (good, bad)):
+            with pytest.raises(ValidationError) as exc:
+                transfer.dominant_eigendata(T, start=start)
+            assert str(exc.value) == "start vector entries must be finite and positive"
 
 
 def test_two_state_and_array_loops_fail_alike(bernoulli):
-    """Bad starts, non-finite matrices, an overflowing row-sum floor, a
-    lambda estimate of 0, an h residual that is NaN on one state only
-    and products that overflow fail both loops
+    """Non-finite matrices, an overflowing row-sum floor, a lambda
+    estimate of 0, an h residual that is NaN on one state only and
+    products that overflow fail both loops
     with the same class and message, the last up to the digits of the
     residuals printed: numpy's 2 x 2 products may round once where the
     two-state loop rounds twice."""
     T, good = bernoulli.T, np.ones(2)
     cases = []
-    for bad in ([1.0, 1.0, 1.0], [np.nan, 1.0], [1.0, np.nan], [np.inf, 1.0],
-                [1.0, 0.0], [-1.0, 1.0]):
-        cases += [(T, (np.array(bad), good)), (T, (good, np.array(bad)))]
     for M in ([[np.inf, 0.7], [0.3, 0.3]], [[0.7, 0.7], [0.3, np.nan]],
               [[1e308, 1e308], [1e308, 1e308]], [[0.0, 0.0], [0.0, 0.0]],
               [[0.0, 1.0], [0.0, 0.0]],
